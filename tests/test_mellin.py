@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,14 +144,109 @@ class TestTransform:
         with pytest.raises(me.NonIntegrableError):
             me.mellin_transform(k, 0.5)
 
-    def test_tail_bound_decreasing_and_effective(self):
-        fam = me.mellin_transform(
-            me.wedge_double_layer_kernel(math.pi / 2), 0.5, np.array([0.0, 30.0, 60.0])
-        )
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            me.wedge_double_layer_kernel(0.4),
+            me.wedge_double_layer_kernel(math.pi / 2),
+            me.wedge_double_layer_kernel(2.5),
+            me.wedge_double_layer_kernel(4.0),
+            me.sech_test_kernel(),
+            me.symmetric_dilation_kernel(),
+        ],
+        ids=["wedge-0.4", "wedge-right", "wedge-2.5", "wedge-4.0", "sech", "symmetric-dilation"],
+    )
+    def test_tail_bound_decreasing_and_effective(self, kernel):
+        fam = me.mellin_transform(kernel, 0.5, np.array([0.0, 30.0, 60.0]))
         assert fam.tail_bound(50.0) < fam.tail_bound(25.0)
         # the bound dominates the actual symbol out in the tail
-        for lam in (30.0, 60.0):
+        for lam in (30.0, 60.0, 200.0, 800.0):
             assert np.linalg.norm(fam.value(lam), 2) <= fam.tail_bound(lam)
+
+
+class TestTrapezoidEngine:
+    @pytest.mark.parametrize("alpha", [0.1, 0.02, 2 * math.pi - 0.1])
+    def test_narrow_peaks_match_closed_form(self, alpha):
+        lams = np.array([0.0, 1.0, 4.0, 50.0, 200.0])
+        fam = me.mellin_transform(me.wedge_double_layer_kernel(alpha), 0.5, lams)
+        for lam in lams:
+            want = wedge_symbol_closed_form(alpha, 0.5, lam)
+            assert abs(fam.value(lam)[0, 1] - want) < 1e-8
+        # off-grid values, as a scan requests them, reuse the same samples
+        for lam in (3.3, 150.7, -150.7):
+            want = wedge_symbol_closed_form(alpha, 0.5, lam)
+            assert abs(fam.value(lam)[0, 1] - want) < 1e-8
+
+    def test_kernel_complex_only_far_out_matches_direct_scheme(self):
+        # imaginary only for t > e, where no three-point realness probe looks;
+        # conj(symbol(-lam)) would be wrong for it
+        def fn(t):
+            s = math.log(t)
+            bump = 0.5j * max(0.0, s - 1.0) ** 3 / (1.0 + s * s)
+            return np.array([[t / (1.0 + t * t) * (1.0 + bump)]])
+
+        kern = me.MellinKernel("k", 1, fn, me.KernelDecay(1.0, 1.0, 0.9, 2.5), "complex-far-out")
+        fam = me.mellin_transform(kern, 0.5, np.array([-1.0, 0.0, 1.0]))
+        for lam in (-1.0, 0.0, 1.0):
+            direct = me.mellin_transform_direct(kern, 0.5, lam)
+            assert abs(fam.value(lam)[0, 0] - direct[0, 0]) < 1e-8
+
+    def test_refinement_evaluates_only_midpoints(self):
+        calls = []
+        base = me.sech_test_kernel()
+
+        def fn(t):
+            calls.append(t)
+            return base.fn(t)
+
+        kern = me.MellinKernel("k", 1, fn, base.decay, "counted")
+        fam = me.mellin_transform(kern, 0.5, np.array([0.0, 1.0, 100.0]))
+        nodes = len(calls)
+        assert len(set(calls)) == nodes
+        fam.value(37.2)  # resolved by the existing samples
+        assert len(calls) == nodes
+        fam.value(200.0)  # twice the frequency: one halving of the step
+        assert len(calls) == 2 * nodes - 1
+        assert len(set(calls)) == len(calls)
+        assert abs(fam.value(200.0)[0, 0] - sech_symbol_closed_form(0.5, 200.0)) < 1e-8
+
+    def test_budget_out_of_reach_raises(self, monkeypatch):
+        # a jump in the kernel caps the trapezoid rule at first order
+        def fn(t):
+            return np.array([[t / (1.0 + t * t) if t < 2.0 else 0.0]])
+
+        kern = me.MellinKernel("k", 1, fn, me.KernelDecay(1.0, 1.0, 1.0, 1.0), "jump")
+        monkeypatch.setattr(me, "MAX_INTERVALS", 2**12)
+        with pytest.raises(me.QuadratureError):
+            me.mellin_transform(kern, 0.5, np.array([0.0, 1.0]))
+
+    def test_frequency_out_of_reach_raises(self):
+        fam = me.mellin_transform(me.sech_test_kernel(), 0.5, np.array([0.0]))
+        with pytest.raises(me.QuadratureError):
+            fam.value(1e6)
+
+    def test_wide_window_transform_stays_small(self):
+        # the midpoint-dip shape: g(u) = -(c / pi w) sech(u / w) e^(i lam0 u),
+        # a log window 288 wide and 37k nodes for the default grid
+        c, width, lam0, weight = 0.5, 5.0, 0.125, 0.5
+        scale = c / (math.pi * width)
+
+        def fn(t):
+            u = math.log(t)
+            return [[-scale / math.cosh(u / width) * complex(math.cos(lam0 * u), math.sin(lam0 * u))
+                     * t ** (-weight)]]
+
+        decay = me.KernelDecay(1.0 / width - weight, 2 * scale, 1.0 / width + weight, 2 * scale)
+        kern = me.MellinKernel("dip", 1, fn, decay, "midpoint-dip")
+        tracemalloc.start()
+        try:
+            fam = me.mellin_transform(kern, weight)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        want = -c / math.cosh(math.pi * width * (1.0 - lam0) / 2)
+        assert abs(fam.value(1.0)[0, 0] - want) < 1e-8
 
 
 class TestScan:
@@ -231,6 +327,16 @@ class TestVerdict:
         v = me.fredholm_verdict(d, c=0.5)
         assert v.is_fredholm
         assert v.scans["art"].min_sigma == 0.5
+
+    def test_nearly_equal_angles_scanned_separately(self):
+        # the two openings agree to 6 significant digits
+        p = co.Vertex("p", co.RayBase((0.0, 0.3)))
+        q = co.Vertex("q", co.RayBase((0.0, 0.3000004)))
+        v = me.fredholm_verdict(co.LayerDomain(2, (p, q)), c=0.5)
+        for vid, alpha in (("p", 0.3), ("q", 0.3000004)):
+            want = 0.5 - abs(math.cos(alpha / 2)) / 2
+            assert v.scans[vid].min_sigma == pytest.approx(want, abs=1e-9)
+            assert v.scans[vid].vertex == vid
 
     def test_weight_auto_is_half(self):
         v = me.fredholm_verdict(co.unit_square(), c=0.5, weight="auto")
