@@ -8,6 +8,20 @@ potential operators on polygonal domains.
 
 __version__ = "0.1.0"
 
+
+def _cap_blas_threads():
+    # BLAS reads its thread count when numpy loads it, so GPDLAB_THREADS
+    # must reach the environment before any submodule imports numpy.
+    import os
+
+    cap = os.environ.get("GPDLAB_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, cap)
+
+
+_cap_blas_threads()
+
 from .groupoid import (
     FiniteGroupoid,
     GroupTable,

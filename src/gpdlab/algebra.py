@@ -176,18 +176,20 @@ def regular_rep(a: AlgebraElement, x) -> RegularRepMatrix:
     if x not in uidx:
         raise GroupoidError(f"unknown unit {x!r}")
     fib = g._fibers_by_dom()[uidx[x]]
-    c = g._compose_table()
+    return RegularRepMatrix(x, tuple(g.arrows[i] for i in fib), _fiber_matrix(a, fib))
+
+
+def _fiber_matrix(a: AlgebraElement, fib: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is the coefficient of a at fib[i] fib[j]^{-1}."""
+    g = a.groupoid
     _, _, inv_i, _ = g._arrays()
-    if c is not None:
-        mat = a.vec[c[np.ix_(fib, inv_i[fib])]]
-    else:
-        aidx = g.arrow_index()
-        mat = np.empty((len(fib), len(fib)), dtype=np.complex128)
-        arrows = g.arrows
-        for i, gi in enumerate(fib):
-            for j, hj in enumerate(fib):
-                mat[i, j] = a.vec[aidx[g.mul(arrows[gi], g.inverse[arrows[hj]])]]
-    return RegularRepMatrix(x, tuple(g.arrows[i] for i in fib), mat)
+    prod = g._mul_idx(fib[:, None], inv_i[fib][None, :])
+    if (prod < 0).any():
+        i, j = np.argwhere(prod < 0)[0]
+        raise GroupoidError(
+            f"arrows {g.arrows[fib[i]]!r} and {g.arrows[inv_i[fib[j]]]!r} are not composable"
+        )
+    return a.vec[prod]
 
 
 def operator_norm(m: np.ndarray) -> float:
@@ -320,24 +322,11 @@ class OrbitBlockDecomposition:
         """The block matrices of an element (regular rep in block bases)."""
         if a.groupoid is not self.groupoid:
             raise AlgebraError("element belongs to a different groupoid")
-        out = []
         aidx = self.groupoid.arrow_index()
-        g = self.groupoid
-        c = g._compose_table()
-        _, _, inv_i, _ = g._arrays()
-        for blk in self.blocks:
-            fib = np.array([aidx[arrow] for arrow in blk.fiber], dtype=np.int64)
-            if c is not None:
-                mat = a.vec[c[np.ix_(fib, inv_i[fib])]]
-            else:
-                mat = np.array(
-                    [
-                        [a.vec[aidx[g.mul(gi, g.inverse[hj])]] for hj in blk.fiber]
-                        for gi in blk.fiber
-                    ]
-                )
-            out.append(mat)
-        return out
+        return [
+            _fiber_matrix(a, np.array([aidx[arrow] for arrow in blk.fiber], dtype=np.int64))
+            for blk in self.blocks
+        ]
 
     def norm(self, a: AlgebraElement) -> float:
         mats = self.matrices(a)

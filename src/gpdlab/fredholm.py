@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .algebra import (
     AlgebraElement,
@@ -106,6 +105,8 @@ class LimitOperatorFamily:
 
 def _spectra_match(m1: np.ndarray, m2: np.ndarray) -> float:
     """Best-matching distance between two spectra (unitary invariance check)."""
+    from scipy.optimize import linear_sum_assignment  # slow to import; only needed here
+
     if m1.shape != m2.shape:
         return np.inf
     if m1.size == 0:

@@ -22,11 +22,14 @@ import numpy as np
 UnitId = Hashable
 ArrowId = Hashable
 
-# Composition is kept as a sparse map (dict); a dense index table is
-# derived for vectorised work while n_arrows stays at desk scale.
-DENSE_ARROW_LIMIT = 2048
+# Composition is kept as a sparse map (dict).  Vectorised work goes through
+# a fiber-indexed table with one slot per composable pair (see
+# FiniteGroupoid._fiber_table), so it scales with |compose|, not n_arrows².
 
 MAX_WITNESSES_PER_AXIOM = 5
+
+# composable triples examined per vectorised associativity block
+_TRIPLE_BLOCK = 1 << 18
 
 
 class GroupoidError(ValueError):
@@ -149,27 +152,45 @@ class FiniteGroupoid:
         if "pairs" not in self._cache:
             aidx = self.arrow_index()
             m = len(self.compose)
-            p1 = np.empty(m, np.int64)
-            p2 = np.empty(m, np.int64)
-            pp = np.empty(m, np.int64)
-            for i, ((g, h), k) in enumerate(self.compose.items()):
-                p1[i] = aidx[g]
-                p2[i] = aidx[h]
-                pp[i] = aidx[k]
+            p1 = np.fromiter((aidx[g] for g, _ in self.compose), np.int64, m)
+            p2 = np.fromiter((aidx[h] for _, h in self.compose), np.int64, m)
+            pp = np.fromiter(map(aidx.__getitem__, self.compose.values()), np.int64, m)
             self._cache["pairs"] = (p1, p2, pp)
         return self._cache["pairs"]
 
-    def _compose_table(self):
-        """Dense composition matrix (-1 = undefined), or None above the size cap."""
-        if "ctable" not in self._cache:
-            if self.n_arrows <= DENSE_ARROW_LIMIT:
-                c = np.full((self.n_arrows, self.n_arrows), -1, np.int64)
-                p1, p2, pp = self._pair_arrays()
-                c[p1, p2] = pp
-                self._cache["ctable"] = c
-            else:
-                self._cache["ctable"] = None
-        return self._cache["ctable"]
+    def _fiber_table(self) -> "_FiberTable":
+        """Composition indexed by composable pair, one slot per pair."""
+        if "ftable" not in self._cache:
+            dom_i, rng_i, _, _ = self._arrays()
+            n = self.n_arrows
+            rorder = np.argsort(rng_i, kind="stable")
+            rstart = np.searchsorted(rng_i[rorder], np.arange(self.n_units + 1))
+            pos = np.empty(n, np.int64)
+            pos[rorder] = np.arange(n) - rstart[rng_i[rorder]]
+            off = np.concatenate(([0], np.cumsum(np.diff(rstart)[dom_i])))
+            table = np.full(off[-1] + 1, -1, np.int64)
+            p1, p2, pp = self._pair_arrays()
+            ok = dom_i[p1] == rng_i[p2]
+            table[off[p1[ok]] + pos[p2[ok]]] = pp[ok]
+            keys = p1[~ok] * n + p2[~ok]
+            srt = np.argsort(keys)
+            self._cache["ftable"] = _FiberTable(
+                pos, off, table, rorder, rstart, keys[srt], pp[~ok][srt]
+            )
+        return self._cache["ftable"]
+
+    def _mul_idx(self, a, b) -> np.ndarray:
+        """Vectorised ``compose.get`` on index arrays: ab, or -1 where undefined."""
+        a, b = np.broadcast_arrays(np.asarray(a, np.int64), np.asarray(b, np.int64))
+        dom_i, rng_i, _, _ = self._arrays()
+        ft = self._fiber_table()
+        ok = dom_i[a] == rng_i[b]
+        out = ft.table[np.where(ok, ft.off[a] + ft.pos[b], len(ft.table) - 1)]
+        if len(ft.side_keys):
+            keys = a[~ok] * self.n_arrows + b[~ok]
+            j = np.minimum(np.searchsorted(ft.side_keys, keys), len(ft.side_keys) - 1)
+            out[~ok] = np.where(ft.side_keys[j] == keys, ft.side_vals[j], -1)
+        return out
 
     def _fibers_by_dom(self):
         """Per unit index, the array of arrow indices with that domain."""
@@ -177,12 +198,6 @@ class FiniteGroupoid:
             dom_i, _, _, _ = self._arrays()
             self._cache["dfibers"] = _group_by(dom_i, self.n_units, self.n_arrows)
         return self._cache["dfibers"]
-
-    def _fibers_by_rng(self):
-        if "rfibers" not in self._cache:
-            _, rng_i, _, _ = self._arrays()
-            self._cache["rfibers"] = _group_by(rng_i, self.n_units, self.n_arrows)
-        return self._cache["rfibers"]
 
     def __repr__(self):
         return f"FiniteGroupoid(units={self.n_units}, arrows={self.n_arrows})"
@@ -198,6 +213,34 @@ class FiniteGroupoid:
             and self.inverse == other.inverse
             and self.compose == other.compose
         )
+
+
+@dataclass(frozen=True)
+class _FiberTable:
+    """Composition over the composable pairs, indexed by range fibers.
+
+    ``pos[h]`` is the index of arrow h within its range fiber
+    ``rorder[rstart[x]:rstart[x + 1]]`` (arrow order); the pairs (g, h)
+    with dom g = rng h occupy the slots ``off[g] + pos[h]`` of ``table``,
+    so slot order is row-major (g, h) order.  ``table`` holds gh, -1 where
+    undefined, plus one trailing -1 slot.  Entries defined on pairs that
+    are not composable (malformed input only) are kept in the sorted side
+    arrays, keyed by g * n_arrows + h.
+    """
+
+    pos: np.ndarray
+    off: np.ndarray
+    table: np.ndarray
+    rorder: np.ndarray
+    rstart: np.ndarray
+    side_keys: np.ndarray
+    side_vals: np.ndarray
+
+    def slot_pairs(self, slots, dom_i):
+        """(g, h) index arrays of the given slots."""
+        g = np.searchsorted(self.off, slots, side="right") - 1
+        h = self.rorder[self.rstart[dom_i[g]] + slots - self.off[g]]
+        return g, h
 
 
 def _group_by(values: np.ndarray, n_groups: int, n: int):
@@ -281,11 +324,73 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
 
     The report lists each violated axiom with witness tuples (capped per
     axiom); it is empty exactly when all invariants hold.  Violations are
-    report entries, not exceptions.
+    report entries, not exceptions.  Every check is array code over the
+    fiber-indexed composition table, so there is no size cap.
     """
-    if g._compose_table() is not None:
-        return _validate_dense(g)
-    return _validate_sparse(g)
+    from collections import defaultdict
+
+    bucket = defaultdict(list)
+    dom_i, rng_i, inv_i, unit_i = g._arrays()
+    ft = g._fiber_table()
+    mul = g._mul_idx
+    n = g.n_arrows
+    arrows = g.arrows
+    units = g.units
+    cap = MAX_WITNESSES_PER_AXIOM
+
+    # unit arrows sit at their unit
+    bad = np.flatnonzero((dom_i[unit_i] != np.arange(g.n_units)) | (rng_i[unit_i] != np.arange(g.n_units)))
+    _collect(bucket, "unit-endpoints", [(units[i],) for i in bad])
+
+    # compose defined exactly on composable pairs: empty slots and side
+    # entries, merged in row-major (g, h) order
+    sg, sh = ft.slot_pairs(np.flatnonzero(ft.table[:-1] < 0)[:cap], dom_i)
+    keys = np.sort(np.concatenate((sg * n + sh, ft.side_keys[:cap])))
+    _collect(bucket, "composability", [(arrows[k // n], arrows[k % n]) for k in keys])
+
+    p1, p2, pp = g._pair_arrays()
+    keys = np.sort(
+        (p1 * n + p2)[(dom_i[p1] == rng_i[p2]) & ((dom_i[pp] != dom_i[p2]) | (rng_i[pp] != rng_i[p1]))]
+    )
+    _collect(bucket, "product-endpoints", [(arrows[k // n], arrows[k % n]) for k in keys[:cap]])
+
+    # unit arrows act as two-sided identities
+    idx = np.arange(n)
+    bad = np.flatnonzero((mul(unit_i[rng_i], idx) != idx) | (mul(idx, unit_i[dom_i]) != idx))
+    _collect(bucket, "identity", [(arrows[i],) for i in bad])
+
+    # inverses: endpoints swap and compose to units
+    bad = np.flatnonzero((dom_i[inv_i] != rng_i) | (rng_i[inv_i] != dom_i))
+    _collect(bucket, "inverse-endpoints", [(arrows[i],) for i in bad])
+    bad = np.flatnonzero((mul(idx, inv_i) != unit_i[rng_i]) | (mul(inv_i, idx) != unit_i[dom_i]))
+    _collect(bucket, "inverse", [(arrows[i],) for i in bad])
+
+    # associativity (gh)k = g(hk) over every defined (g, h) and every k
+    # with rng k = dom h; pairs grouped by that middle unit, in unit order
+    order = np.argsort(dom_i[p2], kind="stable")
+    mid = dom_i[p2[order]]
+    width = np.diff(ft.rstart)[mid]
+    ends = np.cumsum(width)
+    lo = 0
+    while lo < len(order) and len(bucket["associativity"]) < cap:
+        hi = max(int(np.searchsorted(ends, ends[lo] - width[lo] + _TRIPLE_BLOCK, "right")), lo + 1)
+        e, w = order[lo:hi], width[lo:hi]
+        # k runs over the range fiber of the middle unit, so pos[k] = local
+        local = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)
+        gg, hh = np.repeat(p1[e], w), np.repeat(p2[e], w)
+        k = ft.rorder[np.repeat(ft.rstart[mid[lo:hi]], w) + local]
+        hk = ft.table[np.repeat(ft.off[p2[e]], w) + local]
+        # gh k is a table slot too unless dom gh != dom h (malformed input)
+        near = dom_i[pp[e]] == mid[lo:hi]
+        lhs = ft.table[np.repeat(np.where(near, ft.off[pp[e]], 0), w) + local]
+        if not near.all():
+            far = np.repeat(~near, w)
+            lhs[far] = mul(np.repeat(pp[e], w)[far], k[far])
+        rhs = np.where(hk >= 0, mul(gg, np.maximum(hk, 0)), -1)
+        bad = np.flatnonzero(lhs != rhs)[:cap]
+        _collect(bucket, "associativity", [(arrows[gg[i]], arrows[hh[i]], arrows[k[i]]) for i in bad])
+        lo = hi
+    return _report(bucket)
 
 
 def _collect(bucket, axiom, witnesses):
@@ -299,128 +404,6 @@ def _report(bucket) -> ValidationReport:
     for axiom in sorted(bucket):
         out.extend(bucket[axiom])
     return ValidationReport(out)
-
-
-def _validate_dense(g: FiniteGroupoid) -> ValidationReport:
-    from collections import defaultdict
-
-    bucket = defaultdict(list)
-    dom_i, rng_i, inv_i, unit_i = g._arrays()
-    c = g._compose_table()
-    n = g.n_arrows
-    arrows = g.arrows
-    units = g.units
-
-    # unit arrows sit at their unit
-    bad = np.flatnonzero((dom_i[unit_i] != np.arange(g.n_units)) | (rng_i[unit_i] != np.arange(g.n_units)))
-    _collect(bucket, "unit-endpoints", [(units[i],) for i in bad])
-
-    # compose defined exactly on composable pairs
-    if n:
-        composable = dom_i[:, None] == rng_i[None, :]
-        defined = c >= 0
-        mism = np.argwhere(composable != defined)
-        _collect(bucket, "composability", [(arrows[i], arrows[j]) for i, j in mism])
-
-        both = composable & defined
-        gi, hi = np.nonzero(both)
-        ki = c[gi, hi]
-        bad = np.flatnonzero((dom_i[ki] != dom_i[hi]) | (rng_i[ki] != rng_i[gi]))
-        _collect(bucket, "product-endpoints", [(arrows[gi[i]], arrows[hi[i]]) for i in bad])
-
-        # unit arrows act as two-sided identities
-        idx = np.arange(n)
-        left = c[unit_i[rng_i], idx]
-        right = c[idx, unit_i[dom_i]]
-        bad = np.flatnonzero((left != idx) | (right != idx))
-        _collect(bucket, "identity", [(arrows[i],) for i in bad])
-
-        # inverses: endpoints swap and compose to units
-        bad = np.flatnonzero((dom_i[inv_i] != rng_i) | (rng_i[inv_i] != dom_i))
-        _collect(bucket, "inverse-endpoints", [(arrows[i],) for i in bad])
-        gu = c[idx, inv_i]
-        ug = c[inv_i, idx]
-        bad = np.flatnonzero((gu != unit_i[rng_i]) | (ug != unit_i[dom_i]))
-        _collect(bucket, "inverse", [(arrows[i],) for i in bad])
-
-        # associativity over all composable triples, grouped by the middle
-        # unit x = dom(h) = rng(k)
-        p1, p2, pp = g._pair_arrays()
-        dh = dom_i[p2]
-        rfib = g._fibers_by_rng()
-        for x in range(g.n_units):
-            ks = rfib[x]
-            if not len(ks):
-                continue
-            sel = np.flatnonzero(dh == x)
-            if not len(sel):
-                continue
-            gg, hh, gh = p1[sel], p2[sel], pp[sel]
-            lhs = c[np.ix_(gh, ks)]
-            hk = c[np.ix_(hh, ks)]
-            ok_hk = hk >= 0
-            rhs = np.full_like(lhs, -1)
-            rows = np.broadcast_to(gg[:, None], hk.shape)
-            rhs[ok_hk] = c[rows[ok_hk], hk[ok_hk]]
-            bad = np.argwhere(lhs != rhs)
-            _collect(
-                bucket,
-                "associativity",
-                [(arrows[gg[i]], arrows[hh[i]], arrows[ks[j]]) for i, j in bad],
-            )
-            if len(bucket["associativity"]) >= MAX_WITNESSES_PER_AXIOM:
-                break
-    return _report(bucket)
-
-
-def _validate_sparse(g: FiniteGroupoid) -> ValidationReport:
-    """Dict-based fallback for groupoids above the dense table cap."""
-    from collections import defaultdict
-
-    bucket = defaultdict(list)
-    for x in g.units:
-        ua = g.unit_arrow[x]
-        if g.dom[ua] != x or g.rng[ua] != x:
-            _collect(bucket, "unit-endpoints", [(x,)])
-
-    defined = set(g.compose)
-    rfib = {x: [] for x in g.units}
-    dfib = {x: [] for x in g.units}
-    for a in g.arrows:
-        rfib[g.rng[a]].append(a)
-        dfib[g.dom[a]].append(a)
-    composable = set()
-    for x in g.units:
-        for a in dfib[x]:
-            for b in rfib[x]:
-                composable.add((a, b))
-    _collect(bucket, "composability", sorted(composable ^ defined, key=repr))
-
-    for (a, b), k in g.compose.items():
-        if (a, b) in composable:
-            if g.dom[k] != g.dom[b] or g.rng[k] != g.rng[a]:
-                _collect(bucket, "product-endpoints", [(a, b)])
-
-    for a in g.arrows:
-        if g.compose.get((g.unit_arrow[g.rng[a]], a)) != a or g.compose.get((a, g.unit_arrow[g.dom[a]])) != a:
-            _collect(bucket, "identity", [(a,)])
-        ia = g.inverse[a]
-        if g.dom[ia] != g.rng[a] or g.rng[ia] != g.dom[a]:
-            _collect(bucket, "inverse-endpoints", [(a,)])
-        if (
-            g.compose.get((a, ia)) != g.unit_arrow[g.rng[a]]
-            or g.compose.get((ia, a)) != g.unit_arrow[g.dom[a]]
-        ):
-            _collect(bucket, "inverse", [(a,)])
-
-    for (a, b), ab in g.compose.items():
-        for k in rfib[g.dom[b]]:
-            lhs = g.compose.get((ab, k))
-            bk = g.compose.get((b, k))
-            rhs = g.compose.get((a, bk)) if bk is not None else None
-            if lhs != rhs:
-                _collect(bucket, "associativity", [(a, b, k)])
-    return _report(bucket)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,15 @@ def is_pair_groupoid(g: FiniteGroupoid) -> bool:
     return bool((counts == 1).all())
 
 
-def _arrow_signatures(g: FiniteGroupoid, orbit_info):
+def _dense_table(g: FiniteGroupoid) -> list:
+    """Composition as nested lists, c[g][h] = gh or -1; fine under ISO_ARROW_CAP."""
+    c = [[-1] * g.n_arrows for _ in range(g.n_arrows)]
+    for i, j, k in zip(*(arr.tolist() for arr in g._pair_arrays())):
+        c[i][j] = k
+    return c
+
+
+def _arrow_signatures(g: FiniteGroupoid, orbit_info, c):
     dom_i, rng_i, inv_i, unit_i = g._arrays()
     uidx = g.unit_index()
     orbit_size = np.zeros(g.n_units, np.int64)
@@ -43,14 +51,13 @@ def _arrow_signatures(g: FiniteGroupoid, orbit_info):
             iso_order[uidx[x]] = table.order
     unit_arrow_set = set(unit_i.tolist())
     sigs = []
-    c = g._compose_table()
     for a in range(g.n_arrows):
         is_loop = dom_i[a] == rng_i[a]
         local_order = 0
         if is_loop:
             cur, local_order = a, 1
             while cur != unit_i[dom_i[a]]:
-                cur = c[cur, a]
+                cur = c[cur][a]
                 local_order += 1
         sigs.append(
             (
@@ -72,14 +79,14 @@ def _arrow_signatures(g: FiniteGroupoid, orbit_info):
 class _IsoSearch:
     def __init__(self, g: FiniteGroupoid, h: FiniteGroupoid, budget: int):
         self.g, self.h = g, h
-        self.cg = g._compose_table().tolist()
-        self.ch = h._compose_table().tolist()
+        self.cg = _dense_table(g)
+        self.ch = _dense_table(h)
         self.gd, self.gr, self.gi, self.gu = (arr.tolist() for arr in g._arrays())
         self.hd, self.hr, self.hi, self.hu = (arr.tolist() for arr in h._arrays())
         og = orbits_and_isotropy(g, check=False)
         oh = orbits_and_isotropy(h, check=False)
-        self.sig_g, self.usig_g = _arrow_signatures(g, og)
-        self.sig_h, self.usig_h = _arrow_signatures(h, oh)
+        self.sig_g, self.usig_g = _arrow_signatures(g, og, self.cg)
+        self.sig_h, self.usig_h = _arrow_signatures(h, oh, self.ch)
         n, nu = g.n_arrows, g.n_units
         self.amap = [-1] * n
         self.aused = [False] * h.n_arrows

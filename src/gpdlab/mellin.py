@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .conical import LayerDomain, RayBase, weight_line
 
@@ -503,6 +502,8 @@ def mellin_transform_direct(kernel: MellinKernel, weight: float, lam: float) -> 
     Suited to moderate |lam|; serves as the independent oracle against
     the log-line scheme.
     """
+    from scipy.integrate import quad  # slow to import; only this oracle uses it
+
     check_line_integrability(kernel, weight)
     k = kernel.size
     out = np.empty((k, k), dtype=np.complex128)

@@ -56,6 +56,19 @@ def _check_envelope(doc, kind: str, where: str):
 
 
 def groupoid_from_dict(doc, where: str = "groupoid") -> FiniteGroupoid:
+    groupoid = _groupoid_tables(doc, where)
+    report = validate(groupoid)
+    if not report.ok:
+        first = report.violations[0]
+        raise SchemaError(
+            where,
+            f"groupoid axioms violated: {first.axiom} at witness {first.witness!r}",
+        )
+    return groupoid
+
+
+def _groupoid_tables(doc, where: str) -> FiniteGroupoid:
+    """Parse a groupoid document into tables; axioms are left unchecked."""
     _check_envelope(doc, "groupoid", where)
     units = doc.get("units")
     _expect(isinstance(units, list) and all(isinstance(u, str) for u in units),
@@ -87,17 +100,9 @@ def groupoid_from_dict(doc, where: str = "groupoid") -> FiniteGroupoid:
         _expect((g, h) not in compose, here, f"duplicate compose entry for ({g!r}, {h!r})")
         compose[(g, h)] = k
     try:
-        groupoid = FiniteGroupoid(units, arrows, dom, rng, unit_arrows, inverse, compose)
+        return FiniteGroupoid(units, arrows, dom, rng, unit_arrows, inverse, compose)
     except ValueError as exc:
         raise SchemaError(where, str(exc)) from None
-    report = validate(groupoid)
-    if not report.ok:
-        first = report.violations[0]
-        raise SchemaError(
-            where,
-            f"groupoid axioms violated: {first.axiom} at witness {first.witness!r}",
-        )
-    return groupoid
 
 
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:

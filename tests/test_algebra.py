@@ -170,6 +170,42 @@ class TestRegularRep:
             al.regular_rep(al.AlgebraElement.zero(pair3()), 99)
 
 
+def per_entry_matrix(a, fiber):
+    """Regular-representation matrix built entry by entry through g.mul."""
+    g, aidx = a.groupoid, a.groupoid.arrow_index()
+    return np.array([[a.vec[aidx[g.mul(x, g.inverse[y])]] for y in fiber] for x in fiber])
+
+
+class TestAboveOldTableCap:
+    @pytest.fixture(scope="class")
+    def big(self):
+        g = gl.build_product(gl.build_pair(range(24)), gl.build_group_bundle(["*"], gl.GroupTable.cyclic(4)))
+        assert g.n_arrows == 2304
+        return g, al.random_element(g, np.random.default_rng(21))
+
+    def test_regular_rep_matches_per_entry_build(self, big):
+        g, a = big
+        for x in (g.units[0], g.units[-1]):
+            rep = al.regular_rep(a, x)
+            assert len(rep.fiber) == 96
+            assert np.array_equal(rep.matrix, per_entry_matrix(a, rep.fiber))
+
+    def test_block_matrices_match_per_entry_build(self, big):
+        g, a = big
+        dec = al.block_decompose(g)
+        (block,) = dec.blocks
+        (mat,) = dec.matrices(a)
+        assert np.array_equal(mat, per_entry_matrix(a, block.fiber))
+
+    def test_undefined_product_raises(self):
+        g = pair3()
+        compose = dict(g.compose)
+        del compose[((1, 0), (0, 2))]
+        bad = gl.FiniteGroupoid(g.units, g.arrows, g.dom, g.rng, g.unit_arrow, g.inverse, compose)
+        with pytest.raises(gl.GroupoidError, match="not composable"):
+            al.regular_rep(al.AlgebraElement.unit(bad), 0)
+
+
 class TestRestriction:
     def toy(self):
         du = gl.build_disjoint_union(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -37,7 +40,10 @@ class TestValidateCommand:
         bad.write_text(json.dumps(doc))
         res = runner.invoke(main, ["validate", "--groupoid", str(bad)])
         assert res.exit_code == 1
-        assert not payload(res)["results"]["ok"]
+        results = payload(res)["results"]
+        assert not results["ok"]
+        assert [v["axiom"] for v in results["violations"]] == ["inverse", "inverse-endpoints"]
+        assert all(v["witness"] == ["'ab'"] for v in results["violations"])
 
     def test_malformed_file_exit_two(self, runner, tmp_path):
         bad = tmp_path / "syntax.json"
@@ -173,3 +179,37 @@ class TestLayerAndMellinCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "level,dof,sigma_min"
         assert len(lines) == 4
+
+
+def run_python(code: str, env: dict) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    return res.stdout
+
+
+class TestStartup:
+    BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_thread_cap_set_before_numpy_loads(self):
+        # record, at each environment write, whether numpy was already loaded
+        code = """
+import json, sys
+writes = {}
+def hook(event, args):
+    if event == "os.putenv":
+        writes[args[0].decode() if isinstance(args[0], bytes) else args[0]] = "numpy" in sys.modules
+sys.addaudithook(hook)
+import os, gpdlab.cli
+print(json.dumps({"writes": writes, "env": {v: os.environ.get(v) for v in %r}}))
+""" % (self.BLAS_VARS,)
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARS}
+        env["GPDLAB_THREADS"] = "1"
+        out = json.loads(run_python(code, env))
+        assert out["env"] == {v: "1" for v in self.BLAS_VARS}
+        assert {v: out["writes"].get(v) for v in self.BLAS_VARS} == {v: False for v in self.BLAS_VARS}
+
+    def test_cli_import_leaves_scipy_optimize_and_integrate_unloaded(self):
+        code = "import sys, gpdlab.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+        assert run_python(code, dict(os.environ)).strip() == "[]"

@@ -5,6 +5,7 @@ import gpdlab as gl
 from gpdlab.groupoid import GroupoidError, isotropy_table
 
 import gen
+import reference
 
 
 def corrupt(g, **tables):
@@ -53,15 +54,63 @@ class TestValidate:
         bad = corrupt(g, unit_arrow={"*": ("*", 1)})
         assert not gl.validate(bad).ok
 
-    def test_sparse_path_agrees_with_dense(self, monkeypatch):
-        from gpdlab import groupoid as gmod
-
+    def test_agrees_with_reference_oracle(self):
         g = gl.build_pair(range(3))
         bad = corrupt(g, compose={((0, 1), (1, 2)): (1, 0)})
-        dense_axioms = gl.validate(bad).axioms()
-        sparse = gmod._validate_sparse(bad)
-        assert sparse.axioms() == dense_axioms
-        assert gmod._validate_sparse(g).ok
+        reference.check_against_oracle(gl.validate(bad), bad)
+        assert reference.axiom_violations(g) == {}
+
+    def test_random_mutants_agree_with_reference_oracle(self):
+        rng = np.random.default_rng(7)
+        for i in range(200):
+            g = gen.random_groupoid(rng, max_arrows=60, kind=gen.KINDS[i % len(gen.KINDS)])
+            out = gen.mutate(rng, g)
+            if out is not None:
+                reference.check_against_oracle(gl.validate(out[0]), out[0])
+
+    def test_mutants_above_2048_arrows_agree_with_reference_oracle(self):
+        g = gl.build_group_bundle(range(1100), gl.GroupTable.cyclic(2))
+        assert g.n_arrows == 2200 and gl.validate(g).ok
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            mutant, _ = gen.mutate(rng, g)
+            reference.check_against_oracle(gl.validate(mutant), mutant)
+        missing = dict(g.compose)
+        del missing[((17, 1), (17, 1))]
+        mutant = gl.FiniteGroupoid(g.units, g.arrows, g.dom, g.rng, g.unit_arrow, g.inverse, missing)
+        reference.check_against_oracle(gl.validate(mutant), mutant)
+
+    def test_defined_but_not_composable_entries(self):
+        # exact reports of the former dense n x n validator on these inputs
+        bad = corrupt(gl.build_pair(range(3)), compose={((0, 1), (0, 2)): (0, 2)})
+        assert gl.validate(bad).as_dict() == {"ok": False, "violations": [
+            {"axiom": "associativity", "witness": ["(0, 1)", "(0, 2)", "(2, 0)"]},
+            {"axiom": "associativity", "witness": ["(0, 1)", "(0, 2)", "(2, 1)"]},
+            {"axiom": "composability", "witness": ["(0, 1)", "(0, 2)"]},
+        ]}
+        bundle = gl.build_group_bundle(range(1100), gl.GroupTable.cyclic(2))
+        bad = corrupt(bundle, compose={((1099, 1), (3, 0)): (3, 1), ((5, 0), (4, 1)): (5, 0)})
+        assert gl.validate(bad).as_dict() == {"ok": False, "violations": [
+            {"axiom": "associativity", "witness": ["(1099, 1)", "(3, 0)", "(3, 1)"]},
+            {"axiom": "associativity", "witness": ["(5, 0)", "(4, 1)", "(4, 0)"]},
+            {"axiom": "associativity", "witness": ["(5, 0)", "(4, 1)", "(4, 1)"]},
+            {"axiom": "composability", "witness": ["(5, 0)", "(4, 1)"]},
+            {"axiom": "composability", "witness": ["(1099, 1)", "(3, 0)"]},
+        ]}
+        reference.check_against_oracle(gl.validate(bad), bad)
+
+    def test_vectorised_mul_matches_compose_get(self):
+        g = gl.build_pair(range(4))
+        compose = dict(g.compose)
+        compose.update({((0, 1), (0, 2)): (0, 3), ((2, 3), (3, 1)): (2, 2)})
+        del compose[((1, 2), (2, 0))]
+        bad = gl.FiniteGroupoid(g.units, g.arrows, g.dom, g.rng, g.unit_arrow, g.inverse, compose)
+        n = bad.n_arrows
+        a, b = np.divmod(np.arange(n * n), n)
+        got = bad._mul_idx(a, b)
+        aidx = bad.arrow_index()
+        want = [aidx.get(bad.compose.get((bad.arrows[i], bad.arrows[j])), -1) for i, j in zip(a, b)]
+        assert got.tolist() == want
 
     def test_structurally_malformed_rejected(self):
         with pytest.raises(GroupoidError):
