@@ -18,6 +18,7 @@ from .groupoid import (
     GroupoidError,
     OrbitPartition,
     UnitSubset,
+    _group_by,
     as_unit_subset,
     is_invariant,
     orbits_and_isotropy,
@@ -336,24 +337,22 @@ class OrbitBlockDecomposition:
 def block_decompose(g: FiniteGroupoid) -> OrbitBlockDecomposition:
     """Faithful blockwise representation, one block per orbit."""
     orbits = _orbits(g)
+    aidx = g.arrow_index()
+    members = _group_by(orbits.orbit_index, len(orbits.orbits), g.n_units)
     blocks = []
-    for orbit, rep, iso in zip(orbits.orbits, orbits.representatives, orbits.isotropy):
-        units_order = tuple(x for x in g.units if x in orbit)
-        transversal = {rep: g.unit_arrow[rep]}
-        for a in g.arrows:
-            if g.dom[a] == rep and g.rng[a] not in transversal:
-                transversal[g.rng[a]] = a
-        fiber, labels = [], []
-        for y in units_order:
-            t = transversal[y]
-            for gamma in iso.elements:
-                fiber.append(g.mul(t, gamma))
-                labels.append((y, gamma))
-        if len(set(fiber)) != len(fiber):
+    for units, rep, iso in zip(members, orbits.representatives, orbits.isotropy):
+        transversal = orbits.transversal[units]
+        if (transversal < 0).any():
+            raise AlgebraError(f"orbit of {rep!r} is not spanned by arrows from it")
+        loops = np.array([aidx[gamma] for gamma in iso.elements], np.int64)
+        fiber = g._mul_idx(transversal[:, None], loops[None, :]).ravel()
+        if (fiber < 0).any() or len(np.unique(fiber)) != len(fiber):
             raise AlgebraError("transversal indexing failed; groupoid is invalid")
-        blocks.append(
-            OrbitBlock(rep, units_order, tuple(iso.elements), tuple(fiber), tuple(labels))
-        )
+        units_order = tuple(g.units[y] for y in units)
+        blocks.append(OrbitBlock(
+            rep, units_order, tuple(iso.elements), tuple(g.arrows[a] for a in fiber),
+            tuple((y, gamma) for y in units_order for gamma in iso.elements),
+        ))
     return OrbitBlockDecomposition(g, orbits, tuple(blocks))
 
 

@@ -34,7 +34,6 @@ from .groupoid import (
     UnitSubset,
     as_unit_subset,
     is_invariant,
-    isotropy_table,
     orbits_and_isotropy,
     reduction,
 )
@@ -299,57 +298,54 @@ def recognize_boundary_bundle(s: FredholmStructure) -> RecognitionReport:
 
     The base is the discrete set of boundary orbits; the fiber over a
     part is the isotropy group at its representative.  The isomorphism
-    sends an arrow to its part, endpoints, and isotropy element through
-    a fixed transversal; multiplicativity is verified exhaustively and
-    any failure is reported as a witness instead of raising.
+    is the orbit-coordinate map: an arrow goes to its part, endpoints,
+    and isotropy element t_r^-1 a t_d through the partition's
+    transversal; multiplicativity is verified exhaustively and any
+    failure is reported as a witness instead of raising.
     """
     gf = reduction(s.groupoid, s.boundary)
-    orbits = orbits_and_isotropy(gf, check=False)
-    arrow_map = {}
-    fibers = []
-    transversals = []
-    for pi, (orbit, rep) in enumerate(zip(orbits.orbits, orbits.representatives)):
-        iso = isotropy_table(gf, rep)
-        fibers.append(iso)
-        transversal = {rep: gf.unit_arrow[rep]}
-        for a in gf.arrows:
-            if gf.dom[a] == rep and gf.rng[a] not in transversal:
-                transversal[gf.rng[a]] = a
-        if set(transversal) != set(orbit):
-            return RecognitionReport(
-                orbits.orbits, tuple(fibers), arrow_map, False, witness=(rep, "orbit not spanned")
-            )
-        transversals.append(transversal)
-    gamma_index = [
-        {gamma: k for k, gamma in enumerate(iso.elements)} for iso in fibers
-    ]
-    for a in gf.arrows:
-        pi = orbits.orbit_of(gf.dom[a])
-        t_r = transversals[pi][gf.rng[a]]
-        t_d = transversals[pi][gf.dom[a]]
-        gamma = gf.mul(gf.mul(gf.inverse[t_r], a), t_d)
-        if gamma not in gamma_index[pi]:
-            return RecognitionReport(
-                orbits.orbits, tuple(fibers), arrow_map, False, witness=(a, "not in isotropy")
-            )
-        arrow_map[a] = (pi, gf.rng[a], gamma_index[pi][gamma], gf.dom[a])
-    # bijectivity onto the pull-back model
-    expected = sum(len(orb) ** 2 * iso.order for orb, iso in zip(orbits.orbits, fibers))
-    if len(set(arrow_map.values())) != len(arrow_map) or len(arrow_map) != expected:
+    part = orbits_and_isotropy(gf, check=False)
+    parts, fibers = part.orbits, part.isotropy
+    unspanned = part.orbit_index[part.transversal < 0]
+    if len(unspanned):
+        pi = int(unspanned.min())
         return RecognitionReport(
-            orbits.orbits, tuple(fibers), arrow_map, False, witness=("count", expected)
+            parts, fibers[:pi + 1], {}, False, witness=(part.representatives[pi], "orbit not spanned")
         )
+    coords = part.coordinates()
+    stray = np.flatnonzero(coords < 0)
+    if len(stray):
+        return RecognitionReport(
+            parts, fibers, {}, False, witness=(gf.arrows[stray[0]], "not in isotropy")
+        )
+    dom_i, rng_i, _, _ = gf._arrays()
+    orbit = part.orbit_index[dom_i]
+    units = gf.units
+    arrow_map = {
+        a: (p, units[r], c, units[d])
+        for a, p, r, c, d in zip(gf.arrows, orbit.tolist(), rng_i.tolist(), coords.tolist(), dom_i.tolist())
+    }
+    # bijectivity onto the pull-back model
+    expected = sum(len(orb) ** 2 * iso.order for orb, iso in zip(parts, fibers))
+    order = np.array([iso.order for iso in fibers], np.int64)
+    keys = (rng_i * gf.n_units + dom_i) * int(order.max(initial=1)) + coords
+    if len(np.unique(keys)) != gf.n_arrows or gf.n_arrows != expected:
+        return RecognitionReport(parts, fibers, arrow_map, False, witness=("count", expected))
     # multiplicativity: image product law (z, gamma, y)(y, gamma', w) = (z, gamma gamma', w)
-    for (a, b), k in gf.compose.items():
-        pa, ra, ga, da = arrow_map[a]
-        pb, rb, gb, db = arrow_map[b]
-        pk, rk, gk, dk = arrow_map[k]
-        if not (pa == pb == pk and rk == ra and dk == db and da == rb):
-            return RecognitionReport(
-                orbits.orbits, tuple(fibers), arrow_map, False, witness=(a, b, "endpoints")
-            )
-        if gk != fibers[pa].mul_index(ga, gb):
-            return RecognitionReport(
-                orbits.orbits, tuple(fibers), arrow_map, False, witness=(a, b, "fiber product")
-            )
-    return RecognitionReport(orbits.orbits, tuple(fibers), arrow_map, True)
+    p1, p2, pp = gf._pair_arrays()
+    joined = (
+        (orbit[p1] == orbit[p2]) & (orbit[p1] == orbit[pp]) & (rng_i[pp] == rng_i[p1])
+        & (dom_i[pp] == dom_i[p2]) & (dom_i[p1] == rng_i[p2])
+    )
+    start = np.concatenate(([0], np.cumsum(order ** 2)))
+    tables = np.concatenate([np.zeros(0, np.int64)] + [np.ravel(iso.table) for iso in fibers])
+    at = start[orbit[p1]] + coords[p1] * order[orbit[p1]] + coords[p2]
+    product = tables[np.where(joined, at, 0)]
+    bad = np.flatnonzero(~joined | (product != coords[pp]))
+    if len(bad):
+        i = bad[0]
+        kind = "endpoints" if not joined[i] else "fiber product"
+        return RecognitionReport(
+            parts, fibers, arrow_map, False, witness=(gf.arrows[p1[i]], gf.arrows[p2[i]], kind)
+        )
+    return RecognitionReport(parts, fibers, arrow_map, True)

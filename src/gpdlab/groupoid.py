@@ -614,25 +614,58 @@ def _consistent(a: GroupTable, b: GroupTable, mapping) -> bool:
 # orbits and isotropy
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: the unit-indexed arrays have no single truth value
 class OrbitPartition:
     """Orbit decomposition with one isotropy table per orbit.
 
     ``orbits`` partition the unit set; ``representatives[i]`` is the first
     unit of orbit i in the groupoid's unit order; ``isotropy[i]`` is the
     multiplication table of the loops at that representative.
+
+    The arrays are indexed by unit index: ``orbit_index[y]`` is the orbit
+    of y and ``transversal[y]`` the arrow index of t_y, the first arrow
+    rep -> y in arrow order (the unit arrow at the representative itself,
+    -1 where no arrow from the representative reaches y).  With
+    :meth:`coordinates` they give the structure-theorem map
+    a -> (orbit, r(a), t_r^-1 a t_d, d(a)) onto Pair(orbit) x isotropy.
     """
 
     groupoid: FiniteGroupoid
     orbits: tuple
     representatives: tuple
     isotropy: tuple
+    orbit_index: np.ndarray
+    transversal: np.ndarray
 
     def orbit_of(self, x) -> int:
-        for i, orb in enumerate(self.orbits):
-            if x in orb:
-                return i
-        raise GroupoidError(f"unknown unit {x!r}")
+        uidx = self.groupoid.unit_index()
+        if x not in uidx:
+            raise GroupoidError(f"unknown unit {x!r}")
+        return int(self.orbit_index[uidx[x]])
+
+    def coordinates(self) -> np.ndarray:
+        """Per arrow a, the index of t_r^-1 a t_d in its orbit's isotropy table.
+
+        -1 where the product is undefined or not a loop of that table
+        (malformed tables only).  Cached on the groupoid.
+        """
+        g = self.groupoid
+        if "orbit_coords" not in g._cache:
+            dom_i, rng_i, inv_i, _ = g._arrays()
+            t, aidx = self.transversal, g.arrow_index()
+            slot = np.full(g.n_arrows + 1, -1, np.int64)  # trailing slot for gamma = -1
+            owner = np.full(g.n_arrows + 1, -1, np.int64)
+            for i, table in enumerate(self.isotropy):
+                loops = [aidx[x] for x in table.elements]
+                slot[loops], owner[loops] = np.arange(len(loops)), i
+            coords = np.full(g.n_arrows, -1, np.int64)
+            idx = np.flatnonzero((t[dom_i] >= 0) & (t[rng_i] >= 0))
+            left = g._mul_idx(inv_i[t[rng_i[idx]]], idx)
+            gamma = np.where(left >= 0, g._mul_idx(np.maximum(left, 0), t[dom_i[idx]]), -1)
+            own = owner[gamma] == self.orbit_index[dom_i[idx]]
+            coords[idx] = np.where(own, slot[gamma], -1)
+            g._cache["orbit_coords"] = coords
+        return g._cache["orbit_coords"]
 
 
 def isotropy_arrows(g: FiniteGroupoid, x) -> list:
@@ -640,59 +673,77 @@ def isotropy_arrows(g: FiniteGroupoid, x) -> list:
 
 
 def isotropy_table(g: FiniteGroupoid, x) -> GroupTable:
-    loops = isotropy_arrows(g, x)
-    return GroupTable.from_mul(loops, lambda a, b: g.mul(a, b))
+    return GroupTable.from_mul(isotropy_arrows(g, x), g.mul)
 
 
 def orbits_and_isotropy(g: FiniteGroupoid, check: bool = True) -> OrbitPartition:
-    """Partition the units into orbits; attach isotropy tables.
+    """Partition the units into orbits; attach isotropy tables and transversals.
 
-    With ``check=True`` the isotropy tables at all units of one orbit are
-    verified pairwise isomorphic via explicit conjugation maps.
+    With ``check=True`` every orbit is verified to be spanned by arrows
+    from its representative, and the loops at each unit to map
+    bijectively onto the representative's isotropy under conjugation by
+    the transversal.
     """
-    parent = {x: x for x in g.units}
+    dom_i, rng_i, _, unit_i = g._arrays()
+    # label each unit with the least unit index of its orbit
+    label = np.arange(g.n_units)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, dom_i, label[rng_i])
+        np.minimum.at(low, rng_i, label[dom_i])
+        low = low[low]
+        if (low == label).all():
+            break
+        label = low
+    roots, orbit_index = np.unique(label, return_inverse=True)
+    members = _group_by(orbit_index, len(roots), g.n_units)
+    is_root = np.zeros(g.n_units, bool)
+    is_root[roots] = True
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    transversal = np.full(g.n_units, -1, np.int64)
+    leaving = np.flatnonzero(is_root[dom_i])
+    targets, first = np.unique(rng_i[leaving], return_index=True)
+    transversal[targets] = leaving[first]
+    transversal[roots] = unit_i[roots]
 
-    for a in g.arrows:
-        rx, ry = find(g.dom[a]), find(g.rng[a])
-        if rx != ry:
-            parent[rx] = ry
-
-    groups: dict = {}
-    for x in g.units:
-        groups.setdefault(find(x), []).append(x)
-    orbits = tuple(frozenset(v) for v in sorted(groups.values(), key=lambda v: g.units.index(v[0])))
-    reps = tuple(min(orb, key=g.units.index) for orb in orbits)
-    tables = tuple(isotropy_table(g, rep) for rep in reps)
-
+    loops = np.flatnonzero((dom_i == rng_i) & is_root[dom_i])
+    loops_by_orbit = _group_by(orbit_index[dom_i[loops]], len(roots), len(loops))
+    part = OrbitPartition(
+        g,
+        tuple(frozenset(g.units[i] for i in m) for m in members),
+        tuple(g.units[i] for i in roots),
+        tuple(GroupTable.from_mul([g.arrows[a] for a in loops[ls]], g.mul) for ls in loops_by_orbit),
+        orbit_index,
+        transversal,
+    )
     if check:
-        for orb, rep, table in zip(orbits, reps, tables):
-            _check_isotropy_conjugation(g, orb, rep, table)
-
-    return OrbitPartition(g, orbits, reps, tables)
+        _check_isotropy_conjugation(part)
+    return part
 
 
-def _check_isotropy_conjugation(g, orbit, rep, table):
-    # an arrow t : rep -> y conjugates loops at rep onto loops at y
-    transversal = {rep: g.unit_arrow[rep]}
-    for a in g.arrows:
-        if g.dom[a] == rep and g.rng[a] not in transversal:
-            transversal[g.rng[a]] = a
-    if set(transversal) != set(orbit):
+def _check_isotropy_conjugation(part: OrbitPartition):
+    # the loops at each unit must hit every isotropy index exactly once
+    g = part.groupoid
+    dom_i, rng_i, _, _ = g._arrays()
+    t, orbit = part.transversal, part.orbit_index
+    loops = np.flatnonzero(dom_i == rng_i)
+    y, c = dom_i[loops], part.coordinates()[loops]
+    order = np.array([table.order for table in part.isotropy], np.int64)
+    width = int(order.max(initial=0)) + 1
+    count = np.bincount(y, minlength=g.n_units)
+    distinct = np.bincount(np.unique(y[c >= 0] * width + c[c >= 0]) // width, minlength=g.n_units)
+    bad = (t >= 0) & ((count != order[orbit]) | (distinct != count))
+    failing = orbit[(t < 0) | bad]
+    if not len(failing):
+        return
+    # report as a walk would: orbits in order, spanning before conjugation,
+    # units in transversal order with the representative first
+    first = failing.min()
+    rep = part.representatives[first]
+    if (t[orbit == first] < 0).any():
         raise GroupoidError(f"orbit of {rep!r} is not spanned by arrows from it")
-    for y, t in transversal.items():
-        t_inv = g.inverse[t]
-        image = {g.mul(g.mul(t, loop), t_inv) for loop in table.elements}
-        target = set(isotropy_arrows(g, y))
-        if image != target:
-            raise GroupoidError(
-                f"isotropy at {y!r} is not conjugate to isotropy at {rep!r}"
-            )
+    y = min(np.flatnonzero(bad & (orbit == first)), key=lambda u: (g.units[u] != rep, t[u]))
+    raise GroupoidError(f"isotropy at {g.units[y]!r} is not conjugate to isotropy at {rep!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from .conical import LayerDomain
 from .mellin import MellinKernel
@@ -112,7 +111,7 @@ def weighted_sigma_min(a: np.ndarray, mesh: PolygonMesh) -> float:
     w = mesh.weights / mesh.vertex_distance
     d = np.sqrt(w)
     m = (d[:, None] * a) / d[None, :]
-    return float(svdvals(m)[-1])
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 def gauss_row_sum_defect(mesh: PolygonMesh) -> float:
@@ -216,5 +215,5 @@ def model_operator_trace(
             for q in range(k):
                 big[p::k, q::k] = gvals[idx, p, q] * step
         big += c * np.eye(n * k)
-        rows.append(TraceRow(level, n * k, float(svdvals(big)[-1])))
+        rows.append(TraceRow(level, n * k, float(np.linalg.svd(big, compute_uv=False)[-1])))
     return SigmaTrace(rows)
