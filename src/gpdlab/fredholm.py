@@ -37,7 +37,7 @@ from .groupoid import (
     orbits_and_isotropy,
     reduction,
 )
-from .iso import is_pair_groupoid
+from .iso import is_pair_over
 
 FINITE_SCALE_NOTE = (
     "Fredholm-on-the-interior is rendered as invertibility modulo the "
@@ -72,8 +72,7 @@ def make_structure(g: FiniteGroupoid, u) -> FredholmStructure:
     usub = as_unit_subset(g, u)
     if not is_invariant(g, usub):
         raise StructureError("designated interior is not invariant")
-    red = reduction(g, usub)
-    if not is_pair_groupoid(red):
+    if not is_pair_over(g, usub):
         raise StructureError("reduction to the designated interior is not a pair groupoid")
     boundary = usub.complement().members
     gf = reduction(g, boundary)

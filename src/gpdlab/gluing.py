@@ -22,11 +22,10 @@ from .groupoid import (
     UnitSubset,
     as_unit_subset,
     orbits_and_isotropy,
-    reduction,
     saturation,
     validate,
 )
-from .iso import is_pair_groupoid
+from .iso import is_pair_groupoid, is_pair_over
 
 
 class AtlasError(ValueError):
@@ -421,8 +420,7 @@ def attach_ends(pairpiece: FiniteGroupoid, boundarypiece: FiniteGroupoid) -> Glu
     u_units = tuple(pairpiece.units)
     v_units = tuple(boundarypiece.units)
     overlap = frozenset(u_units) & frozenset(v_units)
-    red = reduction(boundarypiece, overlap)
-    if not is_pair_groupoid(red):
+    if not is_pair_over(boundarypiece, overlap):
         raise GluingError("end piece does not restrict to a pair groupoid on the overlap")
     if saturation(boundarypiece, overlap).members != overlap:
         raise GluingError("overlap is not invariant in the end piece")

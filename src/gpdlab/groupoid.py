@@ -150,12 +150,11 @@ class FiniteGroupoid:
     def _pair_arrays(self):
         """Composition as parallel index arrays (g, h, gh) over defined pairs."""
         if "pairs" not in self._cache:
-            aidx = self.arrow_index()
+            index = self.arrow_index().__getitem__
             m = len(self.compose)
-            p1 = np.fromiter((aidx[g] for g, _ in self.compose), np.int64, m)
-            p2 = np.fromiter((aidx[h] for _, h in self.compose), np.int64, m)
-            pp = np.fromiter(map(aidx.__getitem__, self.compose.values()), np.int64, m)
-            self._cache["pairs"] = (p1, p2, pp)
+            keys = np.fromiter(map(index, itertools.chain.from_iterable(self.compose)), np.int64, 2 * m)
+            pp = np.fromiter(map(index, self.compose.values()), np.int64, m)
+            self._cache["pairs"] = (keys[0::2], keys[1::2], pp)
         return self._cache["pairs"]
 
     def _fiber_table(self) -> "_FiberTable":
@@ -410,15 +409,20 @@ def _report(bucket) -> ValidationReport:
 # reduction / saturation / orbits
 
 
+def unit_mask(g: FiniteGroupoid, a) -> np.ndarray:
+    """Membership in A of each unit, in unit order (a boolean array)."""
+    members = as_unit_subset(g, a).members
+    return np.fromiter(map(members.__contains__, g.units), bool, g.n_units)
+
+
 def reduction(g: FiniteGroupoid, a) -> FiniteGroupoid:
     """The full subgroupoid over A: arrows with both endpoints in A."""
-    sub = as_unit_subset(g, a)
-    keep_units = [x for x in g.units if x in sub]
-    keep = set()
-    for arrow in g.arrows:
-        if g.dom[arrow] in sub and g.rng[arrow] in sub:
-            keep.add(arrow)
-    arrows = [x for x in g.arrows if x in keep]
+    dom_i, rng_i, _, _ = g._arrays()
+    inside = unit_mask(g, a)
+    keep = inside[dom_i] & inside[rng_i]
+    p1, p2, _ = g._pair_arrays()
+    keep_units = list(itertools.compress(g.units, inside.tolist()))
+    arrows = list(itertools.compress(g.arrows, keep.tolist()))
     return FiniteGroupoid(
         units=keep_units,
         arrows=arrows,
@@ -426,18 +430,17 @@ def reduction(g: FiniteGroupoid, a) -> FiniteGroupoid:
         rng={x: g.rng[x] for x in arrows},
         unit_arrow={x: g.unit_arrow[x] for x in keep_units},
         inverse={x: g.inverse[x] for x in arrows},
-        compose={(p, q): k for (p, q), k in g.compose.items() if p in keep and q in keep},
+        compose=itertools.compress(g.compose.items(), (keep[p1] & keep[p2]).tolist()),
     )
 
 
 def saturation(g: FiniteGroupoid, a) -> UnitSubset:
     """r(d^{-1}(A)): the union of all orbits meeting A."""
     sub = as_unit_subset(g, a)
-    hit = set(sub.members)
-    for arrow in g.arrows:
-        if g.dom[arrow] in sub:
-            hit.add(g.rng[arrow])
-    return UnitSubset(g, frozenset(hit))
+    dom_i, rng_i, _, _ = g._arrays()
+    hit = np.zeros(g.n_units, bool)
+    hit[rng_i[unit_mask(g, sub)[dom_i]]] = True
+    return UnitSubset(g, sub.members | frozenset(itertools.compress(g.units, hit.tolist())))
 
 
 def is_invariant(g: FiniteGroupoid, a) -> bool:

@@ -19,19 +19,25 @@ from .groupoid import (
     _group_by,
     find_group_isomorphism,
     orbits_and_isotropy,
+    unit_mask,
 )
 
 
 def is_pair_groupoid(g: FiniteGroupoid) -> bool:
     """True iff there is exactly one arrow between every ordered unit pair."""
-    n = g.n_units
-    if g.n_arrows != n * n:
-        return False
-    if n == 0:
-        return True
+    return is_pair_over(g, g.units)
+
+
+def is_pair_over(g: FiniteGroupoid, a) -> bool:
+    """True iff the reduction to A is a pair groupoid, decided without building it."""
     dom_i, rng_i, _, _ = g._arrays()
-    counts = np.zeros((n, n), dtype=np.int64)
-    np.add.at(counts, (rng_i, dom_i), 1)
+    inside = unit_mask(g, a)
+    n = int(inside.sum())
+    keep = inside[dom_i] & inside[rng_i]
+    if int(keep.sum()) != n * n:
+        return False
+    pos = np.cumsum(inside) - 1  # index of each unit of A among the units of A
+    counts = np.bincount(pos[rng_i[keep]] * n + pos[dom_i[keep]], minlength=n * n)
     return bool((counts == 1).all())
 
 

@@ -9,6 +9,8 @@ constraints.  Diagnostics name the offending field path and witness.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -86,23 +88,40 @@ def _groupoid_tables(doc, where: str) -> FiniteGroupoid:
         rng[spec["id"]] = spec["rng"]
     unit_arrows = doc.get("unit_arrows")
     _expect(isinstance(unit_arrows, dict), f"{where}.unit_arrows", "must be a map unit -> arrow")
+    _expect_string_values(unit_arrows, f"{where}.unit_arrows")
     inverse = doc.get("inverse")
     _expect(isinstance(inverse, dict), f"{where}.inverse", "must be a map arrow -> arrow")
+    _expect_string_values(inverse, f"{where}.inverse")
     compose_spec = doc.get("compose")
     _expect(isinstance(compose_spec, list), f"{where}.compose", "must be an array of [g, h, gh]")
+    # one pass with the checks inlined: the messages are formatted only on failure
     compose = {}
     for i, triple in enumerate(compose_spec):
-        here = f"{where}.compose[{i}]"
-        _expect(isinstance(triple, list) and len(triple) == 3, here, "must be a triple [g, h, gh]")
+        if not (isinstance(triple, list) and len(triple) == 3):
+            raise SchemaError(f"{where}.compose[{i}]", "must be a triple [g, h, gh]")
         g, h, k = triple
-        for name, val in (("g", g), ("h", h), ("gh", k)):
-            _expect(val in dom, f"{here}", f"{name}={val!r} is not a declared arrow id")
-        _expect((g, h) not in compose, here, f"duplicate compose entry for ({g!r}, {h!r})")
-        compose[(g, h)] = k
+        if not (isinstance(g, str) and isinstance(h, str) and isinstance(k, str)
+                and g in dom and h in dom and k in dom) or (g, h) in compose:
+            raise SchemaError(f"{where}.compose[{i}]", _compose_fault(triple, dom))
+        compose[g, h] = k
     try:
         return FiniteGroupoid(units, arrows, dom, rng, unit_arrows, inverse, compose)
     except ValueError as exc:
         raise SchemaError(where, str(exc)) from None
+
+
+def _expect_string_values(table: dict, path: str):
+    for key, value in table.items():
+        if not isinstance(value, str):
+            raise SchemaError(f"{path}[{key!r}]", f"must be a string id, got {value!r}")
+
+
+def _compose_fault(triple, dom) -> str:
+    """Why a well-shaped compose triple is rejected: the first bad id, else a duplicate."""
+    for name, val in zip(("g", "h", "gh"), triple):
+        if not (isinstance(val, str) and val in dom):
+            return f"{name}={val!r} is not a declared arrow id"
+    return f"duplicate compose entry for ({triple[0]!r}, {triple[1]!r})"
 
 
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
@@ -158,6 +177,7 @@ def atlas_from_dict(doc, where: str = "atlas", base_dir: Path | None = None) -> 
             raise SchemaError(f"{here}.groupoid", "must be an inline groupoid or a path string")
         emb = spec.get("embedding")
         _expect(isinstance(emb, dict), f"{here}.embedding", "must be a map piece-unit -> unit")
+        _expect_string_values(emb, f"{here}.embedding")
         pieces.append(GluingPiece(groupoid, emb))
     phis = {}
     for i, spec in enumerate(doc.get("phis", [])):
@@ -168,6 +188,7 @@ def atlas_from_dict(doc, where: str = "atlas", base_dir: Path | None = None) -> 
         _expect(isinstance(dst, int) and 0 <= dst < len(pieces), f"{here}.dst", "bad piece index")
         mapping = spec.get("map")
         _expect(isinstance(mapping, dict), f"{here}.map", "must be a map arrow -> arrow")
+        _expect_string_values(mapping, f"{here}.map")
         phis[(src, dst)] = mapping
     try:
         atlas = GluingAtlas(units, pieces, phis or None)
@@ -305,8 +326,77 @@ def parse_element(path, groupoid: FiniteGroupoid) -> AlgebraElement:
 
 
 def dump(doc: dict, path=None) -> str:
-    """Deterministic serialization (sorted keys, fixed layout)."""
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic serialization (sorted keys, fixed layout).
+
+    The text is ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` byte
+    for byte.  CPython's C encoder only runs without ``indent``, so the
+    layout is written here and strings go through the C escaper.
+    """
+    out = []
+    _layout(doc, "\n", out)
+    out.append("\n")
+    text = "".join(out)
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
+
+
+def _layout(obj, nl: str, out: list) -> None:
+    """Append the JSON text of ``obj``; ``nl`` is a newline plus the indent of its line."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:  # most lists in groupoid files hold only ids
+            out.append("[" + inner + ("," + inner).join(map(_quote, obj)) + nl + "]")
+            return
+        except TypeError:
+            pass
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _layout(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _quote(key if isinstance(key, str) else _key_str(key)) + ": ")
+            _layout(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(_scalar_str(obj))
+
+
+def _scalar_str(o) -> str:
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_str(key) -> str:
+    if key is None or isinstance(key, (int, float)):
+        return _scalar_str(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

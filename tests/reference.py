@@ -1,14 +1,27 @@
-"""Reference oracle for the groupoid axioms: a direct walk over the dict tables.
+"""Reference oracles: direct walks over the dict tables and the standard library.
 
 ``axiom_violations`` returns every violation, uncapped, as a map from
 axiom name to the set of witness tuples, in the vocabulary of
 ``gpdlab.validate``.  It shares no code with the vectorised validator,
 whose capped report must list a subset of these witnesses.
+
+``reduction_reference`` and ``make_structure_reference`` build the
+reduction by filtering the dict tables, as the array code must agree
+with; ``dump_reference`` is the text ``specfiles.dump`` must reproduce.
 """
 
+import json
 from collections import defaultdict
 
-from gpdlab.groupoid import MAX_WITNESSES_PER_AXIOM
+from gpdlab.fredholm import FredholmStructure, StructureError
+from gpdlab.groupoid import (
+    MAX_WITNESSES_PER_AXIOM,
+    FiniteGroupoid,
+    as_unit_subset,
+    is_invariant,
+    orbits_and_isotropy,
+)
+from gpdlab.iso import is_pair_groupoid
 
 
 def axiom_violations(g) -> dict:
@@ -63,3 +76,47 @@ def check_against_oracle(report, g) -> None:
         got = [v.witness for v in report.violations if v.axiom == axiom]
         assert len(set(got)) == len(got) == min(len(witnesses), MAX_WITNESSES_PER_AXIOM), axiom
         assert set(got) <= witnesses, axiom
+
+
+def dump_reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def reduction_reference(g, a) -> FiniteGroupoid:
+    """The full subgroupoid over A: arrows with both endpoints in A."""
+    sub = as_unit_subset(g, a)
+    keep_units = [x for x in g.units if x in sub]
+    keep = set()
+    for arrow in g.arrows:
+        if g.dom[arrow] in sub and g.rng[arrow] in sub:
+            keep.add(arrow)
+    arrows = [x for x in g.arrows if x in keep]
+    return FiniteGroupoid(
+        units=keep_units,
+        arrows=arrows,
+        dom={x: g.dom[x] for x in arrows},
+        rng={x: g.rng[x] for x in arrows},
+        unit_arrow={x: g.unit_arrow[x] for x in keep_units},
+        inverse={x: g.inverse[x] for x in arrows},
+        compose={(p, q): k for (p, q), k in g.compose.items() if p in keep and q in keep},
+    )
+
+
+def make_structure_reference(g, u) -> FredholmStructure:
+    """``make_structure`` asking ``is_pair_groupoid`` of the built interior reduction."""
+    usub = as_unit_subset(g, u)
+    if not is_invariant(g, usub):
+        raise StructureError("designated interior is not invariant")
+    if not is_pair_groupoid(reduction_reference(g, usub)):
+        raise StructureError("reduction to the designated interior is not a pair groupoid")
+    boundary = usub.complement().members
+    orbits = orbits_and_isotropy(reduction_reference(g, boundary), check=False)
+    interior_units = [x for x in g.units if x in usub]
+    return FredholmStructure(
+        groupoid=g,
+        interior=usub.members,
+        boundary=boundary,
+        interior_representative=interior_units[0] if interior_units else None,
+        boundary_orbits=orbits.orbits,
+        boundary_representatives=orbits.representatives,
+    )

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 from gpdlab import specfiles as sf
 from gpdlab.cli import main
 
+import reference
+
 
 def corpus(name: str) -> str:
     return str(resources.files("gpdlab") / "corpus" / name)
@@ -213,3 +215,54 @@ print(json.dumps({"writes": writes, "env": {v: os.environ.get(v) for v in %r}}))
     def test_cli_import_leaves_scipy_optimize_and_integrate_unloaded(self):
         code = "import sys, gpdlab.cli; print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.integrate') if m in sys.modules))"
         assert run_python(code, dict(os.environ)).strip() == "[]"
+
+
+CLI_REPORTS = {
+    "validate": ["validate", "--groupoid", corpus("pair3.json")],
+    "glue": ["glue", "--atlas", corpus("atlas_three_piece.json")],
+    "orbits": ["orbits", "--groupoid", corpus("toy_layer.json")],
+    "norms": ["norms", "--groupoid", corpus("pair3.json"), "--element", corpus("element_pair3.json")],
+    "fredholm-check": ["fredholm-check", "--groupoid", corpus("toy_layer.json"), "--seed", "7"],
+    "spectral-check": ["spectral-check", "--groupoid", corpus("toy_layer.json"),
+                       "--trials", "20", "--seed", "5"],
+    "layer-report": ["layer-report", "--domain", corpus("square.json")],
+    "mellin-scan": ["mellin-scan", "--domain", corpus("square.json"), "--lambda-max", "120"],
+    "nystrom-verify": ["nystrom-verify", "--domain", corpus("square.json"), "--levels", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_REPORTS))
+def test_report_bytes_match_json_dumps(runner, command):
+    res = runner.invoke(main, CLI_REPORTS[command])
+    assert res.exit_code in (0, 1)
+    assert res.stdout == reference.dump_reference(json.loads(res.stdout))
+
+
+def edited_fixture(tmp_path, name, keys, value) -> str:
+    doc = json.loads(Path(corpus(name)).read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("args, fixture, keys, value, where", [
+    (["validate", "--groupoid"], "pair3.json", ("compose", 0, 1), ["x"],
+     ".compose[0]: h=['x'] is not a declared arrow id"),
+    (["orbits", "--groupoid"], "pair3.json", ("unit_arrows", "a"), ["x"],
+     ".unit_arrows['a']: must be a string id, got ['x']"),
+    (["validate", "--groupoid"], "pair3.json", ("inverse", "ab"), ["x"],
+     ".inverse['ab']: must be a string id, got ['x']"),
+    (["glue", "--atlas"], "atlas_three_piece.json", ("pieces", 0, "embedding", "1"), ["1"],
+     ".pieces[0].embedding['1']: must be a string id, got ['1']"),
+    (["glue", "--atlas"], "bad_atlas.json", ("phis", 1, "map", "g2"), {"g": 2},
+     ".phis[1].map['g2']: must be a string id, got {'g': 2}"),
+], ids=["compose-entry", "unit-arrow", "inverse", "embedding", "phi-map"])
+def test_non_string_id_exits_two_with_field_path(runner, tmp_path, args, fixture, keys, value, where):
+    path = edited_fixture(tmp_path, fixture, keys, value)
+    res = runner.invoke(main, args + [path])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}{where}\n"

@@ -8,6 +8,7 @@ from gpdlab import fredholm as fr
 from gpdlab.gluing import attach_ends
 
 import gen
+import reference
 
 
 def attach_example():
@@ -48,6 +49,31 @@ class TestMakeStructure:
         s = toy.structure
         assert len(s.boundary_orbits) == len(desc.pieces)
         assert sum(len(o) for o in s.boundary_orbits) == desc.boundary_unit_count
+
+
+class TestMakeStructureReference:
+    @staticmethod
+    def outcome(f, g, u):
+        try:
+            return vars(f(g, u))
+        except fr.StructureError as exc:
+            return (type(exc), str(exc))
+
+    def test_designations_match_reference(self):
+        toy = co.finite_toy_model(co.assemble_layer_groupoid(co.unit_square()), 3, interior_points=2)
+        g = toy.groupoid
+        not_pair = "reduction to the designated interior is not a pair groupoid"
+        cases = [
+            (toy.interior_units, None),
+            (toy.interior_units[1:], "designated interior is not invariant"),
+            (toy.boundary_units[:2], not_pair),
+            ([], None),
+            (g.units, not_pair),
+        ]
+        for units, error in cases:
+            got = self.outcome(fr.make_structure, g, units)
+            assert got == self.outcome(reference.make_structure_reference, g, units)
+            assert got == (fr.StructureError, error) if error else isinstance(got, dict)
 
 
 class TestLimitOperators:

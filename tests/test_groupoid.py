@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gpdlab as gl
+from gpdlab import conical as co
 from gpdlab.groupoid import GroupoidError, isotropy_table
 
 import gen
@@ -134,6 +135,41 @@ class TestReductionSaturation:
     def test_unknown_unit_rejected(self):
         with pytest.raises(GroupoidError):
             gl.reduction(gl.build_pair(range(3)), [7])
+
+    @staticmethod
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except GroupoidError as exc:
+            return str(exc)
+
+    def check_against_reference(self, g, subset):
+        got = self.outcome(gl.reduction, g, subset)
+        want = self.outcome(reference.reduction_reference, g, subset)
+        assert got == want if isinstance(want, str) else got.same_tables(want)
+        members = frozenset(subset)
+        assert gl.saturation(g, subset).members == members | {
+            g.rng[a] for a in g.arrows if g.dom[a] in members
+        }
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_reduction_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        g = gen.random_groupoid(rng)
+        picked = rng.random(g.n_units) < 0.5
+        subsets = [[], list(g.units), [x for x, p in zip(g.units, picked) if p]]
+        subsets += [list(o) for o in gl.orbits_and_isotropy(g, check=False).orbits]
+        mutant = gen.mutate(rng, g)
+        for h in [g] + ([mutant[0]] if mutant else []):
+            for subset in subsets:
+                self.check_against_reference(h, subset)
+
+    def test_toy_reductions_match_reference(self):
+        rng = np.random.default_rng(3)
+        square = co.assemble_layer_groupoid(co.unit_square())
+        for toy in [co.finite_toy_model(square, 3, interior_points=2), gen.random_toy_structure(rng)]:
+            for subset in (toy.interior_units, toy.boundary_units, toy.boundary_units[1:]):
+                self.check_against_reference(toy.groupoid, subset)
 
     def test_pair_saturation_is_everything(self):
         g = gl.build_pair(range(5))

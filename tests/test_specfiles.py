@@ -7,7 +7,10 @@ import pytest
 
 import gpdlab as gl
 from gpdlab import algebra as al
+from gpdlab import conical as co
 from gpdlab import specfiles as sf
+
+import reference
 
 
 def corpus_path(name: str) -> Path:
@@ -41,6 +44,26 @@ class TestGroupoidFiles:
         p.write_text(json.dumps(doc))
         with pytest.raises(sf.SchemaError, match="nope"):
             sf.parse_groupoid(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({1: "aab"}, "bad.json.compose[1]: must be a triple [g, h, gh]"),
+        ({1: ["aa", "ab"]}, "bad.json.compose[1]: must be a triple [g, h, gh]"),
+        ({1: ["zz", "ab", "ab"]}, "bad.json.compose[1]: g='zz' is not a declared arrow id"),
+        ({1: ["aa", "zz", "ab"]}, "bad.json.compose[1]: h='zz' is not a declared arrow id"),
+        ({1: ["aa", "ab", "zz"]}, "bad.json.compose[1]: gh='zz' is not a declared arrow id"),
+        ({1: ["yy", "zz", "ab"]}, "bad.json.compose[1]: g='yy' is not a declared arrow id"),
+        ({1: ["aa", 7, "ab"]}, "bad.json.compose[1]: h=7 is not a declared arrow id"),
+        ({3: ["aa", "ab", "ab"]}, "bad.json.compose[3]: duplicate compose entry for ('aa', 'ab')"),
+        ({2: ["aa", "zz", "ab"], 4: ["aa"]}, "bad.json.compose[2]: h='zz' is not a declared arrow id"),
+    ], ids=["not-a-list", "length-2", "unknown-g", "unknown-h", "unknown-gh", "g-before-h",
+            "non-string-id", "duplicate", "first-of-two"])
+    def test_malformed_compose_diagnostics(self, edit, message):
+        doc = json.loads(corpus_path("pair3.json").read_text())
+        for i, triple in edit.items():
+            doc["compose"][i] = triple
+        with pytest.raises(sf.SchemaError) as info:
+            sf.groupoid_from_dict(doc, where="bad.json")
+        assert str(info.value) == message
 
     def test_axiom_violation_reported_with_witness(self, tmp_path):
         doc = sf.groupoid_to_dict(sf.parse_groupoid(corpus_path("pair3.json")))
@@ -151,3 +174,51 @@ class TestManifest:
     def test_dump_is_deterministic(self):
         doc = {"b": 1, "a": [1.5, {"z": True}]}
         assert sf.dump(doc) == sf.dump(dict(reversed(doc.items())))
+
+
+ADVERSARIAL_DOCS = [
+    {"quote\"": "back\\slash \"quoted\"", "ctrl": "\x00\x01\x1f\x7f\n\r\t\b\f", "é键": "ü😀\u2028"},
+    {"ints": [0, -1, 2**70, -(2**70)], "floats": [-0.0, 0.0, 1e-300, 1e300, 0.1, 1e16, 5e-324]},
+    {"specials": [float("nan"), float("inf"), float("-inf")], "flags": [True, False, None]},
+    {"empty": {}, "none": [], "nested": {"a": {"b": {"c": [[], {}, [[]]]}}}},
+    [1, "a", [2, "b"], {"k": [None]}, [], {}, ("t", 1)],
+    ["only", "strings", "é"],
+    [["a", "b", "c"], ["d", 1, "e"], [1.5, "x"]],
+    {1: "int key", 10: "sorted as ints", 2: "c"},
+    {2.5: "float keys", -0.0: 1, float("nan"): 2},
+    {True: "bool keys", False: 0},
+    {None: "null key"},
+    "top-level string", 7, -0.0, None, True, [], {},
+]
+
+
+class TestDumpBytes:
+    """``dump`` writes exactly what ``json.dumps(sort_keys=True, indent=2)`` writes."""
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in corpus_path("manifest.json").parent.glob("*.json")))
+    def test_corpus_files(self, name):
+        doc = json.loads(corpus_path(name).read_text(encoding="utf-8"))
+        assert sf.dump(doc) == reference.dump_reference(doc)
+
+    def test_toy_spec(self):
+        square = co.assemble_layer_groupoid(co.unit_square())
+        doc = sf.groupoid_to_dict(co.finite_toy_model(square, 5, interior_points=1).groupoid)
+        assert sf.dump(doc) == reference.dump_reference(doc)
+
+    @pytest.mark.parametrize("doc", ADVERSARIAL_DOCS)
+    def test_adversarial_documents(self, doc):
+        assert sf.dump(doc) == reference.dump_reference(doc)
+
+    @pytest.mark.parametrize("doc", [{"a": 1, None: 2}, {(1, 2): 3}, [np.int64(3)], {"s": {1}}])
+    def test_unencodable_documents_raise_alike(self, doc):
+        with pytest.raises(TypeError) as want:
+            reference.dump_reference(doc)
+        with pytest.raises(TypeError) as got:
+            sf.dump(doc)
+        assert str(got.value) == str(want.value)
+
+    def test_written_file_matches_text(self, tmp_path):
+        doc = ADVERSARIAL_DOCS[0]
+        text = sf.dump(doc, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_text(encoding="utf-8") == text
