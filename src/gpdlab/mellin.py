@@ -11,9 +11,10 @@ grid of a log window sized from the declared decay, and every lam is a
 trapezoid sum over those samples; the rule converges exponentially for
 kernels analytic in a strip around the line.  The convention (weight in
 the exponent, sign of the dual variable) is fixed here once and shared
-by every oracle in the package.  Scans certify the large-|lam| tail
-through an integration-by-parts bound and bisect the grid adaptively
-where the smallest singular value moves fast.
+by every oracle in the package.  Scans certify the whole line with two
+bounds from the same samples: a Lipschitz bound between neighbouring
+grid points and an integration-by-parts bound at large |lam|; the grid
+is bisected only where neither bound clears the tolerance.
 """
 
 from __future__ import annotations
@@ -385,23 +386,35 @@ class LogLineSamples:
             errs[s : s + rows] = h * np.max(np.abs(odd - even), axis=1)
         return vals, errs
 
-    def tail_coefficient(self) -> float:
-        """C2 = ||entrywise integral |g''| du||_2 from second differences on the nodes.
+    def _upper_norm(self, rule) -> float:
+        """||I_h + |I_h - I_2h|||_2 for an entrywise integral I, ``rule(u, g, h)`` ~ I.
 
-        sum_j |g(u_j+h) - 2 g(u_j) + g(u_j-h)| / h approaches the integral
-        from below as h shrinks.
+        For an O(h^2) rule |I_h - I_2h| is about three times the error of
+        I_h, so the margin lifts I_h above I even when it converges from below.
         """
-        dd = np.abs(self.g[2:] - 2.0 * self.g[1:-1] + self.g[:-2]).sum(axis=0) / self.step
+        fine = rule(self.u, self.g, self.step)
+        coarse = rule(self.u[::2], self.g[::2], 2.0 * self.step)
         k = self.kernel.size
-        return float(np.linalg.norm(dd.reshape(k, k), 2))
+        return float(np.linalg.norm((fine + np.abs(fine - coarse)).reshape(k, k), 2))
+
+    def tail_coefficient(self) -> float:
+        """C2 >= ||entrywise integral |g''| du||_2, from second differences on the nodes."""
+        return self._upper_norm(
+            lambda u, g, h: np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]).sum(axis=0) / h
+        )
+
+    def lipschitz(self) -> float:
+        """L >= ||entrywise integral |u| |g(u)| du||_2, which bounds ||d symbol / d lam||_2."""
+        return self._upper_norm(lambda u, g, h: h * (np.abs(u)[:, None] * np.abs(g)).sum(axis=0))
 
 
 class MellinSymbolFamily:
     """Sampled symbol lam -> k x k matrix along one weight line.
 
     Every value, on the initial grid or added later by a scan, is a
-    trapezoid sum over the same log-line samples.  The family carries a
-    decreasing tail bound ||symbol(lam)|| <= C2 / lam^2 from two
+    trapezoid sum over the same log-line samples.  From those samples the
+    family also carries a Lipschitz constant L of lam -> symbol(lam) and
+    a decreasing tail bound ||symbol(lam)|| <= C2 / lam^2 from two
     integrations by parts of the conjugated kernel.
     """
 
@@ -415,7 +428,7 @@ class MellinSymbolFamily:
         self._values: dict = {}
         self._add(lambdas)
         self.tail_c2 = samples.tail_coefficient()
-        self._ensure_continuity()
+        self.lipschitz = samples.lipschitz()
 
     # -- sampling ---------------------------------------------------------------
 
@@ -427,17 +440,15 @@ class MellinSymbolFamily:
         self.max_quad_error = max(self.max_quad_error, float(errs.max()))
         self._values.update(zip(new, mats))
 
-    def value(self, lam: float) -> np.ndarray:
-        lam = float(lam)
-        if lam not in self._values:
-            self._add([lam])
-        return self._values[lam]
+    def value(self, lam) -> np.ndarray:
+        """symbol(lam), or the stacked symbols (n, k, k) at a 1-D array of lams."""
+        lams = np.atleast_1d(np.asarray(lam, dtype=float)).tolist()
+        self._add(lams)
+        out = np.stack([self._values[l] for l in lams])
+        return out if np.ndim(lam) else out[0]
 
     def grid(self) -> np.ndarray:
         return np.array(sorted(self._values), dtype=float)
-
-    def matrices(self) -> list:
-        return [self._values[lam] for lam in sorted(self._values)]
 
     @property
     def lambda_max(self) -> float:
@@ -447,27 +458,6 @@ class MellinSymbolFamily:
         if lam <= 0:
             return math.inf
         return self.tail_c2 / (lam * lam)
-
-    def _ensure_continuity(self, max_inserts: int = 200):
-        """Densify until adjacent samples deviate by a bounded step."""
-        inserts = 0
-        while inserts < max_inserts:
-            lams = self.grid()
-            norms = [float(np.linalg.norm(self._values[l], 2)) for l in lams]
-            scale = 1.0 + max(norms, default=0.0)
-            worst = None
-            for a, b in zip(lams[:-1], lams[1:]):
-                if b - a <= 1e-6:
-                    continue
-                dev = float(np.linalg.norm(self._values[b] - self._values[a], 2))
-                if dev > 0.3 * scale:
-                    worst = (a, b)
-                    break
-            if worst is None:
-                return
-            self.value(0.5 * (worst[0] + worst[1]))
-            inserts += 1
-        raise QuadratureError("symbol family failed the adjacent-sample continuity bound")
 
 
 def mellin_transform(
@@ -545,39 +535,35 @@ class ScanResult:
     invertible: bool
     grid_points: int
     sigma_tol: float
+    min_sigma_lower: float
+    lipschitz: float
+    max_quad_error: float
+    tail_c2: float
 
     def as_dict(self) -> dict:
-        return {
-            "vertex": repr(self.vertex),
-            "min_sigma": self.min_sigma,
-            "argmin_lambda": self.argmin_lambda,
-            "lambda_max": self.lambda_max,
-            "tail_floor": self.tail_floor,
-            "invertible": self.invertible,
-            "grid_points": self.grid_points,
-            "sigma_tol": self.sigma_tol,
-        }
-
-
-def _sigma_min(mat: np.ndarray) -> float:
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return float(svals[-1])
+        return {**vars(self), "vertex": repr(self.vertex)}
 
 
 def invertibility_scan(
     family: MellinSymbolFamily,
     c: complex,
     sigma_tol: float = 1e-3,
-    rel_change: float = 0.10,
     max_refinements: int = 2000,
     lambda_cap: float = 1e5,
 ) -> ScanResult:
-    """Minimum singular value of c I + symbol(lam) along the line.
+    """Certified minimum singular value of c I + symbol(lam) along the line.
 
-    The grid is extended until the certified tail bound drops below
-    |c| / 2 (the tail then satisfies sigma_min >= |c| - tail bound) and
-    bisected adaptively where sigma_min moves by more than rel_change
-    between neighbours.
+    The grid is extended until the tail bound drops below |c| / 2, so that
+    sigma_min >= tail_floor = |c| - C2 / lam_max^2 beyond it.  sigma_min
+    is 1-Lipschitz in the operator norm (Weyl), so on a grid interval
+    [a, b] it is at least min(s_a, s_b, max((s_a + s_b - L (b - a)) / 2,
+    tail)), with tail = |c| - C2 / min(|a|, |b|)^2 where a b > 0.  The
+    intervals whose bound is at most sigma_tol are bisected, all at once
+    per round, until a sample is at most sigma_tol (a witness), the failing
+    intervals are narrower than sigma_tol / L, or max_refinements points
+    were added.  min_sigma_lower, the smallest bound less the quadrature
+    error, decides the verdict; it and min_sigma, the smallest sample,
+    are both capped by tail_floor.
     """
     if abs(c) == 0.0:
         raise MellinError("scan requires a nonzero constant term")
@@ -591,41 +577,48 @@ def invertibility_scan(
                 f"tail bound {family.tail_bound(lam_max):.2e} still exceeds "
                 f"|c|/2 at lambda = {lam_max:.3g}; enlarge the grid"
             )
-        family.value(lam_max)
-        family.value(-lam_max)
+        family.value(np.array([-lam_max, lam_max]))
+    family.value(np.array([-lam_max, lam_max]))  # the grid spans [-lam_max, lam_max]
 
-    eye = np.eye(family.size)
-    sig = {lam: _sigma_min(c * eye + family.value(lam)) for lam in family.grid()}
+    def sigma_min(lams):
+        mats = c * np.eye(family.size) + family.value(lams)
+        return np.linalg.svd(mats, compute_uv=False)[:, -1]
 
+    lams = family.grid()
+    sig = sigma_min(lams)
     refinements = 0
-    while refinements < max_refinements:
-        lams = sorted(sig)
-        split = None
-        for a, b in zip(lams[:-1], lams[1:]):
-            if b - a <= 1e-4:
-                continue
-            lo, hi = sorted((sig[a], sig[b]))
-            if hi > (1.0 + rel_change) * lo:
-                split = 0.5 * (a + b)
-                break
-        if split is None:
+    while True:
+        a, b = lams[:-1], lams[1:]
+        same = a * b > 0
+        near = np.where(same, np.minimum(np.abs(a), np.abs(b)), 1.0)
+        tail = np.where(same, abs(c) - family.tail_c2 / near**2, -np.inf)
+        lip = 0.5 * (sig[:-1] + sig[1:] - family.lipschitz * (b - a))
+        bounds = np.minimum(np.minimum(sig[:-1], sig[1:]), np.maximum(lip, tail))
+        split = (bounds <= sigma_tol) & (family.lipschitz * (b - a) > sigma_tol)
+        if sig.min() <= sigma_tol or not split.any() or refinements >= max_refinements:
             break
-        sig[split] = _sigma_min(c * eye + family.value(split))
-        refinements += 1
+        mids = (0.5 * (a + b))[split][: max_refinements - refinements]
+        at = np.searchsorted(lams, mids)
+        lams, sig = np.insert(lams, at, mids), np.insert(sig, at, sigma_min(mids))
+        refinements += len(mids)
 
-    argmin = min(sig, key=lambda lam: sig[lam])
-    grid_min = sig[argmin]
     tail_floor = abs(c) - family.tail_bound(lam_max)
-    min_sigma = min(grid_min, tail_floor)
+    # an entrywise quadrature error e bounds the operator-norm error by k e
+    lower = min(float(bounds.min()) - family.size * family.max_quad_error, tail_floor)
+    i = int(np.argmin(sig))
     return ScanResult(
         vertex=family.vertex,
-        min_sigma=float(min_sigma),
-        argmin_lambda=float(argmin),
+        min_sigma=float(min(sig[i], tail_floor)),
+        argmin_lambda=float(lams[i]),
         lambda_max=float(lam_max),
         tail_floor=float(tail_floor),
-        invertible=bool(min_sigma > sigma_tol),
-        grid_points=len(sig),
+        invertible=bool(lower > sigma_tol),
+        grid_points=len(lams),
         sigma_tol=sigma_tol,
+        min_sigma_lower=float(lower),
+        lipschitz=family.lipschitz,
+        max_quad_error=family.max_quad_error,
+        tail_c2=family.tail_c2,
     )
 
 

@@ -170,6 +170,18 @@ class TestLayerAndMellinCommands:
         doc = json.loads(out.read_text())
         assert doc["results"]["is_fredholm"]
 
+    def test_mellin_scan_reports_its_certificate(self, runner, tmp_path):
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"),
+                                       "--out", str(out)])
+            assert res.exit_code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        for scan in json.loads(outs[0].read_text())["results"]["scans"].values():
+            for key in ("min_sigma_lower", "lipschitz", "max_quad_error", "tail_c2"):
+                assert key in scan
+            assert scan["min_sigma_lower"] <= scan["min_sigma"]
+
     def test_nystrom_csv(self, runner, tmp_path):
         out = tmp_path / "trace.csv"
         res = runner.invoke(

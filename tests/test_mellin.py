@@ -19,6 +19,44 @@ def sech_symbol_closed_form(a, lam):
     return (math.pi / 2) / np.sin(math.pi * z / 2)
 
 
+def midpoint_dip_kernel(lam0, c=0.5, width=5.0, weight=0.5):
+    """Scalar kernel with conjugated form g(u) = -(c / pi w) sech(u / w) e^(i lam0 u).
+
+    Its symbol is -c sech(pi w (lam - lam0) / 2), so c + symbol vanishes
+    exactly at lam0; lam0 = 0.125 sits midway between two default grid
+    points whose symbols are equal.
+    """
+    scale = c / (math.pi * width)
+
+    def fn(t):
+        u = math.log(t)
+        return [[-scale / math.cosh(u / width) * complex(math.cos(lam0 * u), math.sin(lam0 * u))
+                 * t ** (-weight)]]
+
+    decay = me.KernelDecay(1.0 / width - weight, 2 * scale, 1.0 / width + weight, 2 * scale)
+    return me.MellinKernel("dip", 1, fn, decay, "midpoint-dip")
+
+
+def wedge_c2_by_quadrature(alpha):
+    """Integral of |g''| for the wedge kernel's off-diagonal entry on the line a = 1/2.
+
+    There g(u) = K e^(u/2) q(u) with K = sin(alpha) / (4 pi) and
+    q = 1 / (cosh u - cos alpha); |g''| is integrated by adaptive quadrature.
+    """
+    from scipy.integrate import quad
+
+    k_const, ca = math.sin(alpha) / (4 * math.pi), math.cos(alpha)
+
+    def g2(u):
+        p, q = math.exp(u / 2), 1.0 / (math.cosh(u) - ca)
+        dq = -math.sinh(u) * q * q
+        ddq = -math.cosh(u) * q * q + 2.0 * math.sinh(u) ** 2 * q ** 3
+        return abs(k_const * (p / 4 * q + p * dq + p * ddq))
+
+    return sum(quad(g2, lo, hi, limit=400, epsabs=1e-12, epsrel=1e-12)[0]
+               for lo, hi in ((-80.0, 0.0), (0.0, 80.0)))
+
+
 class TestWedgeKernel:
     def test_flat_wedge_is_zero(self):
         k = me.wedge_double_layer_kernel(math.pi)
@@ -226,21 +264,12 @@ class TestTrapezoidEngine:
             fam.value(1e6)
 
     def test_wide_window_transform_stays_small(self):
-        # the midpoint-dip shape: g(u) = -(c / pi w) sech(u / w) e^(i lam0 u),
-        # a log window 288 wide and 37k nodes for the default grid
-        c, width, lam0, weight = 0.5, 5.0, 0.125, 0.5
-        scale = c / (math.pi * width)
-
-        def fn(t):
-            u = math.log(t)
-            return [[-scale / math.cosh(u / width) * complex(math.cos(lam0 * u), math.sin(lam0 * u))
-                     * t ** (-weight)]]
-
-        decay = me.KernelDecay(1.0 / width - weight, 2 * scale, 1.0 / width + weight, 2 * scale)
-        kern = me.MellinKernel("dip", 1, fn, decay, "midpoint-dip")
+        # the midpoint dip: a log window 288 wide and 37k nodes for the default grid
+        c, width, lam0 = 0.5, 5.0, 0.125
+        kern = midpoint_dip_kernel(lam0, c, width)
         tracemalloc.start()
         try:
-            fam = me.mellin_transform(kern, weight)
+            fam = me.mellin_transform(kern, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -287,6 +316,63 @@ class TestScan:
         fam = me.mellin_transform(me.sech_test_kernel(), 0.5, np.array([0.0, 1.0]))
         with pytest.raises(me.TailBoundError):
             me.invertibility_scan(fam, 1e-9, lambda_cap=50.0)
+
+    @pytest.mark.parametrize(
+        "kernel, min_sigma, argmin",
+        [
+            (me.sech_test_kernel(), 0.4999741895703822, -28.0),
+            (me.symmetric_dilation_kernel(), 0.4999500004115323, -26.0),
+            (me.wedge_double_layer_kernel(0.4), 0.009966711079409612, 0.0),
+            (me.wedge_double_layer_kernel(math.pi / 2), 0.14644660940692633, 0.0),
+            (me.wedge_double_layer_kernel(3 * math.pi / 5), 0.20610737385396355, 0.0),
+            (me.wedge_double_layer_kernel(3 * math.pi / 2), 0.14644660940692633, 0.0),
+            (me.wedge_double_layer_kernel(math.pi), 0.5, -200.0),
+        ],
+        ids=["sech", "symmetric-dilation", "wedge-0.4", "wedge-right", "wedge-3pi/5",
+             "wedge-3pi/2", "flat-wedge"],
+    )
+    def test_invertible_verdicts_pinned(self, kernel, min_sigma, argmin):
+        # the grid minimum and its place, which no refinement rule may move
+        res =me.invertibility_scan(me.mellin_transform(kernel, 0.5), 0.5)
+        assert res.invertible
+        assert res.min_sigma == pytest.approx(min_sigma, abs=1e-9)
+        assert res.argmin_lambda == pytest.approx(argmin, abs=1e-9)
+
+    @pytest.mark.parametrize("lam0", [0.125, -120.7])
+    def test_dip_between_grid_points_is_caught(self, lam0):
+        res = me.invertibility_scan(me.mellin_transform(midpoint_dip_kernel(lam0), 0.5), 0.5)
+        assert not res.invertible
+        assert res.min_sigma_lower <= res.sigma_tol
+
+    @pytest.mark.parametrize("lam0", [0.1, 3.3, 37.3, 190.0])
+    def test_dips_stay_not_invertible(self, lam0):
+        res = me.invertibility_scan(me.mellin_transform(midpoint_dip_kernel(lam0), 0.5), 0.5)
+        assert not res.invertible
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [me.wedge_double_layer_kernel(math.pi / 2), me.wedge_double_layer_kernel(0.4),
+         me.sech_test_kernel()],
+        ids=["wedge-right", "wedge-0.4", "sech"],
+    )
+    def test_certified_lower_bound_holds_on_a_dense_grid(self, kernel):
+        fam = me.mellin_transform(kernel, 0.5)
+        res = me.invertibility_scan(fam, 0.5)
+        assert res.invertible
+        assert res.min_sigma_lower <= res.min_sigma
+        dense = np.linspace(-200.0, 200.0, 4001)
+        mats = 0.5 * np.eye(fam.size) + fam.value(dense)
+        assert np.linalg.svd(mats, compute_uv=False)[:, -1].min() >= res.min_sigma_lower
+
+    def test_tail_constant_bounds_the_wedge_integral(self):
+        fam = me.mellin_transform(me.wedge_double_layer_kernel(0.4), 0.5, np.array([0.0]))
+        assert fam.tail_c2 >= wedge_c2_by_quadrature(0.4)
+
+    def test_tail_constant_bounds_an_oscillating_kernel(self):
+        # |g''| >= Re(-g'' e^(-i lam0 u)) integrates to lam0^2 c for the dip
+        lam0, c = 37.3, 0.5
+        fam = me.mellin_transform(midpoint_dip_kernel(lam0, c), 0.5)
+        assert fam.tail_c2 >= lam0 ** 2 * c
 
 
 class TestVerdict:
@@ -354,6 +440,12 @@ class TestStraightCone:
         s_far = me.invertibility_scan(far, 0.5)
         assert s_near.invertible == s_far.invertible
         assert s_near.min_sigma == pytest.approx(s_far.min_sigma, abs=1e-9)
+
+    def test_wiener_hopf_families_invertible(self):
+        lams = np.array([-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0])
+        near, far = me.straight_cone_families(me.symmetric_dilation_kernel(), 0.5, lams)
+        assert me.invertibility_scan(near, 0.5).invertible
+        assert me.invertibility_scan(far, 0.5).invertible
 
     def test_symmetric_kernel_closed_form(self):
         # symbol pi sech(pi lam / 2) on the line a = 1/2
