@@ -7,24 +7,25 @@ equivalence generated by those isomorphisms; it carries a well-defined
 product exactly when every composable pair of quotient classes is
 realised inside a single piece (the weak gluing condition).
 
+Gluing runs on one index map: the quotient class of each arrow of the
+disjoint union, numbered piece by piece, is the least number the phi
+pairs join it to (the min-label propagation that finds orbits).  Every
+piece's composable pairs, mapped through it, give the class products
+that the weak condition, the product cross-check and the compose read.
+
 Separation properties of the quotient topology are vacuous for finite
 discrete unit sets, so they are recorded here rather than checked.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .groupoid import (
-    FiniteGroupoid,
-    GroupoidError,
-    UnitSubset,
-    as_unit_subset,
-    orbits_and_isotropy,
-    saturation,
-    validate,
-)
+import numpy as np
+
+from .groupoid import FiniteGroupoid, _min_labels, orbits_and_isotropy, saturation, validate
 from .iso import is_pair_groupoid, is_pair_over
 
 
@@ -72,6 +73,13 @@ class GluingAtlas:
         covered = set().union(*(set(e.values()) for e in self._embeds)) if self.pieces else set()
         if covered != set(self.x_units):
             raise AtlasError("pieces do not cover the ambient unit set")
+        xidx = {x: k for k, x in enumerate(self.x_units)}
+        # per piece: ambient unit index of each piece unit; arrow number offsets
+        self._unit_maps = [
+            np.array([xidx[emb[u]] for u in p.groupoid.units], np.int64)
+            for p, emb in zip(self.pieces, self._embeds)
+        ]
+        self._offsets = np.cumsum([0] + [p.groupoid.n_arrows for p in self.pieces])
         self.phis = self._complete_phis(given)
         self._checked = False
 
@@ -91,31 +99,23 @@ class GluingAtlas:
             if emb[g.dom[a]] in ov and emb[g.rng[a]] in ov
         ]
 
-    def _unit_of(self, i: int, piece_unit):
-        return self._embeds[i][piece_unit]
-
     def _complete_phis(self, given: dict) -> dict:
         phis = {}
-        n = len(self.pieces)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                arrows_i = self.overlap_arrows(i, j)
-                if not arrows_i:
-                    continue
-                if (i, j) in given:
-                    phis[(i, j)] = dict(given[(i, j)])
-                elif (j, i) in given:
-                    phis[(i, j)] = {v: k for k, v in given[(j, i)].items()}
-                else:
-                    phis[(i, j)] = self._canonical_phi(i, j, arrows_i)
+        for i, j in itertools.permutations(range(len(self.pieces)), 2):
+            arrows_i = self.overlap_arrows(i, j)
+            if not arrows_i:
+                continue
+            if (i, j) in given:
+                phis[(i, j)] = dict(given[(i, j)])
+            elif (j, i) in given:
+                phis[(i, j)] = {v: k for k, v in given[(j, i)].items()}
+            else:
+                phis[(i, j)] = self._canonical_phi(i, j, arrows_i)
         return phis
 
     def _canonical_phi(self, i: int, j: int, arrows_i) -> dict:
         """Unique endpoint-respecting match, defined when hom sets are thin."""
         gj = self.pieces[j].groupoid
-        emb_j_inv = {v: k for k, v in self._embeds[j].items()}
         ov = self.overlap(i, j)
         target: dict = {}
         for b in gj.arrows:
@@ -145,104 +145,85 @@ class GluingAtlas:
         """Verify all atlas invariants; raises AtlasError on the first failure."""
         if self._checked:
             return
-        n = len(self.pieces)
+        to = {}  # per phi: arrow position in piece j of each arrow of piece i, -2 off the overlap
         for (i, j), phi in self.phis.items():
             gi, gj = self.pieces[i].groupoid, self.pieces[j].groupoid
-            arrows_i = set(self.overlap_arrows(i, j))
-            if set(phi) != arrows_i:
+            ei, ej = self._embeds[i], self._embeds[j]
+            if set(phi) != set(self.overlap_arrows(i, j)):
                 raise AtlasError(f"phi({i},{j}) domain is not the overlap reduction")
             if len(set(phi.values())) != len(phi):
                 raise AtlasError(f"phi({i},{j}) is not injective")
             if set(phi.values()) != set(self.overlap_arrows(j, i)):
                 raise AtlasError(f"phi({i},{j}) image is not the overlap reduction")
             for a, b in phi.items():
-                if self._unit_of(i, gi.dom[a]) != self._unit_of(j, gj.dom[b]) or self._unit_of(
-                    i, gi.rng[a]
-                ) != self._unit_of(j, gj.rng[b]):
+                if (ei[gi.dom[a]], ei[gi.rng[a]]) != (ej[gj.dom[b]], ej[gj.rng[b]]):
                     raise AtlasError(f"phi({i},{j}) does not cover the identity on units at {a!r}")
-            # multiplicative on the overlap reduction
-            for a in arrows_i:
-                for b in arrows_i:
-                    k = gi.compose.get((a, b))
-                    if k is None:
-                        continue
-                    if gj.compose.get((phi[a], phi[b])) != phi[k]:
-                        raise AtlasError(f"phi({i},{j}) is not multiplicative at ({a!r}, {b!r})")
-        for (i, j), phi in self.phis.items():
-            back = self.phis.get((j, i))
-            if back is None:
+            t = to[(i, j)] = np.full(gi.n_arrows, -2, np.int64)
+            t[self._positions(i, phi)] = self._positions(j, phi.values())
+            # multiplicative on the overlap reduction: first failure in row-major arrow order
+            p1, p2, pp = gi._pair_arrays()
+            rows = np.flatnonzero((t[p1] >= 0) & (t[p2] >= 0))
+            bad = rows[gj._mul_idx(t[p1[rows]], t[p2[rows]]) != t[pp[rows]]]
+            if len(bad):
+                k = bad[np.argmin(p1[bad] * gi.n_arrows + p2[bad])]
+                raise AtlasError(
+                    f"phi({i},{j}) is not multiplicative at ({gi.arrows[p1[k]]!r}, {gi.arrows[p2[k]]!r})"
+                )
+        for (i, j), t in to.items():
+            if (j, i) not in to:
                 raise AtlasError(f"phi({j},{i}) missing")
-            for a, b in phi.items():
-                if back.get(b) != a:
-                    raise AtlasError(f"phi({i},{j}) and phi({j},{i}) are not mutually inverse")
-        # cocycle law on triple overlaps
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if len({i, j, k}) != 3:
-                        continue
-                    pik = self.phis.get((i, k))
-                    pij = self.phis.get((i, j))
-                    pjk = self.phis.get((j, k))
-                    if pik is None or pij is None or pjk is None:
-                        continue
-                    gi = self.pieces[i].groupoid
-                    triple = self.overlap(i, j) & self.overlap(i, k)
-                    emb = self._embeds[i]
-                    for a in self.overlap_arrows(i, j):
-                        if emb[gi.dom[a]] in triple and emb[gi.rng[a]] in triple:
-                            if pjk.get(pij[a]) != pik.get(a):
-                                raise AtlasError(
-                                    f"cocycle violated at arrow {a!r} of piece {i} "
-                                    f"(via piece {j} to piece {k})"
-                                )
+            a = np.flatnonzero(t >= 0)
+            if (to[(j, i)][t[a]] != a).any():
+                raise AtlasError(f"phi({i},{j}) and phi({j},{i}) are not mutually inverse")
+        # cocycle law on triple overlaps: phi_jk phi_ij = phi_ik where both sides start
+        for i, j, k in itertools.permutations(range(len(self.pieces)), 3):
+            if {(i, j), (i, k), (j, k)} <= to.keys():
+                tij, tik = to[(i, j)], to[(i, k)]
+                bad = np.flatnonzero((tij >= 0) & (tik >= 0) & (to[(j, k)][np.maximum(tij, 0)] != tik))
+                if len(bad):
+                    raise AtlasError(
+                        f"cocycle violated at arrow {self.pieces[i].groupoid.arrows[bad[0]]!r} of piece {i} "
+                        f"(via piece {j} to piece {k})"
+                    )
         self._checked = True
 
     # -- quotient classes --------------------------------------------------------
 
+    def _positions(self, i: int, arrows) -> np.ndarray:
+        index = self.pieces[i].groupoid.arrow_index()
+        return np.fromiter(map(index.__getitem__, arrows), np.int64)
+
     def quotient_classes(self):
-        """Union-find classes of (piece, arrow) under all phis.
+        """The quotient class of every arrow of the disjoint union.
 
-        Returns (classes, index): classes is a list of member lists,
-        each sorted and headed by its canonical representative
-        (least piece index, then least arrow position); index maps
-        (piece, arrow) -> class number.
+        Arrow k of piece i has the number ``_offsets[i] + k``; the phi pairs
+        join numbers.  Returns (canon, cls): canon, ascending, holds each
+        class's least number, its canonical member (least piece, then least
+        arrow position), and cls[n] is the class index of number n.
         """
-        parent: dict = {}
+        src = [self._offsets[i] + self._positions(i, phi) for (i, _j), phi in self.phis.items()]
+        dst = [self._offsets[j] + self._positions(j, phi.values()) for (_i, j), phi in self.phis.items()]
+        empty = [np.zeros(0, np.int64)]
+        label = _min_labels(int(self._offsets[-1]), np.concatenate(src + empty), np.concatenate(dst + empty))
+        return np.unique(label, return_inverse=True)
 
-        def find(p):
-            while parent[p] != p:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            return p
+    def _union_arrays(self):
+        """dom and rng (ambient unit index) and inverse (arrow number) of
+        every arrow of the disjoint union, and per ambient unit the number
+        of its unit arrow in the first piece that contains it."""
+        parts = [p.groupoid._arrays() for p in self.pieces]
+        rows = [(m[d], m[r], off + v, m, off + u)
+                for m, off, (d, r, v, u) in zip(self._unit_maps, self._offsets, parts)]
+        dom, rng, inv, at, unit = map(np.concatenate, zip(*rows))
+        return dom, rng, inv, unit[np.unique(at, return_index=True)[1]]
 
-        def union(p, q):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-
-        for i, piece in enumerate(self.pieces):
-            for a in piece.groupoid.arrows:
-                parent[(i, a)] = (i, a)
-        for (i, j), phi in self.phis.items():
-            for a, b in phi.items():
-                union((i, a), (j, b))
-
-        groups: dict = {}
-        for p in parent:
-            groups.setdefault(find(p), []).append(p)
-        pos = {
-            (i, a): k
-            for i, piece in enumerate(self.pieces)
-            for k, a in enumerate(piece.groupoid.arrows)
-        }
-        classes = []
-        for members in groups.values():
-            members.sort(key=lambda p: (p[0], pos[p]))
-            classes.append(members)
-        classes.sort(key=lambda ms: (ms[0][0], pos[ms[0]]))
-        index = {p: ci for ci, ms in enumerate(classes) for p in ms}
-        return classes, index
+    def _arrow_ids(self, numbers) -> list:
+        """(piece, arrow id) of each arrow number."""
+        piece = np.searchsorted(self._offsets, numbers, side="right") - 1
+        return [
+            (i, self.pieces[i].groupoid.arrows[k])
+            for i, k in zip(piece.tolist(), (numbers - self._offsets[piece]).tolist())
+        ]
 
 
 @dataclass
@@ -253,26 +234,43 @@ class GluingCheck:
     alternatives: Optional[dict] = None
 
 
-def _class_endpoints(atlas: GluingAtlas, members):
-    i, a = members[0]
-    g = atlas.pieces[i].groupoid
-    return atlas._unit_of(i, g.dom[a]), atlas._unit_of(i, g.rng[a])
+def _class_products(atlas: GluingAtlas, canon, cls, dom, rng):
+    """The class products every piece carries, and the weak witness.
+
+    Returns (pairs, keys, prods, piece, witness).  pairs are the keys
+    c1 * nc + c2 of the composable class pairs (dom c1 = rng c2),
+    ascending.  keys, prods and piece have one row per composable slot of
+    each piece, mapped through the class map, with prods -1 where the
+    piece misses the product.  witness is the first pair that no piece
+    carries, as canonical ids, or None.
+    """
+    nc, cdom, crng = len(canon), dom[canon], rng[canon]
+    order = np.argsort(crng, kind="stable")
+    start = np.searchsorted(crng[order], np.arange(len(atlas.x_units) + 1))
+    width = np.diff(start)[cdom]
+    local = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+    pairs = np.repeat(np.arange(nc), width) * nc + order[np.repeat(start[cdom], width) + local]
+    keys, prods, piece = [], [], []
+    for i, p in enumerate(atlas.pieces):
+        g, off = p.groupoid, atlas._offsets[i]
+        ft = g._fiber_table()
+        a, b = ft.slot_pairs(np.arange(len(ft.table) - 1), g._arrays()[0])
+        keys.append(cls[off + a] * nc + cls[off + b])
+        prods.append(np.where(ft.table[:-1] >= 0, cls[off + ft.table[:-1]], -1))
+        piece.append(np.full(len(a), i))
+    keys = np.concatenate(keys)
+    lost = pairs[~np.isin(pairs, keys)]
+    witness = tuple(atlas._arrow_ids(canon[list(divmod(lost[0], nc))])) if len(lost) else None
+    return pairs, keys, np.concatenate(prods), np.concatenate(piece), witness
 
 
 def check_weak_gluing(atlas: GluingAtlas) -> GluingCheck:
     """Every composable pair of quotient classes is carried by one piece."""
     atlas.check()
-    classes, _ = atlas.quotient_classes()
-    pieces_of = [frozenset(i for (i, _a) in ms) for ms in classes]
-    endpoints = [_class_endpoints(atlas, ms) for ms in classes]
-    by_rng: dict = {}
-    for ci, (_d, r) in enumerate(endpoints):
-        by_rng.setdefault(r, []).append(ci)
-    for c1, (d1, _r1) in enumerate(endpoints):
-        for c2 in by_rng.get(d1, ()):
-            if not (pieces_of[c1] & pieces_of[c2]):
-                return GluingCheck(False, witness=(classes[c1][0], classes[c2][0]))
-    return GluingCheck(True)
+    canon, cls = atlas.quotient_classes()
+    dom, rng, _, _ = atlas._union_arrays()
+    witness = _class_products(atlas, canon, cls, dom, rng)[-1]
+    return GluingCheck(witness is None, witness=witness)
 
 
 def check_strong_gluing(atlas: GluingAtlas) -> GluingCheck:
@@ -320,92 +318,86 @@ def glue(atlas: GluingAtlas) -> GluedGroupoid:
     """Glue the atlas; defined when the weak gluing condition holds.
 
     The product of two classes is computed inside every common piece and
-    cross-checked; disagreement (malformed phis) raises GluingError.
+    cross-checked; disagreement (malformed phis) raises GluingError.  The
+    pieces' caches are left as found: the result keeps the atlas alive.
     """
-    weak = check_weak_gluing(atlas)
-    if not weak.ok:
-        raise GluingError(f"weak gluing condition fails at composable pair {weak.witness}")
-    classes, index = atlas.quotient_classes()
-    arrow_ids = [members[0] for members in classes]  # canonical (piece, arrow)
-    endpoints = [_class_endpoints(atlas, ms) for ms in classes]
+    saved = [dict(p.groupoid._cache) for p in atlas.pieces]
+    try:
+        return _glue(atlas)
+    finally:
+        for p, cache in zip(atlas.pieces, saved):
+            p.groupoid._cache = cache
 
-    members_by_piece = []
-    for ci, ms in enumerate(classes):
-        members_by_piece.append({i: a for (i, a) in ms})
 
-    units = atlas.x_units
-    dom = {arrow_ids[ci]: endpoints[ci][0] for ci in range(len(classes))}
-    rng = {arrow_ids[ci]: endpoints[ci][1] for ci in range(len(classes))}
-
-    unit_arrow = {}
-    for x in units:
-        for i, piece in enumerate(atlas.pieces):
-            inv_emb = {v: k for k, v in atlas._embeds[i].items()}
-            if x in inv_emb:
-                ua = piece.groupoid.unit_arrow[inv_emb[x]]
-                unit_arrow[x] = arrow_ids[index[(i, ua)]]
-                break
-
-    inverse = {}
-    for ci, ms in enumerate(classes):
-        i, a = ms[0]
-        inverse[arrow_ids[ci]] = arrow_ids[index[(i, atlas.pieces[i].groupoid.inverse[a])]]
-
-    compose = {}
-    by_rng: dict = {}
-    for ci, (_d, r) in enumerate(endpoints):
-        by_rng.setdefault(r, []).append(ci)
-    for c1, (d1, _r1) in enumerate(endpoints):
-        for c2 in by_rng.get(d1, ()):
-            results = set()
-            for i in members_by_piece[c1]:
-                if i in members_by_piece[c2]:
-                    g = atlas.pieces[i].groupoid
-                    prod = g.compose.get((members_by_piece[c1][i], members_by_piece[c2][i]))
-                    if prod is None:
-                        raise GluingError(
-                            f"piece {i} misses the product of a composable overlap pair"
-                        )
-                    results.add(index[(i, prod)])
-            if not results:
-                raise GluingError("weak condition bookkeeping failed")
-            if len(results) > 1:
-                raise GluingError(
-                    f"product of classes {arrow_ids[c1]} and {arrow_ids[c2]} "
-                    f"differs between pieces"
-                )
-            compose[(arrow_ids[c1], arrow_ids[c2])] = arrow_ids[results.pop()]
-
-    glued = FiniteGroupoid(units, arrow_ids, dom, rng, unit_arrow, inverse, compose)
+def _glue(atlas: GluingAtlas) -> GluedGroupoid:
+    atlas.check()
+    canon, cls = atlas.quotient_classes()
+    dom, rng, inv, unit = atlas._union_arrays()
+    ids = np.fromiter(atlas._arrow_ids(canon), object, len(canon))  # gathers without new objects
+    units = np.fromiter(atlas.x_units, object, len(atlas.x_units))
+    glued = FiniteGroupoid(
+        atlas.x_units,
+        ids,
+        zip(ids, units[dom[canon]]),
+        zip(ids, units[rng[canon]]),
+        zip(units, ids[cls[unit]]),
+        zip(ids, ids[cls[inv[canon]]]),
+        _glued_compose(atlas, canon, cls, dom, rng, ids),
+    )
     report = validate(glued)
     if not report.ok:
         raise GluingError(f"glued groupoid fails validation: {sorted(report.axioms())}")
 
-    projections = tuple(
-        {a: arrow_ids[index[(i, a)]] for a in piece.groupoid.arrows}
-        for i, piece in enumerate(atlas.pieces)
-    )
-    for i, piece in enumerate(atlas.pieces):
-        _check_projection(atlas, glued, i, piece, projections[i])
-    return GluedGroupoid(glued, atlas, projections)
+    projections = []
+    for i, p in enumerate(atlas.pieces):
+        proj = cls[atlas._offsets[i]:atlas._offsets[i + 1]]
+        _check_projection(glued, i, p.groupoid, atlas._unit_maps[i], proj)
+        projections.append(dict(zip(p.groupoid.arrows, ids[proj])))
+    return GluedGroupoid(glued, atlas, tuple(projections))
 
 
-def _check_projection(atlas, glued, i, piece, proj):
-    """Each projection must be a groupoid isomorphism onto the reduction."""
-    inside = piece.embedded_units()
-    over = {a for a in glued.arrows if glued.dom[a] in inside and glued.rng[a] in inside}
-    if len(set(proj.values())) != len(proj) or set(proj.values()) != over:
+def _glued_compose(atlas: GluingAtlas, canon, cls, dom, rng, ids):
+    """Compose entries of the glued groupoid in (c1, c2) order, once the weak
+    condition holds and every common piece gives the same product."""
+    pairs, keys, prods, piece, witness = _class_products(atlas, canon, cls, dom, rng)
+    if witness is not None:
+        raise GluingError(f"weak gluing condition fails at composable pair {witness}")
+    # sort the slots by class pair, then product (a miss, -1, first), then
+    # piece; a pair is bad where its first row misses or differs from its last
+    order = np.lexsort((piece, prods, keys))
+    keys, prods, piece = keys[order], prods[order], piece[order]
+    head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    last = np.r_[head[1:], len(keys)] - 1
+    bad = head[(prods[head] < 0) | (prods[head] != prods[last])]
+    if len(bad):
+        if prods[bad[0]] < 0:
+            raise GluingError(f"piece {piece[bad[0]]} misses the product of a composable overlap pair")
+        c1, c2 = divmod(int(keys[bad[0]]), len(canon))
+        raise GluingError(f"product of classes {ids[c1]} and {ids[c2]} differs between pieces")
+    c1, c2 = np.divmod(pairs, len(canon))
+    return zip(zip(ids[c1], ids[c2]), ids[prods[head][np.searchsorted(keys[head], pairs)]])
+
+
+def _check_projection(glued, i, g, umap, proj):
+    """Each projection (piece arrow position -> glued arrow position) must
+    be a groupoid isomorphism onto the reduction."""
+    gdom, grng, ginv, _ = glued._arrays()
+    inside = np.zeros(glued.n_units, bool)
+    inside[umap] = True
+    image = np.unique(proj)
+    if len(image) != len(proj) or not np.array_equal(image, np.flatnonzero(inside[gdom] & inside[grng])):
         raise GluingError(f"projection of piece {i} is not a bijection onto the reduction")
-    g = piece.groupoid
-    emb = atlas._embeds[i]
-    for a in g.arrows:
-        if glued.dom[proj[a]] != emb[g.dom[a]] or glued.rng[proj[a]] != emb[g.rng[a]]:
-            raise GluingError(f"projection of piece {i} breaks endpoints at {a!r}")
-        if proj[g.inverse[a]] != glued.inverse[proj[a]]:
-            raise GluingError(f"projection of piece {i} breaks inverses at {a!r}")
-    for (a, b), k in g.compose.items():
-        if glued.compose.get((proj[a], proj[b])) != proj[k]:
-            raise GluingError(f"projection of piece {i} breaks products at ({a!r}, {b!r})")
+    dom_i, rng_i, inv_i, _ = g._arrays()
+    ends = (gdom[proj] != umap[dom_i]) | (grng[proj] != umap[rng_i])
+    bad = np.flatnonzero(ends | (proj[inv_i] != ginv[proj]))
+    if len(bad):
+        what = "endpoints" if ends[bad[0]] else "inverses"
+        raise GluingError(f"projection of piece {i} breaks {what} at {g.arrows[bad[0]]!r}")
+    p1, p2, pp = g._pair_arrays()
+    bad = np.flatnonzero(glued._mul_idx(proj[p1], proj[p2]) != proj[pp])
+    if len(bad):
+        a, b = g.arrows[p1[bad[0]]], g.arrows[p2[bad[0]]]
+        raise GluingError(f"projection of piece {i} breaks products at ({a!r}, {b!r})")
 
 
 def attach_ends(pairpiece: FiniteGroupoid, boundarypiece: FiniteGroupoid) -> GluedGroupoid:

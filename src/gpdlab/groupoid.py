@@ -688,17 +688,7 @@ def orbits_and_isotropy(g: FiniteGroupoid, check: bool = True) -> OrbitPartition
     the transversal.
     """
     dom_i, rng_i, _, unit_i = g._arrays()
-    # label each unit with the least unit index of its orbit
-    label = np.arange(g.n_units)
-    while True:
-        low = label.copy()
-        np.minimum.at(low, dom_i, label[rng_i])
-        np.minimum.at(low, rng_i, label[dom_i])
-        low = low[low]
-        if (low == label).all():
-            break
-        label = low
-    roots, orbit_index = np.unique(label, return_inverse=True)
+    roots, orbit_index = np.unique(_min_labels(g.n_units, dom_i, rng_i), return_inverse=True)
     members = _group_by(orbit_index, len(roots), g.n_units)
     is_root = np.zeros(g.n_units, bool)
     is_root[roots] = True
@@ -722,6 +712,19 @@ def orbits_and_isotropy(g: FiniteGroupoid, check: bool = True) -> OrbitPartition
     if check:
         _check_isotropy_conjugation(part)
     return part
+
+
+def _min_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The least node of each node's component under the edges src[k] -- dst[k]."""
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, src, label[dst])
+        np.minimum.at(low, dst, label[src])
+        low = low[low]
+        if (low == label).all():
+            return label
+        label = low
 
 
 def _check_isotropy_conjugation(part: OrbitPartition):

@@ -247,6 +247,8 @@ DEFAULT_LAMBDA_MAX = 200.0
 
 def default_grid(lambda_max: float = DEFAULT_LAMBDA_MAX) -> np.ndarray:
     """Symmetric grid, dense near 0 where order-(-1) symbols live."""
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise MellinError(f"lambda_max must be finite and positive, got {lambda_max!r}")
     lam = np.concatenate(
         [
             np.arange(0.0, 10.0 + 1e-12, 0.25),
@@ -570,6 +572,8 @@ def invertibility_scan(
     if sigma_tol <= 0.0:
         raise MellinError("sigma_tol must be positive")
     lam_max = family.lambda_max
+    if lam_max <= 0:
+        raise MellinError("scan grid must contain a nonzero lambda")
     while family.tail_bound(lam_max) >= abs(c) / 2.0:
         lam_max *= 2.0
         if lam_max > lambda_cap:

@@ -8,18 +8,25 @@ whose capped report must list a subset of these witnesses.
 ``reduction_reference`` and ``make_structure_reference`` build the
 reduction by filtering the dict tables, as the array code must agree
 with; ``dump_reference`` is the text ``specfiles.dump`` must reproduce.
+
+``glue_reference`` glues an atlas with dict walks: union-find quotient
+classes, the class-pair weak walk, the class-pair product loop and the
+per-entry projection walk.  ``gpdlab.glue`` must give the same tables,
+compose order, projections, witnesses and messages.
 """
 
 import json
 from collections import defaultdict
 
 from gpdlab.fredholm import FredholmStructure, StructureError
+from gpdlab.gluing import GluedGroupoid, GluingError
 from gpdlab.groupoid import (
     MAX_WITNESSES_PER_AXIOM,
     FiniteGroupoid,
     as_unit_subset,
     is_invariant,
     orbits_and_isotropy,
+    validate,
 )
 from gpdlab.iso import is_pair_groupoid
 
@@ -120,3 +127,129 @@ def make_structure_reference(g, u) -> FredholmStructure:
         boundary_orbits=orbits.orbits,
         boundary_representatives=orbits.representatives,
     )
+
+
+# ---------------------------------------------------------------------------
+# gluing
+
+
+def quotient_classes_reference(atlas):
+    """Union-find classes of (piece, arrow) under all phis, as (classes, index).
+
+    Each class is a sorted member list headed by its canonical member
+    (least piece, then least arrow position); classes are in the order
+    of their canonical members.
+    """
+    parent: dict = {}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for i, piece in enumerate(atlas.pieces):
+        for a in piece.groupoid.arrows:
+            parent[(i, a)] = (i, a)
+    for (i, j), phi in atlas.phis.items():
+        for a, b in phi.items():
+            rp, rq = find((i, a)), find((j, b))
+            if rp != rq:
+                parent[rp] = rq
+    groups: dict = {}
+    for p in parent:
+        groups.setdefault(find(p), []).append(p)
+    pos = {(i, a): k for i, piece in enumerate(atlas.pieces) for k, a in enumerate(piece.groupoid.arrows)}
+    classes = sorted((sorted(ms, key=lambda p: (p[0], pos[p])) for ms in groups.values()),
+                     key=lambda ms: (ms[0][0], pos[ms[0]]))
+    index = {p: ci for ci, ms in enumerate(classes) for p in ms}
+    return classes, index
+
+
+def _class_endpoints(atlas, members):
+    i, a = members[0]
+    g, emb = atlas.pieces[i].groupoid, atlas.pieces[i].embedding
+    return emb[g.dom[a]], emb[g.rng[a]]
+
+
+def _composable_class_pairs(endpoints):
+    by_rng: dict = {}
+    for ci, (_d, r) in enumerate(endpoints):
+        by_rng.setdefault(r, []).append(ci)
+    for c1, (d1, _r1) in enumerate(endpoints):
+        for c2 in by_rng.get(d1, ()):
+            yield c1, c2
+
+
+def weak_witness_reference(atlas):
+    """The first composable class pair no single piece carries, or None."""
+    classes, _ = quotient_classes_reference(atlas)
+    pieces_of = [frozenset(i for (i, _a) in ms) for ms in classes]
+    endpoints = [_class_endpoints(atlas, ms) for ms in classes]
+    for c1, c2 in _composable_class_pairs(endpoints):
+        if not (pieces_of[c1] & pieces_of[c2]):
+            return classes[c1][0], classes[c2][0]
+    return None
+
+
+def glue_reference(atlas) -> GluedGroupoid:
+    """The glued groupoid and projections of an atlas (no atlas check)."""
+    witness = weak_witness_reference(atlas)
+    if witness is not None:
+        raise GluingError(f"weak gluing condition fails at composable pair {witness}")
+    classes, index = quotient_classes_reference(atlas)
+    arrow_ids = [ms[0] for ms in classes]
+    endpoints = [_class_endpoints(atlas, ms) for ms in classes]
+    members_by_piece = [{i: a for (i, a) in ms} for ms in classes]
+    units = atlas.x_units
+    dom = {arrow_ids[ci]: endpoints[ci][0] for ci in range(len(classes))}
+    rng = {arrow_ids[ci]: endpoints[ci][1] for ci in range(len(classes))}
+    unit_arrow = {}
+    for x in units:
+        for i, piece in enumerate(atlas.pieces):
+            inv_emb = {v: k for k, v in piece.embedding.items()}
+            if x in inv_emb:
+                unit_arrow[x] = arrow_ids[index[(i, piece.groupoid.unit_arrow[inv_emb[x]])]]
+                break
+    inverse = {}
+    for ci, ms in enumerate(classes):
+        i, a = ms[0]
+        inverse[arrow_ids[ci]] = arrow_ids[index[(i, atlas.pieces[i].groupoid.inverse[a])]]
+    compose = {}
+    for c1, c2 in _composable_class_pairs(endpoints):
+        results = set()
+        for i in members_by_piece[c1]:
+            if i in members_by_piece[c2]:
+                prod = atlas.pieces[i].groupoid.compose.get((members_by_piece[c1][i], members_by_piece[c2][i]))
+                if prod is None:
+                    raise GluingError(f"piece {i} misses the product of a composable overlap pair")
+                results.add(index[(i, prod)])
+        if len(results) > 1:
+            raise GluingError(f"product of classes {arrow_ids[c1]} and {arrow_ids[c2]} differs between pieces")
+        compose[(arrow_ids[c1], arrow_ids[c2])] = arrow_ids[results.pop()]
+    glued = FiniteGroupoid(units, arrow_ids, dom, rng, unit_arrow, inverse, compose)
+    report = validate(glued)
+    if not report.ok:
+        raise GluingError(f"glued groupoid fails validation: {sorted(report.axioms())}")
+    projections = tuple(
+        {a: arrow_ids[index[(i, a)]] for a in piece.groupoid.arrows} for i, piece in enumerate(atlas.pieces)
+    )
+    for i, piece in enumerate(atlas.pieces):
+        _check_projection_reference(glued, i, piece, projections[i])
+    return GluedGroupoid(glued, atlas, projections)
+
+
+def _check_projection_reference(glued, i, piece, proj):
+    inside = piece.embedded_units()
+    over = {a for a in glued.arrows if glued.dom[a] in inside and glued.rng[a] in inside}
+    if len(set(proj.values())) != len(proj) or set(proj.values()) != over:
+        raise GluingError(f"projection of piece {i} is not a bijection onto the reduction")
+    g, emb = piece.groupoid, piece.embedding
+    for a in g.arrows:
+        if glued.dom[proj[a]] != emb[g.dom[a]] or glued.rng[proj[a]] != emb[g.rng[a]]:
+            raise GluingError(f"projection of piece {i} breaks endpoints at {a!r}")
+        if proj[g.inverse[a]] != glued.inverse[proj[a]]:
+            raise GluingError(f"projection of piece {i} breaks inverses at {a!r}")
+    for (a, b), k in g.compose.items():
+        if glued.compose.get((proj[a], proj[b])) != proj[k]:
+            raise GluingError(f"projection of piece {i} breaks products at ({a!r}, {b!r})")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -278,3 +279,28 @@ def test_non_string_id_exits_two_with_field_path(runner, tmp_path, args, fixture
     res = runner.invoke(main, args + [path])
     assert res.exit_code == 2
     assert res.stderr == f"error: {path}{where}\n"
+
+
+@pytest.mark.parametrize("value, shown", [("0", "0.0"), ("-5", "-5.0"), ("nan", "nan"), ("inf", "inf")])
+def test_mellin_scan_bad_lambda_max_exits_two(runner, value, shown):
+    res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--lambda-max", value])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: lambda_max must be finite and positive, got {shown}\n"
+
+
+@pytest.mark.parametrize("name, code, stdout_sha256, stderr", [
+    ("atlas_three_piece.json", 0, "d3b5b2d4067cce36fa62bc9a82056dce6a90aebcf3fed3261e6c5310fdea33bc", ""),
+    ("atlas_two_piece.json", 2, None,
+     "error: weak gluing condition fails at composable pair ((0, '12'), (1, '24'))\n"),
+    ("bad_atlas.json", 2, None,
+     "error: bad_atlas.json: cocycle violated at arrow 'g1' of piece 0 (via piece 1 to piece 2)\n"),
+])
+def test_glue_corpus_output_pinned(runner, monkeypatch, name, code, stdout_sha256, stderr):
+    monkeypatch.chdir(Path(corpus(name)).parent)
+    res = runner.invoke(main, ["glue", "--atlas", name])
+    assert res.exit_code == code
+    assert res.stderr == stderr
+    if stdout_sha256 is None:
+        assert res.stdout == ""
+    else:
+        assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == stdout_sha256

@@ -1,7 +1,12 @@
+import hashlib
+from importlib import resources
+
 import numpy as np
 import pytest
 
 import gpdlab as gl
+from gpdlab import conical as co
+from gpdlab import specfiles as sf
 from gpdlab.gluing import (
     AtlasError,
     GluingAtlas,
@@ -14,6 +19,7 @@ from gpdlab.gluing import (
 )
 
 import gen
+import reference
 
 
 def identity_piece(units):
@@ -210,3 +216,166 @@ class TestAttachEnds:
         bundle = gl.build_group_bundle(["1"], gl.GroupTable.cyclic(2))
         with pytest.raises(GluingError, match="pair groupoid"):
             attach_ends(bundle, gl.build_pair(["1"]))
+
+
+# ---------------------------------------------------------------------------
+# the array gluing against the dict oracle
+
+
+def outcome(fn, atlas):
+    try:
+        return fn(atlas)
+    except (AtlasError, GluingError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_glue_matches_reference(atlas):
+    got, want = outcome(glue, atlas), outcome(reference.glue_reference, atlas)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.groupoid.same_tables(want.groupoid)
+    assert list(got.groupoid.compose.items()) == list(want.groupoid.compose.items())
+    assert got.projections == want.projections
+
+
+def assert_weak_matches_reference(atlas):
+    res, witness = check_weak_gluing(atlas), reference.weak_witness_reference(atlas)
+    assert res.ok == (witness is None)
+    assert res.witness == witness
+
+
+def corpus_descriptor(name):
+    domain = sf.parse_domain(str(resources.files("gpdlab") / "corpus" / f"{name}.json"))
+    return co.assemble_layer_groupoid(domain)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_random_pair_covers(self, closed):
+        rng = np.random.default_rng(71 if closed else 72)
+        for _ in range(60):
+            atlas = gen.random_pair_cover_atlas(rng, closed=closed)
+            assert_weak_matches_reference(atlas)
+            assert_glue_matches_reference(atlas)
+
+    def test_random_bundle_patches(self):
+        rng = np.random.default_rng(73)
+        for _ in range(60):
+            atlas = gen.random_bundle_patch_atlas(rng)
+            assert_weak_matches_reference(atlas)
+            assert_glue_matches_reference(atlas)
+
+    def test_open_covers_include_weak_failures(self):
+        rng = np.random.default_rng(72)
+        atlases = [gen.random_pair_cover_atlas(rng, closed=False) for _ in range(60)]
+        assert any(not check_weak_gluing(a).ok for a in atlases)
+
+    @pytest.mark.parametrize("name", ["square", "pentagon", "lshape"])
+    @pytest.mark.parametrize("m, ip", [(1, 0), (2, 1), (3, 2)])
+    def test_toy_models(self, name, m, ip):
+        toy = co.finite_toy_model(corpus_descriptor(name), m, ip)
+        want = reference.glue_reference(toy.glued.atlas)
+        assert toy.glued.groupoid.same_tables(want.groupoid)
+        assert list(toy.glued.groupoid.compose.items()) == list(want.groupoid.compose.items())
+        assert toy.glued.projections == want.projections
+
+    def test_corpus_weak_failure(self):
+        atlas = sf.parse_atlas(resources.files("gpdlab") / "corpus" / "atlas_two_piece.json")
+        assert_weak_matches_reference(atlas)
+        assert_glue_matches_reference(atlas)
+
+    def test_piece_caches_left_as_found(self, three_piece_atlas):
+        before = [dict(p.groupoid._cache) for p in three_piece_atlas.pieces]
+        glue(three_piece_atlas)
+        assert [p.groupoid._cache for p in three_piece_atlas.pieces] == before
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("square", "01821af98a3390aa114e3fc462b88d2b40e90cf73b32e7f16fc9f341b5510fd8"),
+    ("pentagon", "b03129ed7eb481ca0ba834c42bc499ece9b35da379b7aa49ec98676b79debd02"),
+])
+def test_toy_model_dump_bytes(name, digest):
+    toy = co.finite_toy_model(corpus_descriptor(name), 2, 1)
+    text = sf.dump(sf.groupoid_to_dict(toy.groupoid))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# malformed atlases: messages and witnesses
+
+
+def z4_atlas_with_swap():
+    z4 = gl.build_group_bundle(["x"], gl.GroupTable.cyclic(4))
+    piece = GluingPiece(z4, {"x": "x"})
+    swap = {("x", 0): ("x", 0), ("x", 1): ("x", 2), ("x", 2): ("x", 1), ("x", 3): ("x", 3)}
+    return GluingAtlas(["x"], [piece, piece], {(0, 1): swap})
+
+
+def pair_12():
+    return gl.build_pair(["1", "2"])
+
+
+def pair_12_missing_one_product():
+    p = pair_12()
+    compose = dict(p.compose)
+    del compose[(("1", "2"), ("2", "1"))]
+    return gl.FiniteGroupoid(p.units, p.arrows, p.dom, p.rng, p.unit_arrow, p.inverse, compose)
+
+
+def on_12(g):
+    return GluingPiece(g, {"1": "1", "2": "2"})
+
+
+class TestDiagnostics:
+    def test_non_multiplicative_phi_names_its_pair(self):
+        atlas = GluingAtlas(["1", "2"], [on_12(pair_12()), on_12(pair_12_missing_one_product())])
+        with pytest.raises(AtlasError) as err:
+            atlas.check()
+        assert str(err.value) == "phi(0,1) is not multiplicative at (('1', '2'), ('2', '1'))"
+
+    def test_non_multiplicative_phi_reports_first_pair_in_arrow_order(self):
+        # (x1, x1), (x1, x3), (x2, x2), ... all fail; the walk is row-major
+        with pytest.raises(AtlasError) as err:
+            z4_atlas_with_swap().check()
+        assert str(err.value) == "phi(0,1) is not multiplicative at (('x', 1), ('x', 1))"
+
+    def test_phi_off_the_units_names_its_arrow(self):
+        flip = {(x, y): (y, x) for (x, y) in pair_12().arrows}
+        atlas = GluingAtlas(["1", "2"], [on_12(pair_12())] * 2, {(0, 1): flip})
+        with pytest.raises(AtlasError) as err:
+            atlas.check()
+        assert str(err.value) == "phi(0,1) does not cover the identity on units at ('1', '2')"
+
+    def test_phi_domain_short_of_the_overlap(self):
+        short = {a: a for a in pair_12().arrows if a != ("2", "1")}
+        atlas = GluingAtlas(["1", "2"], [on_12(pair_12())] * 2, {(0, 1): short})
+        with pytest.raises(AtlasError) as err:
+            atlas.check()
+        assert str(err.value) == "phi(0,1) domain is not the overlap reduction"
+
+    def test_cocycle_witness_on_corpus_atlas(self):
+        path = resources.files("gpdlab") / "corpus" / "bad_atlas.json"
+        with pytest.raises(sf.SchemaError) as err:
+            sf.parse_atlas(path)
+        assert str(err.value) == f"{path}: cocycle violated at arrow 'g1' of piece 0 (via piece 1 to piece 2)"
+
+    def test_products_differing_between_pieces(self, monkeypatch):
+        atlas = z4_atlas_with_swap()
+        monkeypatch.setattr(atlas, "check", lambda: None)
+        with pytest.raises(GluingError) as err:
+            glue(atlas)
+        assert str(err.value) == "product of classes (0, ('x', 1)) and (0, ('x', 1)) differs between pieces"
+
+    def test_piece_missing_an_overlap_product(self, monkeypatch):
+        atlas = GluingAtlas(["1", "2"], [on_12(pair_12()), on_12(pair_12_missing_one_product())])
+        monkeypatch.setattr(atlas, "check", lambda: None)
+        with pytest.raises(GluingError) as err:
+            glue(atlas)
+        assert str(err.value) == "piece 1 misses the product of a composable overlap pair"
+
+    def test_single_piece_missing_a_product(self):
+        atlas = GluingAtlas(["1", "2"], [on_12(pair_12_missing_one_product())])
+        with pytest.raises(GluingError) as err:
+            glue(atlas)
+        assert str(err.value) == "piece 0 misses the product of a composable overlap pair"

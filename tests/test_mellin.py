@@ -460,3 +460,15 @@ class TestStraightCone:
         near, far = me.straight_cone_families(k, 0.4, np.array([-2.0, -0.5, 0.5, 2.0]))
         for lam in (-2.0, -0.5, 0.5, 2.0):
             assert np.max(np.abs(far.value(lam) - near.value(-lam))) < 1e-9
+
+
+@pytest.mark.parametrize("lambda_max", [0.0, -5.0, math.nan, math.inf])
+def test_default_grid_refuses_a_bad_lambda_max(lambda_max):
+    with pytest.raises(me.MellinError, match="lambda_max must be finite and positive"):
+        me.default_grid(lambda_max)
+
+
+def test_scan_of_a_zero_only_grid_refuses():
+    fam = me.mellin_transform(me.sech_test_kernel(), 0.5, np.array([0.0]))
+    with pytest.raises(me.MellinError, match="nonzero lambda"):
+        me.invertibility_scan(fam, 0.5)
