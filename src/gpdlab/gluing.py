@@ -235,33 +235,41 @@ class GluingCheck:
 
 
 def _class_products(atlas: GluingAtlas, canon, cls, dom, rng):
-    """The class products every piece carries, and the weak witness.
+    """The products that the pieces give to each composable class pair.
 
-    Returns (pairs, keys, prods, piece, witness).  pairs are the keys
-    c1 * nc + c2 of the composable class pairs (dom c1 = rng c2),
-    ascending.  keys, prods and piece have one row per composable slot of
-    each piece, mapped through the class map, with prods -1 where the
-    piece misses the product.  witness is the first pair that no piece
-    carries, as canonical ids, or None.
+    The pairs (c1, c2) with dom c1 = rng c2 get one slot each, in (c1, c2)
+    order, and every piece's composable slots are mapped onto them through
+    the class map.  Returns (c1, c2, lo, hi, miss, witness): per slot the
+    least and greatest product given (lo > hi where none is), the least
+    piece that misses the product (the piece count where none does), and
+    the first pair no piece carries, as canonical ids, or None.
     """
-    nc, cdom, crng = len(canon), dom[canon], rng[canon]
+    nc, cdom, crng, npieces = len(canon), dom[canon], rng[canon], len(atlas.pieces)
     order = np.argsort(crng, kind="stable")
     start = np.searchsorted(crng[order], np.arange(len(atlas.x_units) + 1))
+    pos = np.empty(nc, np.int64)
+    pos[order] = np.arange(nc) - start[crng[order]]  # place of c2 among the classes ending at rng c2
     width = np.diff(start)[cdom]
-    local = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-    pairs = np.repeat(np.arange(nc), width) * nc + order[np.repeat(start[cdom], width) + local]
-    keys, prods, piece = [], [], []
+    off = np.concatenate(([0], np.cumsum(width)))  # first slot of c1
+    local = np.arange(off[-1]) - np.repeat(off[:-1], width)
+    c1, c2 = np.repeat(np.arange(nc), width), order[np.repeat(start[cdom], width) + local]
+    lo, hi = np.full(off[-1], nc, np.int64), np.full(off[-1], -1, np.int64)
+    miss, carried = np.full(off[-1], npieces), np.zeros(off[-1], bool)
     for i, p in enumerate(atlas.pieces):
-        g, off = p.groupoid, atlas._offsets[i]
+        g, base = p.groupoid, atlas._offsets[i]
         ft = g._fiber_table()
         a, b = ft.slot_pairs(np.arange(len(ft.table) - 1), g._arrays()[0])
-        keys.append(cls[off + a] * nc + cls[off + b])
-        prods.append(np.where(ft.table[:-1] >= 0, cls[off + ft.table[:-1]], -1))
-        piece.append(np.full(len(a), i))
-    keys = np.concatenate(keys)
-    lost = pairs[~np.isin(pairs, keys)]
-    witness = tuple(atlas._arrow_ids(canon[list(divmod(lost[0], nc))])) if len(lost) else None
-    return pairs, keys, np.concatenate(prods), np.concatenate(piece), witness
+        a, b, prod = cls[base + a], cls[base + b], ft.table[:-1]
+        ok = cdom[a] == crng[b]  # composable classes (always, once the atlas is checked)
+        slot, prod = off[a[ok]] + pos[b[ok]], prod[ok]
+        carried[slot] = True
+        miss[slot[(prod < 0) & (miss[slot] == npieces)]] = i
+        slot, prod = slot[prod >= 0], cls[base + prod[prod >= 0]]
+        np.minimum.at(lo, slot, prod)
+        np.maximum.at(hi, slot, prod)
+    first = np.flatnonzero(~carried)[:1]
+    witness = tuple(atlas._arrow_ids(canon[[c1[first[0]], c2[first[0]]]])) if len(first) else None
+    return c1, c2, lo, hi, miss, witness
 
 
 def check_weak_gluing(atlas: GluingAtlas) -> GluingCheck:
@@ -359,23 +367,15 @@ def _glue(atlas: GluingAtlas) -> GluedGroupoid:
 def _glued_compose(atlas: GluingAtlas, canon, cls, dom, rng, ids):
     """Compose entries of the glued groupoid in (c1, c2) order, once the weak
     condition holds and every common piece gives the same product."""
-    pairs, keys, prods, piece, witness = _class_products(atlas, canon, cls, dom, rng)
+    c1, c2, lo, hi, miss, witness = _class_products(atlas, canon, cls, dom, rng)
     if witness is not None:
         raise GluingError(f"weak gluing condition fails at composable pair {witness}")
-    # sort the slots by class pair, then product (a miss, -1, first), then
-    # piece; a pair is bad where its first row misses or differs from its last
-    order = np.lexsort((piece, prods, keys))
-    keys, prods, piece = keys[order], prods[order], piece[order]
-    head = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    last = np.r_[head[1:], len(keys)] - 1
-    bad = head[(prods[head] < 0) | (prods[head] != prods[last])]
+    bad = np.flatnonzero((miss < len(atlas.pieces)) | (lo != hi))
     if len(bad):
-        if prods[bad[0]] < 0:
-            raise GluingError(f"piece {piece[bad[0]]} misses the product of a composable overlap pair")
-        c1, c2 = divmod(int(keys[bad[0]]), len(canon))
-        raise GluingError(f"product of classes {ids[c1]} and {ids[c2]} differs between pieces")
-    c1, c2 = np.divmod(pairs, len(canon))
-    return zip(zip(ids[c1], ids[c2]), ids[prods[head][np.searchsorted(keys[head], pairs)]])
+        if miss[bad[0]] < len(atlas.pieces):
+            raise GluingError(f"piece {miss[bad[0]]} misses the product of a composable overlap pair")
+        raise GluingError(f"product of classes {ids[c1[bad[0]]]} and {ids[c2[bad[0]]]} differs between pieces")
+    return zip(zip(ids[c1], ids[c2]), ids[lo])
 
 
 def _check_projection(glued, i, g, umap, proj):
