@@ -243,6 +243,7 @@ def assert_weak_matches_reference(atlas):
     res, witness = check_weak_gluing(atlas), reference.weak_witness_reference(atlas)
     assert res.ok == (witness is None)
     assert res.witness == witness
+    return res.ok
 
 
 def corpus_descriptor(name):
@@ -254,10 +255,12 @@ class TestAgainstReference:
     @pytest.mark.parametrize("closed", [True, False])
     def test_random_pair_covers(self, closed):
         rng = np.random.default_rng(71 if closed else 72)
+        weak = []
         for _ in range(60):
             atlas = gen.random_pair_cover_atlas(rng, closed=closed)
-            assert_weak_matches_reference(atlas)
+            weak.append(assert_weak_matches_reference(atlas))
             assert_glue_matches_reference(atlas)
+        assert all(weak) if closed else not all(weak)  # open covers include weak failures
 
     def test_random_bundle_patches(self):
         rng = np.random.default_rng(73)
@@ -265,11 +268,6 @@ class TestAgainstReference:
             atlas = gen.random_bundle_patch_atlas(rng)
             assert_weak_matches_reference(atlas)
             assert_glue_matches_reference(atlas)
-
-    def test_open_covers_include_weak_failures(self):
-        rng = np.random.default_rng(72)
-        atlases = [gen.random_pair_cover_atlas(rng, closed=False) for _ in range(60)]
-        assert any(not check_weak_gluing(a).ok for a in atlases)
 
     @pytest.mark.parametrize("name", ["square", "pentagon", "lshape"])
     @pytest.mark.parametrize("m, ip", [(1, 0), (2, 1), (3, 2)])
