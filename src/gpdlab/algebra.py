@@ -23,6 +23,7 @@ from .groupoid import (
     is_invariant,
     orbits_and_isotropy,
     reduction,
+    unit_mask,
 )
 
 AMENABILITY_NOTE = "full C*-norm taken equal to the reduced norm (finite groupoids are amenable)"
@@ -70,8 +71,7 @@ class AlgebraElement:
     def unit(cls, g: FiniteGroupoid) -> "AlgebraElement":
         """The multiplicative unit: sum of all unit arrows."""
         vec = np.zeros(g.n_arrows, dtype=np.complex128)
-        _, _, _, unit_i = g._arrays()
-        vec[unit_i] = 1.0
+        vec[g.unit_i] = 1.0
         return cls(g, vec)
 
     @classmethod
@@ -131,7 +131,7 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """(a * b)(g) = sum over factorizations g = g'h of a(g') b(h)."""
     a._require_same(b)
     g = a.groupoid
-    p1, p2, pp = g._pair_arrays()
+    p1, p2, pp = g.p1, g.p2, g.pp
     out = np.zeros(g.n_arrows, dtype=np.complex128)
     np.add.at(out, pp, a.vec[p1] * b.vec[p2])
     return AlgebraElement(g, out)
@@ -140,8 +140,7 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def star(a: AlgebraElement) -> AlgebraElement:
     """The involution a*(g) = conj(a(g^{-1}))."""
     g = a.groupoid
-    _, _, inv_i, _ = g._arrays()
-    return AlgebraElement(g, np.conj(a.vec[inv_i]))
+    return AlgebraElement(g, np.conj(a.vec[g.inv_i]))
 
 
 def l1_norm(a: AlgebraElement) -> float:
@@ -149,7 +148,7 @@ def l1_norm(a: AlgebraElement) -> float:
     g = a.groupoid
     if g.n_arrows == 0:
         return 0.0
-    dom_i, rng_i, _, _ = g._arrays()
+    dom_i, rng_i = g.dom_i, g.rng_i
     mags = np.abs(a.vec)
     d_sums = np.zeros(g.n_units)
     r_sums = np.zeros(g.n_units)
@@ -183,7 +182,7 @@ def regular_rep(a: AlgebraElement, x) -> RegularRepMatrix:
 def _fiber_matrix(a: AlgebraElement, fib: np.ndarray) -> np.ndarray:
     """Entry (i, j) is the coefficient of a at fib[i] fib[j]^{-1}."""
     g = a.groupoid
-    _, _, inv_i, _ = g._arrays()
+    inv_i = g.inv_i
     prod = g._mul_idx(fib[:, None], inv_i[fib][None, :])
     if (prod < 0).any():
         i, j = np.argwhere(prod < 0)[0]
@@ -244,13 +243,10 @@ def restrict_boundary(a: AlgebraElement, f, n_samples: int = 20, seed: int = 0):
     if not is_invariant(g, fset):
         raise AlgebraError("restriction subset is not invariant")
     gf = reduction(g, fset)
-    aidx = g.arrow_index()
-    restricted = AlgebraElement(gf, [a.vec[aidx[arrow]] for arrow in gf.arrows])
-
-    u_units = fset.complement()
-    gu_arrow_count = sum(
-        1 for arrow in g.arrows if g.dom[arrow] in u_units and g.rng[arrow] in u_units
-    )
+    inside = unit_mask(g, fset)
+    kept = np.flatnonzero(inside[g.dom_i] & inside[g.rng_i])  # the arrows of gf, in order
+    restricted = AlgebraElement(gf, a.vec[kept])
+    gu_arrow_count = int((~inside[g.dom_i] & ~inside[g.rng_i]).sum())
     kernel_dim = g.n_arrows - gf.n_arrows
 
     rng = np.random.default_rng(seed)
@@ -258,8 +254,8 @@ def restrict_boundary(a: AlgebraElement, f, n_samples: int = 20, seed: int = 0):
     for _ in range(n_samples):
         b1 = random_element(g, rng)
         b2 = random_element(g, rng)
-        left = _restrict_vec(convolve(b1, b2), gf, aidx)
-        right = convolve(_restrict_elem(b1, gf, aidx), _restrict_elem(b2, gf, aidx))
+        left = convolve(b1, b2).vec[kept]
+        right = convolve(AlgebraElement(gf, b1.vec[kept]), AlgebraElement(gf, b2.vec[kept]))
         err = float(np.max(np.abs(left - right.vec))) if gf.n_arrows else 0.0
         max_err = max(max_err, err)
 
@@ -271,14 +267,6 @@ def restrict_boundary(a: AlgebraElement, f, n_samples: int = 20, seed: int = 0):
         surjective=True,  # every reduction arrow is an arrow of g
         multiplicative_max_err=max_err,
     )
-
-
-def _restrict_vec(a: AlgebraElement, gf: FiniteGroupoid, aidx) -> np.ndarray:
-    return np.array([a.vec[aidx[arrow]] for arrow in gf.arrows], dtype=np.complex128)
-
-
-def _restrict_elem(a: AlgebraElement, gf: FiniteGroupoid, aidx) -> AlgebraElement:
-    return AlgebraElement(gf, _restrict_vec(a, gf, aidx))
 
 
 def random_element(
@@ -373,7 +361,7 @@ def matrix_invertible(m: np.ndarray, rtol: float = DEFAULT_INVERTIBILITY_RTOL) -
 def left_multiplication_matrix(a: AlgebraElement) -> np.ndarray:
     """Matrix of b -> a * b on the arrow coefficient space."""
     g = a.groupoid
-    p1, p2, pp = g._pair_arrays()
+    p1, p2, pp = g.p1, g.p2, g.pp
     mat = np.zeros((g.n_arrows, g.n_arrows), dtype=np.complex128)
     np.add.at(mat, (pp, p2), a.vec[p1])
     return mat

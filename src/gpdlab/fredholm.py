@@ -317,7 +317,7 @@ def recognize_boundary_bundle(s: FredholmStructure) -> RecognitionReport:
         return RecognitionReport(
             parts, fibers, {}, False, witness=(gf.arrows[stray[0]], "not in isotropy")
         )
-    dom_i, rng_i, _, _ = gf._arrays()
+    dom_i, rng_i = gf.dom_i, gf.rng_i
     orbit = part.orbit_index[dom_i]
     units = gf.units
     arrow_map = {
@@ -331,7 +331,7 @@ def recognize_boundary_bundle(s: FredholmStructure) -> RecognitionReport:
     if len(np.unique(keys)) != gf.n_arrows or gf.n_arrows != expected:
         return RecognitionReport(parts, fibers, arrow_map, False, witness=("count", expected))
     # multiplicativity: image product law (z, gamma, y)(y, gamma', w) = (z, gamma gamma', w)
-    p1, p2, pp = gf._pair_arrays()
+    p1, p2, pp = gf.p1, gf.p2, gf.pp
     joined = (
         (orbit[p1] == orbit[p2]) & (orbit[p1] == orbit[pp]) & (rng_i[pp] == rng_i[p1])
         & (dom_i[pp] == dom_i[p2]) & (dom_i[p1] == rng_i[p2])

@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, _min_labels, orbits_and_isotropy, saturation, validate
+from .groupoid import FiniteGroupoid, _id_array, _min_labels, orbits_and_isotropy, saturation, validate
 from .iso import is_pair_groupoid, is_pair_over
 
 
@@ -80,64 +80,55 @@ class GluingAtlas:
             for p, emb in zip(self.pieces, self._embeds)
         ]
         self._offsets = np.cumsum([0] + [p.groupoid.n_arrows for p in self.pieces])
+        # per piece i: ambient dom and rng of each arrow, and in row j of
+        # _overlaps[i] the arrows with both endpoints over the (i, j) overlap
+        covers = np.array([np.bincount(m, minlength=len(self.x_units)) > 0 for m in self._unit_maps])
+        self._ends = [(m[p.groupoid.dom_i], m[p.groupoid.rng_i]) for m, p in zip(self._unit_maps, self.pieces)]
+        self._overlaps = [covers[:, d] & covers[:, r] for d, r in self._ends]
         self.phis = self._complete_phis(given)
         self._checked = False
 
     # -- overlap machinery ----------------------------------------------------
 
-    def overlap(self, i: int, j: int) -> frozenset:
-        return frozenset(self._embeds[i].values()) & frozenset(self._embeds[j].values())
-
     def overlap_arrows(self, i: int, j: int) -> list:
         """Arrows of piece i with both endpoints over the (i, j) overlap."""
-        ov = self.overlap(i, j)
-        g = self.pieces[i].groupoid
-        emb = self._embeds[i]
-        return [
-            a
-            for a in g.arrows
-            if emb[g.dom[a]] in ov and emb[g.rng[a]] in ov
-        ]
+        return list(itertools.compress(self.pieces[i].groupoid.arrows, self._overlaps[i][j].tolist()))
 
     def _complete_phis(self, given: dict) -> dict:
         phis = {}
         for i, j in itertools.permutations(range(len(self.pieces)), 2):
-            arrows_i = self.overlap_arrows(i, j)
-            if not arrows_i:
+            if not self._overlaps[i][j].any():
                 continue
             if (i, j) in given:
                 phis[(i, j)] = dict(given[(i, j)])
             elif (j, i) in given:
                 phis[(i, j)] = {v: k for k, v in given[(j, i)].items()}
             else:
-                phis[(i, j)] = self._canonical_phi(i, j, arrows_i)
+                phis[(i, j)] = self._canonical_phi(i, j)
         return phis
 
-    def _canonical_phi(self, i: int, j: int, arrows_i) -> dict:
+    def _canonical_phi(self, i: int, j: int) -> dict:
         """Unique endpoint-respecting match, defined when hom sets are thin."""
-        gj = self.pieces[j].groupoid
-        ov = self.overlap(i, j)
-        target: dict = {}
-        for b in gj.arrows:
-            dx, rx = self._embeds[j][gj.dom[b]], self._embeds[j][gj.rng[b]]
-            if dx in ov and rx in ov:
-                if (rx, dx) in target:
-                    raise AtlasError(
-                        f"pieces {i},{j}: overlap has parallel arrows; supply phi explicitly"
-                    )
-                target[(rx, dx)] = b
-        gi = self.pieces[i].groupoid
-        phi = {}
-        for a in arrows_i:
-            key = (self._embeds[i][gi.rng[a]], self._embeds[i][gi.dom[a]])
-            if key not in target:
-                raise AtlasError(
-                    f"pieces {i},{j}: no matching arrow over {key}; supply phi explicitly"
-                )
-            phi[a] = target[key]
-        if len(set(phi.values())) != len(target):
+        nx = len(self.x_units)
+
+        def over(k, other):  # overlap arrows of piece k and their ambient (rng, dom) keys
+            a = np.flatnonzero(self._overlaps[k][other])
+            return a, self._ends[k][1][a] * nx + self._ends[k][0][a]
+
+        a, key_a = over(i, j)
+        b, key_b = over(j, i)
+        target = dict(zip(key_b.tolist(), b.tolist()))
+        if len(target) != len(b):
+            raise AtlasError(f"pieces {i},{j}: overlap has parallel arrows; supply phi explicitly")
+        image = [target.get(k, -1) for k in key_a.tolist()]
+        if -1 in image:
+            r, d = divmod(int(key_a[image.index(-1)]), nx)
+            raise AtlasError(f"pieces {i},{j}: no matching arrow over {(self.x_units[r], self.x_units[d])}; "
+                             "supply phi explicitly")
+        if len(set(image)) != len(target):
             raise AtlasError(f"pieces {i},{j}: overlap reductions are not isomorphic")
-        return phi
+        gi, gj = self.pieces[i].groupoid, self.pieces[j].groupoid
+        return {gi.arrows[x]: gj.arrows[y] for x, y in zip(a.tolist(), image)}
 
     # -- invariants -------------------------------------------------------------
 
@@ -148,20 +139,22 @@ class GluingAtlas:
         to = {}  # per phi: arrow position in piece j of each arrow of piece i, -2 off the overlap
         for (i, j), phi in self.phis.items():
             gi, gj = self.pieces[i].groupoid, self.pieces[j].groupoid
-            ei, ej = self._embeds[i], self._embeds[j]
             if set(phi) != set(self.overlap_arrows(i, j)):
                 raise AtlasError(f"phi({i},{j}) domain is not the overlap reduction")
             if len(set(phi.values())) != len(phi):
                 raise AtlasError(f"phi({i},{j}) is not injective")
             if set(phi.values()) != set(self.overlap_arrows(j, i)):
                 raise AtlasError(f"phi({i},{j}) image is not the overlap reduction")
-            for a, b in phi.items():
-                if (ei[gi.dom[a]], ei[gi.rng[a]]) != (ej[gj.dom[b]], ej[gj.rng[b]]):
-                    raise AtlasError(f"phi({i},{j}) does not cover the identity on units at {a!r}")
+            src, dst = self._positions(i, phi), self._positions(j, phi.values())
+            (di, ri), (dj, rj) = self._ends[i], self._ends[j]
+            moved = (di[src] != dj[dst]) | (ri[src] != rj[dst])
+            if moved.any():
+                a = gi.arrows[src[np.argmax(moved)]]
+                raise AtlasError(f"phi({i},{j}) does not cover the identity on units at {a!r}")
             t = to[(i, j)] = np.full(gi.n_arrows, -2, np.int64)
-            t[self._positions(i, phi)] = self._positions(j, phi.values())
+            t[src] = dst
             # multiplicative on the overlap reduction: first failure in row-major arrow order
-            p1, p2, pp = gi._pair_arrays()
+            p1, p2, pp = gi.p1, gi.p2, gi.pp
             rows = np.flatnonzero((t[p1] >= 0) & (t[p2] >= 0))
             bad = rows[gj._mul_idx(t[p1[rows]], t[p2[rows]]) != t[pp[rows]]]
             if len(bad):
@@ -211,9 +204,8 @@ class GluingAtlas:
         """dom and rng (ambient unit index) and inverse (arrow number) of
         every arrow of the disjoint union, and per ambient unit the number
         of its unit arrow in the first piece that contains it."""
-        parts = [p.groupoid._arrays() for p in self.pieces]
-        rows = [(m[d], m[r], off + v, m, off + u)
-                for m, off, (d, r, v, u) in zip(self._unit_maps, self._offsets, parts)]
+        rows = [(d, r, off + p.groupoid.inv_i, m, off + p.groupoid.unit_i)
+                for (d, r), m, off, p in zip(self._ends, self._unit_maps, self._offsets, self.pieces)]
         dom, rng, inv, at, unit = map(np.concatenate, zip(*rows))
         return dom, rng, inv, unit[np.unique(at, return_index=True)[1]]
 
@@ -258,7 +250,7 @@ def _class_products(atlas: GluingAtlas, canon, cls, dom, rng):
     for i, p in enumerate(atlas.pieces):
         g, base = p.groupoid, atlas._offsets[i]
         ft = g._fiber_table()
-        a, b = ft.slot_pairs(np.arange(len(ft.table) - 1), g._arrays()[0])
+        a, b = ft.slot_pairs(np.arange(len(ft.table) - 1), g.dom_i)
         a, b, prod = cls[base + a], cls[base + b], ft.table[:-1]
         ok = cdom[a] == crng[b]  # composable classes (always, once the atlas is checked)
         slot, prod = off[a[ok]] + pos[b[ok]], prod[ok]
@@ -341,16 +333,10 @@ def _glue(atlas: GluingAtlas) -> GluedGroupoid:
     atlas.check()
     canon, cls = atlas.quotient_classes()
     dom, rng, inv, unit = atlas._union_arrays()
-    ids = np.fromiter(atlas._arrow_ids(canon), object, len(canon))  # gathers without new objects
-    units = np.fromiter(atlas.x_units, object, len(atlas.x_units))
-    glued = FiniteGroupoid(
-        atlas.x_units,
-        ids,
-        zip(ids, units[dom[canon]]),
-        zip(ids, units[rng[canon]]),
-        zip(units, ids[cls[unit]]),
-        zip(ids, ids[cls[inv[canon]]]),
-        _glued_compose(atlas, canon, cls, dom, rng, ids),
+    ids = _id_array(atlas._arrow_ids(canon))
+    glued = FiniteGroupoid._from_arrays(
+        atlas.x_units, ids, dom[canon], rng[canon], cls[inv[canon]], cls[unit],
+        *_glued_compose(atlas, canon, cls, dom, rng, ids),
     )
     report = validate(glued)
     if not report.ok:
@@ -365,8 +351,9 @@ def _glue(atlas: GluingAtlas) -> GluedGroupoid:
 
 
 def _glued_compose(atlas: GluingAtlas, canon, cls, dom, rng, ids):
-    """Compose entries of the glued groupoid in (c1, c2) order, once the weak
-    condition holds and every common piece gives the same product."""
+    """Compose entries (c1, c2, c1 c2) of the glued groupoid in (c1, c2)
+    order, once the weak condition holds and every common piece gives the
+    same product."""
     c1, c2, lo, hi, miss, witness = _class_products(atlas, canon, cls, dom, rng)
     if witness is not None:
         raise GluingError(f"weak gluing condition fails at composable pair {witness}")
@@ -375,25 +362,25 @@ def _glued_compose(atlas: GluingAtlas, canon, cls, dom, rng, ids):
         if miss[bad[0]] < len(atlas.pieces):
             raise GluingError(f"piece {miss[bad[0]]} misses the product of a composable overlap pair")
         raise GluingError(f"product of classes {ids[c1[bad[0]]]} and {ids[c2[bad[0]]]} differs between pieces")
-    return zip(zip(ids[c1], ids[c2]), ids[lo])
+    return c1, c2, lo
 
 
 def _check_projection(glued, i, g, umap, proj):
     """Each projection (piece arrow position -> glued arrow position) must
     be a groupoid isomorphism onto the reduction."""
-    gdom, grng, ginv, _ = glued._arrays()
+    gdom, grng, ginv = glued.dom_i, glued.rng_i, glued.inv_i
     inside = np.zeros(glued.n_units, bool)
     inside[umap] = True
     image = np.unique(proj)
     if len(image) != len(proj) or not np.array_equal(image, np.flatnonzero(inside[gdom] & inside[grng])):
         raise GluingError(f"projection of piece {i} is not a bijection onto the reduction")
-    dom_i, rng_i, inv_i, _ = g._arrays()
+    dom_i, rng_i, inv_i = g.dom_i, g.rng_i, g.inv_i
     ends = (gdom[proj] != umap[dom_i]) | (grng[proj] != umap[rng_i])
     bad = np.flatnonzero(ends | (proj[inv_i] != ginv[proj]))
     if len(bad):
         what = "endpoints" if ends[bad[0]] else "inverses"
         raise GluingError(f"projection of piece {i} breaks {what} at {g.arrows[bad[0]]!r}")
-    p1, p2, pp = g._pair_arrays()
+    p1, p2, pp = g.p1, g.p2, g.pp
     bad = np.flatnonzero(glued._mul_idx(proj[p1], proj[p2]) != proj[pp])
     if len(bad):
         a, b = g.arrows[p1[bad[0]]], g.arrows[p2[bad[0]]]

@@ -1,11 +1,16 @@
-"""Finite groupoids as explicit structure tables.
+"""Finite groupoids as index arrays.
 
 A finite groupoid is a small category in which every morphism is
-invertible.  We store one as explicit tables over opaque unit and arrow
-ids: domain, range, unit arrows, inverse, and a partial composition map
-defined exactly on composable pairs.  The topology is discrete, so
-"open subset" means arbitrary unit subset and every topological
-hypothesis of the continuum picture is checkable.
+invertible.  We store one as two tuples of opaque ids, ``units`` and
+``arrows`` (their order is used for all deterministic outputs), and
+seven index arrays over them: the domain, range and inverse of every
+arrow, the unit arrow at every unit, and the composition as parallel
+arrays (g, h, gh) over the defined pairs, in insertion order.  These
+arrays are the tables.  The id-keyed dicts ``dom``, ``rng``,
+``unit_arrow``, ``inverse`` and ``compose`` are read-only views, built
+on first access for callers that think in ids.  The topology is
+discrete, so "open subset" means arbitrary unit subset and every
+topological hypothesis of the continuum picture is checkable.
 
 All operations are pure functions; instances are treated as immutable
 after construction (internal caches are derived data only).
@@ -15,16 +20,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from functools import cached_property
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-UnitId = Hashable
-ArrowId = Hashable
-
-# Composition is kept as a sparse map (dict).  Vectorised work goes through
-# a fiber-indexed table with one slot per composable pair (see
-# FiniteGroupoid._fiber_table), so it scales with |compose|, not n_arrows².
+# Vectorised work on the composition goes through a fiber-indexed table
+# with one slot per composable pair (see FiniteGroupoid._fiber_table), so
+# it scales with |compose|, not n_arrows².
 
 MAX_WITNESSES_PER_AXIOM = 5
 
@@ -49,49 +53,69 @@ class FiniteGroupoid:
     compose : mapping (g, h) -> gh, defined exactly on composable pairs,
         i.e. pairs with dom(g) == rng(h).
 
-    The constructor checks only structural well-formedness (totality of
-    the tables, values in range).  Semantic axioms are the business of
+    The constructor maps the ids to indices and keeps only index arrays:
+    ``dom_i`` and ``rng_i`` (unit index per arrow), ``inv_i`` (arrow index
+    per arrow), ``unit_i`` (arrow index per unit), and ``p1``, ``p2``,
+    ``pp``, the compose entries (g, h) -> gh in insertion order.
+    Builders that hold indices already call :meth:`_from_arrays`.  The
+    dict attributes named like the parameters are read-only views of
+    the arrays, built on first access.
+
+    Construction checks only structural well-formedness (totality of the
+    tables, values in range).  Semantic axioms are the business of
     :func:`validate`, which reports violations instead of raising.
     """
 
     def __init__(self, units, arrows, dom, rng, unit_arrow, inverse, compose):
-        self.units = tuple(units)
-        self.arrows = tuple(arrows)
-        self.dom = dict(dom)
-        self.rng = dict(rng)
-        self.unit_arrow = dict(unit_arrow)
-        self.inverse = dict(inverse)
-        self.compose = dict(compose)
-        self._cache: dict[str, Any] = {}
-        self._check_tables()
-
-    # -- construction-time structural checks ---------------------------------
-
-    def _check_tables(self):
-        if len(set(self.units)) != len(self.units):
+        units, arrows = tuple(units), tuple(arrows)
+        uidx, aidx = _index(units), _index(arrows)
+        if len(uidx) != len(units):
             raise GroupoidError("duplicate unit ids")
-        if len(set(self.arrows)) != len(self.arrows):
+        if len(aidx) != len(arrows):
             raise GroupoidError("duplicate arrow ids")
-        unit_set, arrow_set = set(self.units), set(self.arrows)
-        for name, table, keys, values in [
-            ("dom", self.dom, arrow_set, unit_set),
-            ("rng", self.rng, arrow_set, unit_set),
-            ("unit_arrow", self.unit_arrow, unit_set, arrow_set),
-            ("inverse", self.inverse, arrow_set, arrow_set),
+        dom_i, rng_i, unit_i, inv_i = [_lookup(*spec) for spec in [
+            ("dom", dom, aidx, uidx), ("rng", rng, aidx, uidx),
+            ("unit_arrow", unit_arrow, uidx, aidx), ("inverse", inverse, aidx, aidx)]]
+        compose = list(dict(compose).items())
+        ids = np.fromiter((aidx.get(a, -1) for (g, h), k in compose for a in (g, h, k)),
+                          np.int64, 3 * len(compose))
+        bad = np.flatnonzero((ids.reshape(-1, 3) < 0).any(axis=1))
+        if len(bad):
+            (g, h), k = compose[bad[0]]
+            raise GroupoidError(f"compose entry ({g!r}, {h!r}) -> {k!r} uses unknown arrow id")
+        self._store(units, arrows, dom_i, rng_i, inv_i, unit_i, ids[0::3], ids[1::3], ids[2::3])
+
+    @classmethod
+    def _from_arrays(cls, units, arrows, dom_i, rng_i, inv_i, unit_i, p1, p2, pp) -> "FiniteGroupoid":
+        """The groupoid with these ids and index arrays (see the class docstring)."""
+        g = cls.__new__(cls)
+        g._store(units, arrows, dom_i, rng_i, inv_i, unit_i, p1, p2, pp)
+        return g
+
+    def _store(self, units, arrows, dom_i, rng_i, inv_i, unit_i, p1, p2, pp):
+        self.units, self.arrows = tuple(units), tuple(arrows)
+        nu, na, m = len(self.units), len(self.arrows), len(p1)
+        for name, a, size, bound in [
+            ("dom_i", dom_i, na, nu), ("rng_i", rng_i, na, nu), ("inv_i", inv_i, na, na),
+            ("unit_i", unit_i, nu, na), ("p1", p1, m, na), ("p2", p2, m, na), ("pp", pp, m, na),
         ]:
-            if set(table) != keys:
-                missing = keys - set(table)
-                extra = set(table) - keys
-                raise GroupoidError(
-                    f"{name} table keys do not match: missing={sorted(map(repr, missing))[:3]} "
-                    f"extra={sorted(map(repr, extra))[:3]}"
-                )
-            bad = [k for k, v in table.items() if v not in values]
-            if bad:
-                raise GroupoidError(f"{name} has out-of-range value at {bad[0]!r}")
-        for (g, h), k in self.compose.items():
-            if g not in arrow_set or h not in arrow_set or k not in arrow_set:
-                raise GroupoidError(f"compose entry ({g!r}, {h!r}) -> {k!r} uses unknown arrow id")
+            a = np.asarray(a, np.int64)  # bounds checked: numpy would wrap a negative index
+            if a.shape != (size,) or ((a < 0) | (a >= bound)).any():
+                raise GroupoidError(f"{name} is not an index array of length {size} into range({bound})")
+            setattr(self, name, a)
+        self._cache: dict[str, Any] = {}
+
+    # -- id-keyed views ----------------------------------------------------------
+
+    dom = cached_property(lambda g: _table_view(g.arrows, _id_array(g.units)[g.dom_i]))
+    rng = cached_property(lambda g: _table_view(g.arrows, _id_array(g.units)[g.rng_i]))
+    unit_arrow = cached_property(lambda g: _table_view(g.units, _id_array(g.arrows)[g.unit_i]))
+    inverse = cached_property(lambda g: _table_view(g.arrows, _id_array(g.arrows)[g.inv_i]))
+
+    @cached_property
+    def compose(self) -> Mapping:
+        ids = _id_array(self.arrows)
+        return _table_view(zip(ids[self.p1], ids[self.p2]), ids[self.pp])
 
     # -- basic accessors ------------------------------------------------------
 
@@ -102,18 +126,6 @@ class FiniteGroupoid:
     @property
     def n_arrows(self) -> int:
         return len(self.arrows)
-
-    def d(self, g):
-        return self.dom[g]
-
-    def r(self, g):
-        return self.rng[g]
-
-    def u(self, x):
-        return self.unit_arrow[x]
-
-    def inv(self, g):
-        return self.inverse[g]
 
     def is_composable(self, g, h) -> bool:
         return self.dom[g] == self.rng[h]
@@ -126,41 +138,20 @@ class FiniteGroupoid:
 
     def unit_index(self) -> dict:
         if "uidx" not in self._cache:
-            self._cache["uidx"] = {x: i for i, x in enumerate(self.units)}
+            self._cache["uidx"] = _index(self.units)
         return self._cache["uidx"]
 
     def arrow_index(self) -> dict:
         if "aidx" not in self._cache:
-            self._cache["aidx"] = {a: i for i, a in enumerate(self.arrows)}
+            self._cache["aidx"] = _index(self.arrows)
         return self._cache["aidx"]
 
     # -- derived index arrays --------------------------------------------------
 
-    def _arrays(self):
-        """Integer-index views (dom, rng, inv, unit_of) used by hot loops."""
-        if "arrays" not in self._cache:
-            uidx, aidx = self.unit_index(), self.arrow_index()
-            dom_i = np.fromiter((uidx[self.dom[a]] for a in self.arrows), np.int64, self.n_arrows)
-            rng_i = np.fromiter((uidx[self.rng[a]] for a in self.arrows), np.int64, self.n_arrows)
-            inv_i = np.fromiter((aidx[self.inverse[a]] for a in self.arrows), np.int64, self.n_arrows)
-            unit_i = np.fromiter((aidx[self.unit_arrow[x]] for x in self.units), np.int64, self.n_units)
-            self._cache["arrays"] = (dom_i, rng_i, inv_i, unit_i)
-        return self._cache["arrays"]
-
-    def _pair_arrays(self):
-        """Composition as parallel index arrays (g, h, gh) over defined pairs."""
-        if "pairs" not in self._cache:
-            index = self.arrow_index().__getitem__
-            m = len(self.compose)
-            keys = np.fromiter(map(index, itertools.chain.from_iterable(self.compose)), np.int64, 2 * m)
-            pp = np.fromiter(map(index, self.compose.values()), np.int64, m)
-            self._cache["pairs"] = (keys[0::2], keys[1::2], pp)
-        return self._cache["pairs"]
-
     def _fiber_table(self) -> "_FiberTable":
         """Composition indexed by composable pair, one slot per pair."""
         if "ftable" not in self._cache:
-            dom_i, rng_i, _, _ = self._arrays()
+            dom_i, rng_i, p1, p2, pp = self.dom_i, self.rng_i, self.p1, self.p2, self.pp
             n = self.n_arrows
             rorder = np.argsort(rng_i, kind="stable")
             rstart = np.searchsorted(rng_i[rorder], np.arange(self.n_units + 1))
@@ -168,7 +159,6 @@ class FiniteGroupoid:
             pos[rorder] = np.arange(n) - rstart[rng_i[rorder]]
             off = np.concatenate(([0], np.cumsum(np.diff(rstart)[dom_i])))
             table = np.full(off[-1] + 1, -1, np.int64)
-            p1, p2, pp = self._pair_arrays()
             ok = dom_i[p1] == rng_i[p2]
             table[off[p1[ok]] + pos[p2[ok]]] = pp[ok]
             keys = p1[~ok] * n + p2[~ok]
@@ -181,9 +171,8 @@ class FiniteGroupoid:
     def _mul_idx(self, a, b) -> np.ndarray:
         """Vectorised ``compose.get`` on index arrays: ab, or -1 where undefined."""
         a, b = np.broadcast_arrays(np.asarray(a, np.int64), np.asarray(b, np.int64))
-        dom_i, rng_i, _, _ = self._arrays()
         ft = self._fiber_table()
-        ok = dom_i[a] == rng_i[b]
+        ok = self.dom_i[a] == self.rng_i[b]
         out = ft.table[np.where(ok, ft.off[a] + ft.pos[b], len(ft.table) - 1)]
         if len(ft.side_keys):
             keys = a[~ok] * self.n_arrows + b[~ok]
@@ -194,8 +183,7 @@ class FiniteGroupoid:
     def _fibers_by_dom(self):
         """Per unit index, the array of arrow indices with that domain."""
         if "dfibers" not in self._cache:
-            dom_i, _, _, _ = self._arrays()
-            self._cache["dfibers"] = _group_by(dom_i, self.n_units, self.n_arrows)
+            self._cache["dfibers"] = _group_by(self.dom_i, self.n_units, self.n_arrows)
         return self._cache["dfibers"]
 
     def __repr__(self):
@@ -203,15 +191,36 @@ class FiniteGroupoid:
 
     def same_tables(self, other: "FiniteGroupoid") -> bool:
         """Literal table equality (not isomorphism)."""
-        return (
-            self.units == other.units
-            and self.arrows == other.arrows
-            and self.dom == other.dom
-            and self.rng == other.rng
-            and self.unit_arrow == other.unit_arrow
-            and self.inverse == other.inverse
-            and self.compose == other.compose
-        )
+        return (self.units, self.arrows) == (other.units, other.arrows) and all(
+            getattr(self, t) == getattr(other, t) for t in ("dom", "rng", "unit_arrow", "inverse", "compose"))
+
+
+def _index(ids) -> dict:
+    return {x: i for i, x in enumerate(ids)}
+
+
+def _id_array(ids) -> np.ndarray:
+    """The ids as a 1-d object array, for gathers that create no new objects."""
+    return np.fromiter(ids, object, len(ids))
+
+
+def _table_view(keys, values) -> Mapping:
+    """The read-only dict keys[i] -> values[i]."""
+    return MappingProxyType(dict(zip(keys, values)))
+
+
+def _lookup(name: str, table, keys: dict, values: dict) -> np.ndarray:
+    """Per key of ``keys``, in its order, the index of table[key] in ``values``."""
+    table = dict(table)
+    if table.keys() != keys.keys():
+        missing, extra = keys.keys() - table.keys(), table.keys() - keys.keys()
+        raise GroupoidError(f"{name} table keys do not match: missing={sorted(map(repr, missing))[:3]} "
+                            f"extra={sorted(map(repr, extra))[:3]}")
+    out = np.fromiter((values.get(table[k], -1) for k in keys), np.int64, len(keys))
+    if (out < 0).any():
+        bad = next(k for k, v in table.items() if v not in values)
+        raise GroupoidError(f"{name} has out-of-range value at {bad!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -329,7 +338,8 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     from collections import defaultdict
 
     bucket = defaultdict(list)
-    dom_i, rng_i, inv_i, unit_i = g._arrays()
+    dom_i, rng_i, inv_i, unit_i = g.dom_i, g.rng_i, g.inv_i, g.unit_i
+    p1, p2, pp = g.p1, g.p2, g.pp
     ft = g._fiber_table()
     mul = g._mul_idx
     n = g.n_arrows
@@ -347,7 +357,6 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     keys = np.sort(np.concatenate((sg * n + sh, ft.side_keys[:cap])))
     _collect(bucket, "composability", [(arrows[k // n], arrows[k % n]) for k in keys])
 
-    p1, p2, pp = g._pair_arrays()
     keys = np.sort(
         (p1 * n + p2)[(dom_i[p1] == rng_i[p2]) & ((dom_i[pp] != dom_i[p2]) | (rng_i[pp] != rng_i[p1]))]
     )
@@ -417,29 +426,32 @@ def unit_mask(g: FiniteGroupoid, a) -> np.ndarray:
 
 def reduction(g: FiniteGroupoid, a) -> FiniteGroupoid:
     """The full subgroupoid over A: arrows with both endpoints in A."""
-    dom_i, rng_i, _, _ = g._arrays()
     inside = unit_mask(g, a)
-    keep = inside[dom_i] & inside[rng_i]
-    p1, p2, _ = g._pair_arrays()
-    keep_units = list(itertools.compress(g.units, inside.tolist()))
-    arrows = list(itertools.compress(g.arrows, keep.tolist()))
-    return FiniteGroupoid(
-        units=keep_units,
-        arrows=arrows,
-        dom={x: g.dom[x] for x in arrows},
-        rng={x: g.rng[x] for x in arrows},
-        unit_arrow={x: g.unit_arrow[x] for x in keep_units},
-        inverse={x: g.inverse[x] for x in arrows},
-        compose=itertools.compress(g.compose.items(), (keep[p1] & keep[p2]).tolist()),
+    keep = inside[g.dom_i] & inside[g.rng_i]
+    pairs = keep[g.p1] & keep[g.p2]
+    # malformed tables can lead from a kept entry to a dropped arrow: name
+    # it as the id-table constructor would
+    for name, ids, bad in [("unit_arrow", g.units, inside & ~keep[g.unit_i]),
+                           ("inverse", g.arrows, keep & ~keep[g.inv_i])]:
+        if bad.any():
+            raise GroupoidError(f"{name} has out-of-range value at {ids[np.argmax(bad)]!r}")
+    lost = np.flatnonzero(pairs & ~keep[g.pp])
+    if len(lost):
+        g1, g2, k = (g.arrows[t[lost[0]]] for t in (g.p1, g.p2, g.pp))
+        raise GroupoidError(f"compose entry ({g1!r}, {g2!r}) -> {k!r} uses unknown arrow id")
+    unit_at, arrow_at = np.cumsum(inside) - 1, np.cumsum(keep) - 1  # new index of each kept one
+    return FiniteGroupoid._from_arrays(
+        itertools.compress(g.units, inside.tolist()), itertools.compress(g.arrows, keep.tolist()),
+        unit_at[g.dom_i[keep]], unit_at[g.rng_i[keep]], arrow_at[g.inv_i[keep]], arrow_at[g.unit_i[inside]],
+        *(arrow_at[t[pairs]] for t in (g.p1, g.p2, g.pp)),
     )
 
 
 def saturation(g: FiniteGroupoid, a) -> UnitSubset:
     """r(d^{-1}(A)): the union of all orbits meeting A."""
     sub = as_unit_subset(g, a)
-    dom_i, rng_i, _, _ = g._arrays()
     hit = np.zeros(g.n_units, bool)
-    hit[rng_i[unit_mask(g, sub)[dom_i]]] = True
+    hit[g.rng_i[unit_mask(g, sub)[g.dom_i]]] = True
     return UnitSubset(g, sub.members | frozenset(itertools.compress(g.units, hit.tolist())))
 
 
@@ -467,9 +479,12 @@ class GroupTable:
     def from_mul(cls, elements, mul: Callable[[Any, Any], Any]) -> "GroupTable":
         elements = tuple(elements)
         index = {e: i for i, e in enumerate(elements)}
-        table = tuple(
-            tuple(index[mul(a, b)] for b in elements) for a in elements
-        )
+        return cls.from_table(elements, [[index[mul(a, b)] for b in elements] for a in elements])
+
+    @classmethod
+    def from_table(cls, elements, table) -> "GroupTable":
+        """The group whose ``table[i][j]`` is the index of elements[i] * elements[j]."""
+        elements, table = tuple(elements), tuple(map(tuple, table))
         identity = None
         n = len(elements)
         for e in range(n):
@@ -494,17 +509,9 @@ class GroupTable:
 
     @classmethod
     def product(cls, a: "GroupTable", b: "GroupTable") -> "GroupTable":
-        elems = tuple(itertools.product(a.elements, b.elements))
-        ia = {e: i for i, e in enumerate(a.elements)}
-        ib = {e: i for i, e in enumerate(b.elements)}
-
-        def mul(p, q):
-            return (
-                a.elements[a.table[ia[p[0]]][ia[q[0]]]],
-                b.elements[b.table[ib[p[1]]][ib[q[1]]]],
-            )
-
-        return cls.from_mul(elems, mul)
+        n, size = b.order, a.order * b.order  # (x, y) has index x * n + y
+        return cls.from_table(itertools.product(a.elements, b.elements), [
+            [a.table[i // n][j // n] * n + b.table[i % n][j % n] for j in range(size)] for i in range(size)])
 
     @classmethod
     def symmetric(cls, n: int) -> "GroupTable":
@@ -532,9 +539,6 @@ class GroupTable:
         i = self.elements.index(a)
         j = self.elements.index(b)
         return self.elements[self.table[i][j]]
-
-    def mul_index(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
     def inverse_index(self, i: int) -> int:
         return self.table[i].index(self.identity)
@@ -654,7 +658,7 @@ class OrbitPartition:
         """
         g = self.groupoid
         if "orbit_coords" not in g._cache:
-            dom_i, rng_i, inv_i, _ = g._arrays()
+            dom_i, rng_i, inv_i = g.dom_i, g.rng_i, g.inv_i
             t, aidx = self.transversal, g.arrow_index()
             slot = np.full(g.n_arrows + 1, -1, np.int64)  # trailing slot for gamma = -1
             owner = np.full(g.n_arrows + 1, -1, np.int64)
@@ -671,12 +675,17 @@ class OrbitPartition:
         return g._cache["orbit_coords"]
 
 
-def isotropy_arrows(g: FiniteGroupoid, x) -> list:
-    return [a for a in g.arrows if g.dom[a] == x and g.rng[a] == x]
-
-
 def isotropy_table(g: FiniteGroupoid, x) -> GroupTable:
-    return GroupTable.from_mul(isotropy_arrows(g, x), g.mul)
+    i = g.unit_index().get(x, -1)
+    return _loop_table(g, np.flatnonzero((g.dom_i == i) & (g.rng_i == i)))
+
+
+def _loop_table(g: FiniteGroupoid, loops: np.ndarray) -> GroupTable:
+    """The group of the loops (arrow indices) at one unit; raises unless it is one."""
+    at = np.full(g.n_arrows + 1, -1, np.int64)  # trailing slot for undefined products
+    at[loops] = np.arange(len(loops))
+    table = at[g._mul_idx(loops[:, None], loops[None, :])]
+    return GroupTable.from_table([g.arrows[a] for a in loops], table.tolist())
 
 
 def orbits_and_isotropy(g: FiniteGroupoid, check: bool = True) -> OrbitPartition:
@@ -687,7 +696,7 @@ def orbits_and_isotropy(g: FiniteGroupoid, check: bool = True) -> OrbitPartition
     bijectively onto the representative's isotropy under conjugation by
     the transversal.
     """
-    dom_i, rng_i, _, unit_i = g._arrays()
+    dom_i, rng_i, unit_i = g.dom_i, g.rng_i, g.unit_i
     roots, orbit_index = np.unique(_min_labels(g.n_units, dom_i, rng_i), return_inverse=True)
     members = _group_by(orbit_index, len(roots), g.n_units)
     is_root = np.zeros(g.n_units, bool)
@@ -702,12 +711,8 @@ def orbits_and_isotropy(g: FiniteGroupoid, check: bool = True) -> OrbitPartition
     loops = np.flatnonzero((dom_i == rng_i) & is_root[dom_i])
     loops_by_orbit = _group_by(orbit_index[dom_i[loops]], len(roots), len(loops))
     part = OrbitPartition(
-        g,
-        tuple(frozenset(g.units[i] for i in m) for m in members),
-        tuple(g.units[i] for i in roots),
-        tuple(GroupTable.from_mul([g.arrows[a] for a in loops[ls]], g.mul) for ls in loops_by_orbit),
-        orbit_index,
-        transversal,
+        g, tuple(frozenset(g.units[i] for i in m) for m in members), tuple(g.units[i] for i in roots),
+        tuple(_loop_table(g, loops[ls]) for ls in loops_by_orbit), orbit_index, transversal,
     )
     if check:
         _check_isotropy_conjugation(part)
@@ -730,10 +735,9 @@ def _min_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 def _check_isotropy_conjugation(part: OrbitPartition):
     # the loops at each unit must hit every isotropy index exactly once
     g = part.groupoid
-    dom_i, rng_i, _, _ = g._arrays()
     t, orbit = part.transversal, part.orbit_index
-    loops = np.flatnonzero(dom_i == rng_i)
-    y, c = dom_i[loops], part.coordinates()[loops]
+    loops = np.flatnonzero(g.dom_i == g.rng_i)
+    y, c = g.dom_i[loops], part.coordinates()[loops]
     order = np.array([table.order for table in part.isotropy], np.int64)
     width = int(order.max(initial=0)) + 1
     count = np.bincount(y, minlength=g.n_units)
@@ -757,46 +761,43 @@ def _check_isotropy_conjugation(part: OrbitPartition):
 
 
 def build_pair(units) -> FiniteGroupoid:
-    """Pair groupoid: one arrow (x, y) from y to x for every unit pair."""
+    """Pair groupoid: one arrow (x, y) from y to x for every unit pair.
+
+    Arrow (x, y) has index x * n + y; compose runs over (x, y, z) in
+    order, ((x, y), (y, z)) -> (x, z).
+    """
     units = tuple(units)
-    arrows = [(x, y) for x in units for y in units]
-    compose = {}
-    for x in units:
-        for y in units:
-            for z in units:
-                compose[((x, y), (y, z))] = (x, z)
-    return FiniteGroupoid(
-        units=units,
-        arrows=arrows,
-        dom={(x, y): y for (x, y) in arrows},
-        rng={(x, y): x for (x, y) in arrows},
-        unit_arrow={x: (x, x) for x in units},
-        inverse={(x, y): (y, x) for (x, y) in arrows},
-        compose=compose,
+    n = len(units)
+    if len(set(units)) != n:
+        raise GroupoidError("duplicate unit ids")
+    arrow = np.arange(n * n)
+    r, d = np.divmod(arrow, n)
+    p1, p2 = np.repeat(arrow, n), np.tile(arrow, n)
+    return FiniteGroupoid._from_arrays(
+        units, [(x, y) for x in units for y in units],
+        d, r, d * n + r, np.arange(n) * (n + 1),
+        p1, p2, p1 - p1 % n + p2 % n,
     )
 
 
 def build_group_bundle(base_units, group: GroupTable) -> FiniteGroupoid:
-    """Bundle of groups over a discrete base: dom = rng everywhere."""
+    """Bundle of groups over a discrete base: dom = rng everywhere.
+
+    Arrow (x, e) has index x * |G| + e; compose runs over (x, a, b) in
+    order, ((x, a), (x, b)) -> (x, ab).
+    """
     base_units = tuple(base_units)
-    arrows = [(x, e) for x in base_units for e in group.elements]
-    compose = {}
-    for x in base_units:
-        for a in group.elements:
-            for b in group.elements:
-                compose[((x, a), (x, b))] = (x, group.mul(a, b))
-    ident = group.elements[group.identity]
-    return FiniteGroupoid(
-        units=base_units,
-        arrows=arrows,
-        dom={(x, e): x for (x, e) in arrows},
-        rng={(x, e): x for (x, e) in arrows},
-        unit_arrow={x: (x, ident) for x in base_units},
-        inverse={
-            (x, e): (x, group.elements[group.inverse_index(group.elements.index(e))])
-            for (x, e) in arrows
-        },
-        compose=compose,
+    n, k = len(base_units), group.order
+    if len(set(base_units)) != n:
+        raise GroupoidError("duplicate unit ids")
+    base, e = np.divmod(np.arange(n * k), k)
+    inverse = np.array([group.inverse_index(i) for i in range(k)], np.int64)
+    p1, b = np.repeat(np.arange(n * k), k), np.tile(np.arange(k), n * k)
+    fiber = p1 - p1 % k
+    return FiniteGroupoid._from_arrays(
+        base_units, [(x, a) for x in base_units for a in group.elements],
+        base, base, base * k + inverse[e], np.arange(n) * k + group.identity,
+        p1, fiber + b, fiber + np.array(group.table, np.int64)[p1 % k, b],
     )
 
 
@@ -845,21 +846,21 @@ def build_action(group: GroupTable, points, act: Callable[[Any, Any], Any]) -> F
 
 
 def build_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
-    """Product groupoid with componentwise structure."""
-    units = [(x, y) for x in g.units for y in h.units]
-    arrows = [(a, b) for a in g.arrows for b in h.arrows]
-    compose = {}
-    for (a1, b1), k1 in g.compose.items():
-        for (a2, b2), k2 in h.compose.items():
-            compose[((a1, a2), (b1, b2))] = (k1, k2)
-    return FiniteGroupoid(
-        units=units,
-        arrows=arrows,
-        dom={(a, b): (g.dom[a], h.dom[b]) for (a, b) in arrows},
-        rng={(a, b): (g.rng[a], h.rng[b]) for (a, b) in arrows},
-        unit_arrow={(x, y): (g.unit_arrow[x], h.unit_arrow[y]) for (x, y) in units},
-        inverse={(a, b): (g.inverse[a], h.inverse[b]) for (a, b) in arrows},
-        compose=compose,
+    """Product groupoid with componentwise structure.
+
+    Pairs are ordered g-major: (x, y) has index x * |h| + y, and compose
+    runs over the entries of g, then of h.
+    """
+    def pairs(a, b, size):
+        return np.add.outer(a * size, b).ravel()
+
+    nu, na = h.n_units, h.n_arrows
+    return FiniteGroupoid._from_arrays(
+        [(x, y) for x in g.units for y in h.units],
+        [(a, b) for a in g.arrows for b in h.arrows],
+        pairs(g.dom_i, h.dom_i, nu), pairs(g.rng_i, h.rng_i, nu),
+        pairs(g.inv_i, h.inv_i, na), pairs(g.unit_i, h.unit_i, na),
+        pairs(g.p1, h.p1, na), pairs(g.p2, h.p2, na), pairs(g.pp, h.pp, na),
     )
 
 
@@ -901,16 +902,18 @@ def build_fibered_pullback(f: Mapping, h: FiniteGroupoid) -> FiniteGroupoid:
 def build_disjoint_union(parts: Iterable[FiniteGroupoid]) -> FiniteGroupoid:
     """Disjoint union; ids are tagged (part_index, original_id)."""
     parts = list(parts)
-    units, arrows, dom, rng, unit_arrow, inverse, compose = [], [], {}, {}, {}, {}, {}
-    for i, g in enumerate(parts):
-        units.extend((i, x) for x in g.units)
-        arrows.extend((i, a) for a in g.arrows)
-        dom.update({(i, a): (i, g.dom[a]) for a in g.arrows})
-        rng.update({(i, a): (i, g.rng[a]) for a in g.arrows})
-        unit_arrow.update({(i, x): (i, g.unit_arrow[x]) for x in g.units})
-        inverse.update({(i, a): (i, g.inverse[a]) for a in g.arrows})
-        compose.update({((i, a), (i, b)): (i, k) for (a, b), k in g.compose.items()})
-    return FiniteGroupoid(units, arrows, dom, rng, unit_arrow, inverse, compose)
+    unit_off = np.cumsum([0] + [g.n_units for g in parts])
+    arrow_off = np.cumsum([0] + [g.n_arrows for g in parts])
+
+    def joined(name, off):
+        return np.concatenate([np.zeros(0, np.int64)] + [getattr(g, name) + o for g, o in zip(parts, off)])
+
+    return FiniteGroupoid._from_arrays(
+        [(i, x) for i, g in enumerate(parts) for x in g.units],
+        [(i, a) for i, g in enumerate(parts) for a in g.arrows],
+        joined("dom_i", unit_off), joined("rng_i", unit_off),
+        *(joined(name, arrow_off) for name in ("inv_i", "unit_i", "p1", "p2", "pp")),
+    )
 
 
 def relabel(g: FiniteGroupoid, unit_map: Mapping, arrow_map: Mapping) -> FiniteGroupoid:
@@ -919,14 +922,9 @@ def relabel(g: FiniteGroupoid, unit_map: Mapping, arrow_map: Mapping) -> FiniteG
     am = dict(arrow_map)
     if len(set(um.values())) != len(um) or len(set(am.values())) != len(am):
         raise GroupoidError("relabel maps must be injective")
-    return FiniteGroupoid(
-        units=[um[x] for x in g.units],
-        arrows=[am[a] for a in g.arrows],
-        dom={am[a]: um[g.dom[a]] for a in g.arrows},
-        rng={am[a]: um[g.rng[a]] for a in g.arrows},
-        unit_arrow={um[x]: am[g.unit_arrow[x]] for x in g.units},
-        inverse={am[a]: am[g.inverse[a]] for a in g.arrows},
-        compose={(am[a], am[b]): am[k] for (a, b), k in g.compose.items()},
+    return FiniteGroupoid._from_arrays(
+        [um[x] for x in g.units], [am[a] for a in g.arrows],
+        g.dom_i, g.rng_i, g.inv_i, g.unit_i, g.p1, g.p2, g.pp,
     )
 
 

@@ -30,7 +30,7 @@ def is_pair_groupoid(g: FiniteGroupoid) -> bool:
 
 def is_pair_over(g: FiniteGroupoid, a) -> bool:
     """True iff the reduction to A is a pair groupoid, decided without building it."""
-    dom_i, rng_i, _, _ = g._arrays()
+    dom_i, rng_i = g.dom_i, g.rng_i
     inside = unit_mask(g, a)
     n = int(inside.sum())
     keep = inside[dom_i] & inside[rng_i]
@@ -76,8 +76,8 @@ def find_isomorphism(g: FiniteGroupoid, h: FiniteGroupoid):
     def encode(r, gamma, d):  # one integer per (r, gamma, d); r fixes the orbit
         return (r * h.n_units + d) * (h.n_arrows + 1) + gamma
 
-    dom_g, rng_g, _, _ = g._arrays()
-    dom_h, rng_h, _, _ = h._arrays()
+    dom_g, rng_g = g.dom_i, g.rng_i
+    dom_h, rng_h = h.dom_i, h.rng_i
     start = np.concatenate(([0], np.cumsum([len(m) for m in psi], dtype=np.int64)))
     flat = np.concatenate([np.zeros(0, np.int64)] + psi)
     wanted = encode(sigma[rng_g], flat[start[pg.orbit_index[dom_g]] + pg.coordinates()], sigma[dom_g])
@@ -102,17 +102,11 @@ def check_isomorphism(g, h, unit_map, arrow_map) -> bool:
         return False
     if set(unit_map.values()) != set(h.units) or set(arrow_map.values()) != set(h.arrows):
         return False
-    for a in g.arrows:
-        if h.dom[arrow_map[a]] != unit_map[g.dom[a]]:
-            return False
-        if h.rng[arrow_map[a]] != unit_map[g.rng[a]]:
-            return False
-        if arrow_map[g.inverse[a]] != h.inverse[arrow_map[a]]:
-            return False
-    for x in g.units:
-        if arrow_map[g.unit_arrow[x]] != h.unit_arrow[unit_map[x]]:
-            return False
-    for (a, b), k in g.compose.items():
-        if h.compose.get((arrow_map[a], arrow_map[b])) != arrow_map[k]:
-            return False
-    return True
+    uidx, aidx = h.unit_index(), h.arrow_index()
+    sigma = np.array([uidx[unit_map[x]] for x in g.units], np.int64)
+    phi = np.array([aidx[arrow_map[a]] for a in g.arrows], np.int64)
+    return bool(
+        (h.dom_i[phi] == sigma[g.dom_i]).all() and (h.rng_i[phi] == sigma[g.rng_i]).all()
+        and (phi[g.inv_i] == h.inv_i[phi]).all() and (phi[g.unit_i] == h.unit_i[sigma]).all()
+        and (h._mul_idx(phi[g.p1], phi[g.p2]) == phi[g.pp]).all()
+    )

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .conical import LayerDomain, NamedBase, RayBase, Vertex
 from .gluing import GluingAtlas, GluingPiece
-from .groupoid import FiniteGroupoid, validate
+from .groupoid import FiniteGroupoid, _id_array, validate
 
 SPEC_VERSION = 1
 
@@ -70,44 +70,73 @@ def groupoid_from_dict(doc, where: str = "groupoid") -> FiniteGroupoid:
 
 
 def _groupoid_tables(doc, where: str) -> FiniteGroupoid:
-    """Parse a groupoid document into tables; axioms are left unchecked."""
+    """Parse a groupoid document into tables; axioms are left unchecked.
+
+    Every id is looked up once, here, and a fault names its field.
+    """
     _check_envelope(doc, "groupoid", where)
     units = doc.get("units")
     _expect(isinstance(units, list) and all(isinstance(u, str) for u in units),
             f"{where}.units", "must be an array of strings")
+    uidx = _declared(units, lambda i: f"{where}.units[{i}]", "unit")
     arrows_spec = doc.get("arrows")
     _expect(isinstance(arrows_spec, list), f"{where}.arrows", "must be an array")
-    arrows, dom, rng = [], {}, {}
+    arrows, ends = [], []
     for i, spec in enumerate(arrows_spec):
         here = f"{where}.arrows[{i}]"
         _expect(isinstance(spec, dict), here, "must be an object")
         for key in ("id", "dom", "rng"):
             _expect(isinstance(spec.get(key), str), f"{here}.{key}", "must be a string")
         arrows.append(spec["id"])
-        dom[spec["id"]] = spec["dom"]
-        rng[spec["id"]] = spec["rng"]
-    unit_arrows = doc.get("unit_arrows")
-    _expect(isinstance(unit_arrows, dict), f"{where}.unit_arrows", "must be a map unit -> arrow")
-    _expect_string_values(unit_arrows, f"{where}.unit_arrows")
-    inverse = doc.get("inverse")
-    _expect(isinstance(inverse, dict), f"{where}.inverse", "must be a map arrow -> arrow")
-    _expect_string_values(inverse, f"{where}.inverse")
+        for key in ("dom", "rng"):
+            x = uidx.get(spec[key])
+            if x is None:
+                raise SchemaError(f"{here}.{key}", f"{spec[key]!r} is not a declared unit id")
+            ends.append(x)
+    aidx = _declared(arrows, lambda i: f"{where}.arrows[{i}].id", "arrow")
+    ends = np.array(ends, np.int64).reshape(-1, 2)
+    unit_i = _id_table(doc.get("unit_arrows"), f"{where}.unit_arrows", uidx, "unit", aidx)
+    inv_i = _id_table(doc.get("inverse"), f"{where}.inverse", aidx, "arrow", aidx)
     compose_spec = doc.get("compose")
     _expect(isinstance(compose_spec, list), f"{where}.compose", "must be an array of [g, h, gh]")
     # one pass with the checks inlined: the messages are formatted only on failure
-    compose = {}
+    n, get, seen, triples = len(arrows), aidx.get, set(), []
     for i, triple in enumerate(compose_spec):
         if not (isinstance(triple, list) and len(triple) == 3):
             raise SchemaError(f"{where}.compose[{i}]", "must be a triple [g, h, gh]")
         g, h, k = triple
-        if not (isinstance(g, str) and isinstance(h, str) and isinstance(k, str)
-                and g in dom and h in dom and k in dom) or (g, h) in compose:
-            raise SchemaError(f"{where}.compose[{i}]", _compose_fault(triple, dom))
-        compose[g, h] = k
-    try:
-        return FiniteGroupoid(units, arrows, dom, rng, unit_arrows, inverse, compose)
-    except ValueError as exc:
-        raise SchemaError(where, str(exc)) from None
+        strings = isinstance(g, str) and isinstance(h, str) and isinstance(k, str)
+        a, b, c = (get(g, -1), get(h, -1), get(k, -1)) if strings else (-1, -1, -1)
+        if a < 0 or b < 0 or c < 0 or a * n + b in seen:
+            raise SchemaError(f"{where}.compose[{i}]", _compose_fault(triple, aidx))
+        seen.add(a * n + b)
+        triples += (a, b, c)
+    p1, p2, pp = np.array(triples, np.int64).reshape(-1, 3).T
+    return FiniteGroupoid._from_arrays(units, arrows, ends[:, 0], ends[:, 1], inv_i, unit_i, p1, p2, pp)
+
+
+def _declared(ids: list, path, what: str) -> dict:
+    """The index of each id; a repeated id is a fault at ``path(position)``."""
+    index = {}
+    for i, x in enumerate(ids):
+        if index.setdefault(x, i) != i:
+            raise SchemaError(path(i), f"duplicate {what} id {x!r}")
+    return index
+
+
+def _id_table(table, path: str, keys: dict, key_kind: str, arrows: dict) -> np.ndarray:
+    """Per key of ``keys``, in its order, the index of the arrow table[key]."""
+    _expect(isinstance(table, dict), path, f"must be a map {key_kind} -> arrow")
+    _expect_string_values(table, path)
+    for key, value in table.items():
+        if key not in keys:
+            raise SchemaError(f"{path}[{key!r}]", f"{key!r} is not a declared {key_kind} id")
+        if value not in arrows:
+            raise SchemaError(f"{path}[{key!r}]", f"{value!r} is not a declared arrow id")
+    if len(table) != len(keys):
+        missing = next(x for x in keys if x not in table)
+        raise SchemaError(path, f"no entry for {key_kind} {missing!r}")
+    return np.fromiter((arrows[table[x]] for x in keys), np.int64, len(keys))
 
 
 def _expect_string_values(table: dict, path: str):
@@ -116,28 +145,28 @@ def _expect_string_values(table: dict, path: str):
             raise SchemaError(f"{path}[{key!r}]", f"must be a string id, got {value!r}")
 
 
-def _compose_fault(triple, dom) -> str:
+def _compose_fault(triple, aidx) -> str:
     """Why a well-shaped compose triple is rejected: the first bad id, else a duplicate."""
     for name, val in zip(("g", "h", "gh"), triple):
-        if not (isinstance(val, str) and val in dom):
+        if not (isinstance(val, str) and val in aidx):
             return f"{name}={val!r} is not a declared arrow id"
     return f"duplicate compose entry for ({triple[0]!r}, {triple[1]!r})"
 
 
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
-    names = {a: _id_str(a) for a in g.arrows}
-    unit_names = {x: _id_str(x) for x in g.units}
+    names = _id_array([_id_str(a) for a in g.arrows])
+    unit_names = _id_array([_id_str(x) for x in g.units])
     return {
         "spec_version": SPEC_VERSION,
         "kind": "groupoid",
-        "units": [unit_names[x] for x in g.units],
+        "units": unit_names.tolist(),
         "arrows": [
-            {"id": names[a], "dom": unit_names[g.dom[a]], "rng": unit_names[g.rng[a]]}
-            for a in g.arrows
+            {"id": a, "dom": d, "rng": r}
+            for a, d, r in zip(names.tolist(), unit_names[g.dom_i].tolist(), unit_names[g.rng_i].tolist())
         ],
-        "unit_arrows": {unit_names[x]: names[g.unit_arrow[x]] for x in g.units},
-        "inverse": {names[a]: names[g.inverse[a]] for a in g.arrows},
-        "compose": [[names[a], names[b], names[k]] for (a, b), k in g.compose.items()],
+        "unit_arrows": dict(zip(unit_names.tolist(), names[g.unit_i].tolist())),
+        "inverse": dict(zip(names.tolist(), names[g.inv_i].tolist())),
+        "compose": np.stack([names[g.p1], names[g.p2], names[g.pp]], axis=1).tolist(),
     }
 
 

@@ -9,6 +9,11 @@ whose capped report must list a subset of these witnesses.
 reduction by filtering the dict tables, as the array code must agree
 with; ``dump_reference`` is the text ``specfiles.dump`` must reproduce.
 
+``build_pair_reference``, ``build_group_bundle_reference``,
+``build_product_reference``, ``relabel_reference`` and
+``build_disjoint_union_reference`` are the dict loops the index-array
+builders must reproduce, compose order included.
+
 ``glue_reference`` glues an atlas with dict walks: union-find quotient
 classes, the class-pair weak walk, the class-pair product loop and the
 per-entry projection walk.  ``gpdlab.glue`` must give the same tables,
@@ -126,6 +131,96 @@ def make_structure_reference(g, u) -> FredholmStructure:
         interior_representative=interior_units[0] if interior_units else None,
         boundary_orbits=orbits.orbits,
         boundary_representatives=orbits.representatives,
+    )
+
+
+# ---------------------------------------------------------------------------
+# builders
+
+
+def build_pair_reference(units) -> FiniteGroupoid:
+    units = tuple(units)
+    arrows = [(x, y) for x in units for y in units]
+    compose = {}
+    for x in units:
+        for y in units:
+            for z in units:
+                compose[((x, y), (y, z))] = (x, z)
+    return FiniteGroupoid(
+        units=units,
+        arrows=arrows,
+        dom={(x, y): y for (x, y) in arrows},
+        rng={(x, y): x for (x, y) in arrows},
+        unit_arrow={x: (x, x) for x in units},
+        inverse={(x, y): (y, x) for (x, y) in arrows},
+        compose=compose,
+    )
+
+
+def build_group_bundle_reference(base_units, group) -> FiniteGroupoid:
+    base_units = tuple(base_units)
+    arrows = [(x, e) for x in base_units for e in group.elements]
+    compose = {}
+    for x in base_units:
+        for a in group.elements:
+            for b in group.elements:
+                compose[((x, a), (x, b))] = (x, group.mul(a, b))
+    ident = group.elements[group.identity]
+    return FiniteGroupoid(
+        units=base_units,
+        arrows=arrows,
+        dom={(x, e): x for (x, e) in arrows},
+        rng={(x, e): x for (x, e) in arrows},
+        unit_arrow={x: (x, ident) for x in base_units},
+        inverse={
+            (x, e): (x, group.elements[group.inverse_index(group.elements.index(e))])
+            for (x, e) in arrows
+        },
+        compose=compose,
+    )
+
+
+def build_product_reference(g, h) -> FiniteGroupoid:
+    units = [(x, y) for x in g.units for y in h.units]
+    arrows = [(a, b) for a in g.arrows for b in h.arrows]
+    compose = {}
+    for (a1, b1), k1 in g.compose.items():
+        for (a2, b2), k2 in h.compose.items():
+            compose[((a1, a2), (b1, b2))] = (k1, k2)
+    return FiniteGroupoid(
+        units=units,
+        arrows=arrows,
+        dom={(a, b): (g.dom[a], h.dom[b]) for (a, b) in arrows},
+        rng={(a, b): (g.rng[a], h.rng[b]) for (a, b) in arrows},
+        unit_arrow={(x, y): (g.unit_arrow[x], h.unit_arrow[y]) for (x, y) in units},
+        inverse={(a, b): (g.inverse[a], h.inverse[b]) for (a, b) in arrows},
+        compose=compose,
+    )
+
+
+def build_disjoint_union_reference(parts) -> FiniteGroupoid:
+    units, arrows, dom, rng, unit_arrow, inverse, compose = [], [], {}, {}, {}, {}, {}
+    for i, g in enumerate(parts):
+        units.extend((i, x) for x in g.units)
+        arrows.extend((i, a) for a in g.arrows)
+        dom.update({(i, a): (i, g.dom[a]) for a in g.arrows})
+        rng.update({(i, a): (i, g.rng[a]) for a in g.arrows})
+        unit_arrow.update({(i, x): (i, g.unit_arrow[x]) for x in g.units})
+        inverse.update({(i, a): (i, g.inverse[a]) for a in g.arrows})
+        compose.update({((i, a), (i, b)): (i, k) for (a, b), k in g.compose.items()})
+    return FiniteGroupoid(units, arrows, dom, rng, unit_arrow, inverse, compose)
+
+
+def relabel_reference(g, unit_map, arrow_map) -> FiniteGroupoid:
+    um, am = dict(unit_map), dict(arrow_map)
+    return FiniteGroupoid(
+        units=[um[x] for x in g.units],
+        arrows=[am[a] for a in g.arrows],
+        dom={am[a]: um[g.dom[a]] for a in g.arrows},
+        rng={am[a]: um[g.rng[a]] for a in g.arrows},
+        unit_arrow={um[x]: am[g.unit_arrow[x]] for x in g.units},
+        inverse={am[a]: am[g.inverse[a]] for a in g.arrows},
+        compose={(am[a], am[b]): am[k] for (a, b), k in g.compose.items()},
     )
 
 

@@ -281,6 +281,38 @@ def test_non_string_id_exits_two_with_field_path(runner, tmp_path, args, fixture
     assert res.stderr == f"error: {path}{where}\n"
 
 
+@pytest.mark.parametrize("keys, value, where", [
+    (("arrows", 3, "dom"), "zz", ".arrows[3].dom: 'zz' is not a declared unit id"),
+    (("units",), ["a", "b", "c", "a"], ".units[3]: duplicate unit id 'a'"),
+    (("arrows", 4, "id"), "aa", ".arrows[4].id: duplicate arrow id 'aa'"),
+    (("unit_arrows",), {"b": "bb", "c": "cc"}, ".unit_arrows: no entry for unit 'a'"),
+    (("inverse", "aa"), "zz", ".inverse['aa']: 'zz' is not a declared arrow id"),
+    (("inverse", "zz"), "aa", ".inverse['zz']: 'zz' is not a declared arrow id"),
+], ids=["unknown-dom", "duplicate-unit", "duplicate-arrow", "missing-unit-arrow",
+        "unknown-inverse-value", "extra-inverse-key"])
+def test_malformed_groupoid_exits_two_with_field_path(runner, tmp_path, keys, value, where):
+    path = edited_fixture(tmp_path, "pair3.json", keys, value)
+    res = runner.invoke(main, ["validate", "--groupoid", path])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}{where}\n"
+
+
+def test_glue_computes_the_quotient_classes_twice(runner, monkeypatch):
+    from gpdlab.gluing import GluingAtlas
+
+    calls = []
+    classes = GluingAtlas.quotient_classes
+
+    def counted(atlas):
+        calls.append(atlas)
+        return classes(atlas)
+
+    monkeypatch.setattr(GluingAtlas, "quotient_classes", counted)
+    res = runner.invoke(main, ["glue", "--atlas", corpus("atlas_three_piece.json")])
+    assert res.exit_code == 0
+    assert len(calls) == 2  # one for the glue, one for the strong check's weak assertion
+
+
 @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("-5", "-5.0"), ("nan", "nan"), ("inf", "inf")])
 def test_mellin_scan_bad_lambda_max_exits_two(runner, value, shown):
     res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--lambda-max", value])
