@@ -17,7 +17,6 @@ from .groupoid import (
     FiniteGroupoid,
     GroupoidError,
     OrbitPartition,
-    UnitSubset,
     _group_by,
     as_unit_subset,
     is_invariant,
@@ -176,12 +175,11 @@ def regular_rep(a: AlgebraElement, x) -> RegularRepMatrix:
     if x not in uidx:
         raise GroupoidError(f"unknown unit {x!r}")
     fib = g._fibers_by_dom()[uidx[x]]
-    return RegularRepMatrix(x, tuple(g.arrows[i] for i in fib), _fiber_matrix(a, fib))
+    return RegularRepMatrix(x, tuple(g.arrows[i] for i in fib), a.vec[_fiber_index(g, fib)])
 
 
-def _fiber_matrix(a: AlgebraElement, fib: np.ndarray) -> np.ndarray:
-    """Entry (i, j) is the coefficient of a at fib[i] fib[j]^{-1}."""
-    g = a.groupoid
+def _fiber_index(g: FiniteGroupoid, fib: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is the arrow index of fib[i] fib[j]^{-1}."""
     inv_i = g.inv_i
     prod = g._mul_idx(fib[:, None], inv_i[fib][None, :])
     if (prod < 0).any():
@@ -189,7 +187,7 @@ def _fiber_matrix(a: AlgebraElement, fib: np.ndarray) -> np.ndarray:
         raise GroupoidError(
             f"arrows {g.arrows[fib[i]]!r} and {g.arrows[inv_i[fib[j]]]!r} are not composable"
         )
-    return a.vec[prod]
+    return prod
 
 
 def operator_norm(m: np.ndarray) -> float:
@@ -200,10 +198,7 @@ def operator_norm(m: np.ndarray) -> float:
 
 def reduced_norm(a: AlgebraElement) -> float:
     """Sup of regular-representation operator norms, one unit per orbit."""
-    orbits = _orbits(a.groupoid)
-    if not orbits.representatives:
-        return 0.0
-    return max(operator_norm(regular_rep(a, x).matrix) for x in orbits.representatives)
+    return block_decompose(a.groupoid).norm(a)
 
 
 # ---------------------------------------------------------------------------
@@ -284,64 +279,65 @@ def random_element(
 # orbit block decomposition and invertibility
 
 
-@dataclass
+@dataclass(eq=False)
 class OrbitBlock:
     """One matrix block of the faithful orbit decomposition.
 
-    The d-fiber at the orbit representative is indexed by pairs
-    (unit, isotropy element) through a transversal, exhibiting the block
-    as |orbit| x |orbit| matrices over the group algebra of the isotropy
-    (acting by its right regular representation).
+    ``fiber`` is the d-fiber at the orbit representative in arrow order
+    and ``index[i, j]`` the arrow index of fiber[i] fiber[j]^{-1}, so the
+    block of an element a is the gather ``a.vec[index]``: its regular
+    representation at the representative, entry for entry.
     """
 
     representative: object
-    units_order: tuple
-    isotropy_elements: tuple
-    fiber: tuple  # arrow ids in (unit, gamma) order
-    basis_labels: tuple  # parallel (unit, gamma) labels
+    fiber: tuple  # arrow ids
+    index: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class OrbitBlockDecomposition:
     groupoid: FiniteGroupoid
     orbits: OrbitPartition
     blocks: tuple
 
     def matrices(self, a: AlgebraElement) -> list:
-        """The block matrices of an element (regular rep in block bases)."""
+        """The block matrices of an element (its regular representations)."""
         if a.groupoid is not self.groupoid:
             raise AlgebraError("element belongs to a different groupoid")
-        aidx = self.groupoid.arrow_index()
-        return [
-            _fiber_matrix(a, np.array([aidx[arrow] for arrow in blk.fiber], dtype=np.int64))
-            for blk in self.blocks
-        ]
+        return [a.vec[blk.index] for blk in self.blocks]
 
     def norm(self, a: AlgebraElement) -> float:
-        mats = self.matrices(a)
-        return max((operator_norm(m) for m in mats), default=0.0)
+        return max((operator_norm(m) for m in self.matrices(a)), default=0.0)
 
 
 def block_decompose(g: FiniteGroupoid) -> OrbitBlockDecomposition:
-    """Faithful blockwise representation, one block per orbit."""
-    orbits = _orbits(g)
-    aidx = g.arrow_index()
-    members = _group_by(orbits.orbit_index, len(orbits.orbits), g.n_units)
-    blocks = []
-    for units, rep, iso in zip(members, orbits.representatives, orbits.isotropy):
-        transversal = orbits.transversal[units]
-        if (transversal < 0).any():
-            raise AlgebraError(f"orbit of {rep!r} is not spanned by arrows from it")
-        loops = np.array([aidx[gamma] for gamma in iso.elements], np.int64)
-        fiber = g._mul_idx(transversal[:, None], loops[None, :]).ravel()
-        if (fiber < 0).any() or len(np.unique(fiber)) != len(fiber):
-            raise AlgebraError("transversal indexing failed; groupoid is invalid")
-        units_order = tuple(g.units[y] for y in units)
-        blocks.append(OrbitBlock(
-            rep, units_order, tuple(iso.elements), tuple(g.arrows[a] for a in fiber),
-            tuple((y, gamma) for y in units_order for gamma in iso.elements),
-        ))
-    return OrbitBlockDecomposition(g, orbits, tuple(blocks))
+    """Faithful blockwise representation, one block per orbit; cached on g.
+
+    The d-fiber at a representative must be {t_y gamma}: one arrow per
+    unit y of the orbit (through the transversal t_y) and loop gamma of
+    the isotropy, so each block is, up to the order of its basis, an
+    |orbit| x |orbit| matrix over the isotropy group algebra.  Groupoids
+    where it is not are rejected.
+    """
+    if "blocks" not in g._cache:
+        orbits = _orbits(g)
+        aidx, dfibers = g.arrow_index(), g._fibers_by_dom()
+        members = _group_by(orbits.orbit_index, len(orbits.orbits), g.n_units)
+        blocks = []
+        for units, rep, iso in zip(members, orbits.representatives, orbits.isotropy):
+            transversal = orbits.transversal[units]
+            if (transversal < 0).any():
+                raise AlgebraError(f"orbit of {rep!r} is not spanned by arrows from it")
+            loops = np.array([aidx[gamma] for gamma in iso.elements], np.int64)
+            fib = dfibers[units[0]]  # the representative is the orbit's first unit
+            spanned = g._mul_idx(transversal[:, None], loops[None, :])
+            if not np.array_equal(np.sort(spanned, None), fib):
+                raise AlgebraError("transversal indexing failed; groupoid is invalid")
+            index = _fiber_index(g, fib)
+            index.flags.writeable = False  # cached: every caller shares it
+            blocks.append(OrbitBlock(rep, tuple(g.arrows[i] for i in fib), index))
+        g._cache["blocks"] = OrbitBlockDecomposition(g, orbits, tuple(blocks))
+    return g._cache["blocks"]
 
 
 def singular_extremes(m: np.ndarray):
@@ -403,8 +399,7 @@ def invertible(
     genuinely distinct routes so either can serve as the other's oracle.
     """
     if method == "blocks":
-        dec = block_decompose(a.groupoid)
-        return all(matrix_invertible(m, rtol) for m in dec.matrices(a))
+        return all(matrix_invertible(m, rtol) for m in block_decompose(a.groupoid).matrices(a))
     if method == "solve":
         return solve_inverse(a, rtol) is not None
     raise AlgebraError(f"unknown invertibility method {method!r}")

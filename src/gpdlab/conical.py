@@ -12,7 +12,7 @@ cyclic group so the combinatorial machinery can run on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .groupoid import (

@@ -19,24 +19,16 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     DEFAULT_INVERTIBILITY_RTOL,
-    convolve,
-    left_multiplication_matrix,
+    OrbitBlockDecomposition,
+    _fiber_index,
+    _orbits,
+    block_decompose,
     matrix_invertible,
     random_element,
     regular_rep,
-    restrict_boundary,
     solve_inverse,
 )
-from .groupoid import (
-    FiniteGroupoid,
-    GroupTable,
-    GroupoidError,
-    UnitSubset,
-    as_unit_subset,
-    is_invariant,
-    orbits_and_isotropy,
-    reduction,
-)
+from .groupoid import FiniteGroupoid, as_unit_subset, is_invariant, reduction, unit_mask
 from .iso import is_pair_over
 
 FINITE_SCALE_NOTE = (
@@ -50,12 +42,16 @@ class StructureError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class FredholmStructure:
     """A groupoid with a designated pair-groupoid interior.
 
-    Density of the interior is vacuous at finite scale and recorded as a
-    note rather than checked.
+    ``boundary_groupoid`` is the reduction to the boundary, built once;
+    ``boundary_arrows`` are the indices of its arrows in the groupoid.
+    Its orbit partition and orbit blocks are cached on it, and the limit
+    operators, the criterion, the spectral check and the recognition all
+    read them.  Density of the interior is vacuous at finite scale and
+    recorded as a note rather than checked.
     """
 
     groupoid: FiniteGroupoid
@@ -64,7 +60,15 @@ class FredholmStructure:
     interior_representative: object  # None when the interior is empty
     boundary_orbits: tuple
     boundary_representatives: tuple
+    boundary_groupoid: FiniteGroupoid
+    boundary_arrows: np.ndarray
     notes: tuple = (FINITE_SCALE_NOTE, "interior density is vacuous at finite scale")
+
+    def restrict(self, a: AlgebraElement) -> AlgebraElement:
+        """The image of a in the boundary algebra (the quotient by the interior ideal)."""
+        if a.groupoid is not self.groupoid:
+            raise StructureError("element belongs to a different groupoid")
+        return AlgebraElement(self.boundary_groupoid, a.vec[self.boundary_arrows])
 
 
 def make_structure(g: FiniteGroupoid, u) -> FredholmStructure:
@@ -76,15 +80,17 @@ def make_structure(g: FiniteGroupoid, u) -> FredholmStructure:
         raise StructureError("reduction to the designated interior is not a pair groupoid")
     boundary = usub.complement().members
     gf = reduction(g, boundary)
-    orbits = orbits_and_isotropy(gf, check=False)
-    interior_units = [x for x in g.units if x in usub]
+    orbits = _orbits(gf)
+    outside = ~unit_mask(g, usub)
     return FredholmStructure(
         groupoid=g,
         interior=usub.members,
         boundary=boundary,
-        interior_representative=interior_units[0] if interior_units else None,
+        interior_representative=next(iter(usub), None),
         boundary_orbits=orbits.orbits,
         boundary_representatives=orbits.representatives,
+        boundary_groupoid=gf,
+        boundary_arrows=np.flatnonzero(outside[g.dom_i] & outside[g.rng_i]),
     )
 
 
@@ -98,53 +104,39 @@ class LimitOperatorFamily:
     representatives: tuple
     matrices: dict  # representative unit -> regular-rep matrix
     fibers: dict  # representative unit -> arrow ids
-    max_spectral_mismatch: float = 0.0
 
 
-def _spectra_match(m1: np.ndarray, m2: np.ndarray) -> float:
-    """Best-matching distance between two spectra (unitary invariance check)."""
-    from scipy.optimize import linear_sum_assignment  # slow to import; only needed here
-
-    if m1.shape != m2.shape:
-        return np.inf
-    if m1.size == 0:
-        return 0.0
-    e1 = np.linalg.eigvals(m1)
-    e2 = np.linalg.eigvals(m2)
-    cost = np.abs(e1[:, None] - e2[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
-
-
-def limit_operators(
-    s: FredholmStructure, a: AlgebraElement, check_spectra: bool = True, tol: float = 1e-10
-) -> LimitOperatorFamily:
+def limit_operators(s: FredholmStructure, a: AlgebraElement) -> LimitOperatorFamily:
     """The family of boundary regular representations, one per orbit.
 
-    With check_spectra, the matrices at all other units of each orbit are
-    verified unitarily consistent through spectrum comparison.
+    They are the orbit blocks of the boundary algebra.  At a unit y in
+    the orbit of the representative x, with transversal t_y : x -> y,
+    g -> g t_y maps the d-fiber at y onto the one at x and
+    (g t_y)(h t_y)^-1 = g h^-1: the regular representation at y is the
+    one at x conjugated by that permutation, for every element.  The
+    index matrices are checked for this identity, exactly.
     """
-    if a.groupoid is not s.groupoid:
-        raise StructureError("element belongs to a different groupoid")
-    mats, fibers = {}, {}
-    worst = 0.0
-    for orbit, rep in zip(s.boundary_orbits, s.boundary_representatives):
-        rr = regular_rep(a, rep)
-        mats[rep] = rr.matrix
-        fibers[rep] = rr.fiber
-        if check_spectra:
-            scale = 1.0 + float(np.abs(rr.matrix).max(initial=0.0))
-            for y in orbit:
-                if y == rep:
-                    continue
-                mism = _spectra_match(rr.matrix, regular_rep(a, y).matrix)
-                worst = max(worst, mism)
-                if mism > tol * scale:
-                    raise StructureError(
-                        f"regular representations at {rep!r} and {y!r} have "
-                        f"mismatched spectra ({mism:.2e})"
-                    )
-    return LimitOperatorFamily(s, s.boundary_representatives, mats, fibers, worst)
+    af = s.restrict(a)
+    dec = block_decompose(s.boundary_groupoid)
+    gf, orbits = dec.groupoid, dec.orbits
+    dfibers = gf._fibers_by_dom()
+    for k, blk in enumerate(dec.blocks):
+        x, *others = np.flatnonzero(orbits.orbit_index == k)
+        at = np.full(gf.n_arrows + 1, -1, np.int64)  # trailing slot for undefined products
+        at[dfibers[x]] = np.arange(len(blk.fiber))
+        for y in others:
+            perm = at[gf._mul_idx(dfibers[y], orbits.transversal[y])]
+            if not (np.array_equal(np.sort(perm), np.arange(len(blk.fiber)))
+                    and np.array_equal(_fiber_index(gf, dfibers[y]), blk.index[np.ix_(perm, perm)])):
+                raise StructureError(
+                    f"regular representation at {gf.units[y]!r} is not the one at "
+                    f"{blk.representative!r} conjugated by the transversal"
+                )
+    return LimitOperatorFamily(
+        s, s.boundary_representatives,
+        {blk.representative: m for blk, m in zip(dec.blocks, dec.matrices(af))},
+        {blk.representative: blk.fiber for blk in dec.blocks},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +167,14 @@ def _unitalized(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement.unit(a.groupoid) + a
 
 
+def _block_verdicts(dec: OrbitBlockDecomposition, b: AlgebraElement, rtol: float) -> dict:
+    """Per orbit representative, whether 1 + the block of b is invertible."""
+    return {
+        blk.representative: matrix_invertible(np.eye(len(m)) + m, rtol)
+        for blk, m in zip(dec.blocks, dec.matrices(b))
+    }
+
+
 def fredholm_criterion(
     s: FredholmStructure, a: AlgebraElement, rtol: float = DEFAULT_INVERTIBILITY_RTOL
 ) -> CriterionVerdict:
@@ -190,27 +190,15 @@ def fredholm_criterion(
     The finite-scale equivalence quotient <=> boundary is recorded in the
     verdict; is_fredholm is the quotient verdict.
     """
-    if a.groupoid is not s.groupoid:
-        raise StructureError("element belongs to a different groupoid")
-    g = s.groupoid
-
+    af = s.restrict(a)
     if s.interior_representative is not None:
         m = regular_rep(a, s.interior_representative).matrix
         u_inv = matrix_invertible(np.eye(m.shape[0]) + m, rtol)
     else:
         u_inv = True
-
-    boundary = {}
-    for rep in s.boundary_representatives:
-        m = regular_rep(a, rep).matrix
-        boundary[rep] = matrix_invertible(np.eye(m.shape[0]) + m, rtol)
-
-    if s.boundary:
-        af, _ = restrict_boundary(a, s.boundary, n_samples=0)
-        quotient = solve_inverse(_unitalized(af), rtol) is not None
-    else:
-        quotient = True  # zero quotient algebra
-
+    boundary = _block_verdicts(block_decompose(s.boundary_groupoid), af, rtol)
+    # an empty boundary gives the zero quotient algebra, where 1 = 0 is invertible
+    quotient = solve_inverse(_unitalized(af), rtol) is not None
     all_boundary = all(boundary.values())
     return CriterionVerdict(
         u_invertible=u_inv,
@@ -245,7 +233,6 @@ def strictly_spectral_check(
     trials: int,
     seed: int,
     rtol: float = DEFAULT_INVERTIBILITY_RTOL,
-    hermitian: bool = False,
 ) -> SpectralCheckReport:
     """Verdict-equivalence of algebra-invertibility and the boundary family.
 
@@ -254,25 +241,19 @@ def strictly_spectral_check(
     1 + pi_x(b) over boundary orbit representatives.  An empty boundary
     passes vacuously.
     """
-    gf = reduction(s.groupoid, s.boundary)
+    dec = block_decompose(s.boundary_groupoid)
+    gf = dec.groupoid
     if gf.n_units == 0:
         return SpectralCheckReport(0, [], 0)
-    orbits = orbits_and_isotropy(gf, check=False)
     rng = np.random.default_rng(seed)
     bad = []
     for t in range(trials):
-        b = random_element(gf, rng, hermitian=hermitian)
-        e = _unitalized(b)
-        algebra_route = solve_inverse(e, rtol) is not None
-        family_route = all(
-            matrix_invertible(
-                np.eye(len(regular_rep(b, x).fiber)) + regular_rep(b, x).matrix, rtol
-            )
-            for x in orbits.representatives
-        )
+        b = random_element(gf, rng)
+        algebra_route = solve_inverse(_unitalized(b), rtol) is not None
+        family_route = all(_block_verdicts(dec, b, rtol).values())
         if algebra_route != family_route:
             bad.append({"trial": t, "algebra": algebra_route, "family": family_route})
-    return SpectralCheckReport(trials, bad, len(orbits.orbits))
+    return SpectralCheckReport(trials, bad, len(s.boundary_orbits))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +283,8 @@ def recognize_boundary_bundle(s: FredholmStructure) -> RecognitionReport:
     transversal; multiplicativity is verified exhaustively and any
     failure is reported as a witness instead of raising.
     """
-    gf = reduction(s.groupoid, s.boundary)
-    part = orbits_and_isotropy(gf, check=False)
+    gf = s.boundary_groupoid
+    part = _orbits(gf)
     parts, fibers = part.orbits, part.isotropy
     unspanned = part.orbit_index[part.transversal < 0]
     if len(unspanned):

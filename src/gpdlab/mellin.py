@@ -536,6 +536,7 @@ class ScanResult:
     tail_floor: float
     invertible: bool
     grid_points: int
+    refinements: int  # bisection midpoints added to the grid
     sigma_tol: float
     min_sigma_lower: float
     lipschitz: float
@@ -618,6 +619,7 @@ def invertibility_scan(
         tail_floor=float(tail_floor),
         invertible=bool(lower > sigma_tol),
         grid_points=len(lams),
+        refinements=refinements,
         sigma_tol=sigma_tol,
         min_sigma_lower=float(lower),
         lipschitz=family.lipschitz,

@@ -18,12 +18,31 @@ builders must reproduce, compose order included.
 classes, the class-pair weak walk, the class-pair product loop and the
 per-entry projection walk.  ``gpdlab.glue`` must give the same tables,
 compose order, projections, witnesses and messages.
+
+``limit_operators_reference``, ``fredholm_criterion_reference``,
+``strictly_spectral_check_reference`` and ``reduced_norm_reference``
+build one ``regular_rep`` per unit and compare limit operators by their
+spectra, as the Fredholm routes did before they read the orbit blocks;
+their verdicts, counterexamples, norms and matrices must be equal.
 """
 
 import json
 from collections import defaultdict
 
-from gpdlab.fredholm import FredholmStructure, StructureError
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from gpdlab.algebra import (
+    AlgebraElement,
+    DEFAULT_INVERTIBILITY_RTOL,
+    matrix_invertible,
+    operator_norm,
+    random_element,
+    regular_rep,
+    restrict_boundary,
+    solve_inverse,
+)
+from gpdlab.fredholm import CriterionVerdict, FredholmStructure, SpectralCheckReport, StructureError
 from gpdlab.gluing import GluedGroupoid, GluingError
 from gpdlab.groupoid import (
     MAX_WITNESSES_PER_AXIOM,
@@ -122,8 +141,10 @@ def make_structure_reference(g, u) -> FredholmStructure:
     if not is_pair_groupoid(reduction_reference(g, usub)):
         raise StructureError("reduction to the designated interior is not a pair groupoid")
     boundary = usub.complement().members
-    orbits = orbits_and_isotropy(reduction_reference(g, boundary), check=False)
+    gf = reduction_reference(g, boundary)
+    orbits = orbits_and_isotropy(gf, check=False)
     interior_units = [x for x in g.units if x in usub]
+    aidx = g.arrow_index()
     return FredholmStructure(
         groupoid=g,
         interior=usub.members,
@@ -131,7 +152,78 @@ def make_structure_reference(g, u) -> FredholmStructure:
         interior_representative=interior_units[0] if interior_units else None,
         boundary_orbits=orbits.orbits,
         boundary_representatives=orbits.representatives,
+        boundary_groupoid=gf,
+        boundary_arrows=np.array([aidx[x] for x in gf.arrows], np.int64),
     )
+
+
+# ---------------------------------------------------------------------------
+# the Fredholm routes, one regular representation per unit
+
+
+def _spectra_match_reference(m1, m2) -> float:
+    if m1.shape != m2.shape:
+        return np.inf
+    if m1.size == 0:
+        return 0.0
+    e1, e2 = np.linalg.eigvals(m1), np.linalg.eigvals(m2)
+    cost = np.abs(e1[:, None] - e2[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def limit_operators_reference(s, a, tol=1e-10):
+    """(matrices, fibers) per boundary representative; raises on mismatched spectra."""
+    mats, fibers = {}, {}
+    for orbit, rep in zip(s.boundary_orbits, s.boundary_representatives):
+        rr = regular_rep(a, rep)
+        mats[rep], fibers[rep] = rr.matrix, rr.fiber
+        scale = 1.0 + float(np.abs(rr.matrix).max(initial=0.0))
+        for y in orbit:
+            if y != rep:
+                mism = _spectra_match_reference(rr.matrix, regular_rep(a, y).matrix)
+                if mism > tol * scale:
+                    raise StructureError(f"regular representations at {rep!r} and {y!r} have "
+                                         f"mismatched spectra ({mism:.2e})")
+    return mats, fibers
+
+
+def fredholm_criterion_reference(s, a, rtol=DEFAULT_INVERTIBILITY_RTOL) -> CriterionVerdict:
+    def one_plus_invertible(x):
+        m = regular_rep(a, x).matrix
+        return matrix_invertible(np.eye(m.shape[0]) + m, rtol)
+
+    u_inv = s.interior_representative is None or one_plus_invertible(s.interior_representative)
+    boundary = {rep: one_plus_invertible(rep) for rep in s.boundary_representatives}
+    quotient = True
+    if s.boundary:
+        af, _ = restrict_boundary(a, s.boundary, n_samples=0)
+        quotient = solve_inverse(AlgebraElement.unit(af.groupoid) + af, rtol) is not None
+    return CriterionVerdict(u_inv, boundary, quotient, quotient == all(boundary.values()), quotient)
+
+
+def strictly_spectral_check_reference(s, trials, seed, rtol=DEFAULT_INVERTIBILITY_RTOL):
+    gf = reduction_reference(s.groupoid, s.boundary)
+    if gf.n_units == 0:
+        return SpectralCheckReport(0, [], 0)
+    orbits = orbits_and_isotropy(gf, check=False)
+    rng = np.random.default_rng(seed)
+    bad = []
+    for t in range(trials):
+        b = random_element(gf, rng)
+        algebra_route = solve_inverse(AlgebraElement.unit(gf) + b, rtol) is not None
+        family_route = all(
+            matrix_invertible(np.eye(len(m)) + m, rtol)
+            for m in (regular_rep(b, x).matrix for x in orbits.representatives)
+        )
+        if algebra_route != family_route:
+            bad.append({"trial": t, "algebra": algebra_route, "family": family_route})
+    return SpectralCheckReport(trials, bad, len(orbits.orbits))
+
+
+def reduced_norm_reference(a) -> float:
+    reps = orbits_and_isotropy(a.groupoid, check=False).representatives
+    return max((operator_norm(regular_rep(a, x).matrix) for x in reps), default=0.0)
 
 
 # ---------------------------------------------------------------------------

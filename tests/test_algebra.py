@@ -281,6 +281,19 @@ class TestBlocksAndInvertibility:
             a = al.random_element(g, rng)
             assert al.block_decompose(g).norm(a) == pytest.approx(al.reduced_norm(a))
 
+    def test_blocks_are_the_regular_reps_at_representatives(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            g = gen.random_groupoid(rng, max_arrows=60)
+            a = al.random_element(g, rng)
+            dec = al.block_decompose(g)
+            assert al.block_decompose(g) is dec
+            assert [blk.representative for blk in dec.blocks] == list(dec.orbits.representatives)
+            for blk, mat in zip(dec.blocks, dec.matrices(a)):
+                rr = al.regular_rep(a, blk.representative)
+                assert blk.fiber == rr.fiber
+                assert np.array_equal(mat, rr.matrix)
+
     def test_block_map_is_multiplicative(self):
         rng = np.random.default_rng(12)
         g = gl.build_product(gl.build_pair(range(2)), gl.build_group_bundle(["z"], gl.GroupTable.cyclic(3)))

@@ -182,6 +182,7 @@ class TestLayerAndMellinCommands:
             for key in ("min_sigma_lower", "lipschitz", "max_quad_error", "tail_c2"):
                 assert key in scan
             assert scan["min_sigma_lower"] <= scan["min_sigma"]
+            assert (scan["grid_points"], scan["refinements"]) == (205, 0)
 
     def test_nystrom_csv(self, runner, tmp_path):
         out = tmp_path / "trace.csv"
@@ -336,3 +337,20 @@ def test_glue_corpus_output_pinned(runner, monkeypatch, name, code, stdout_sha25
         assert res.stdout == ""
     else:
         assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == stdout_sha256
+
+
+@pytest.mark.parametrize("args, stdout_sha256", [
+    (["fredholm-check", "--groupoid", "toy_layer.json", "--seed", "7"],
+     "522a8b148a320791f565e2fd0250a2045a956e4d5b835daf732599d0e65c3b06"),
+    (["fredholm-check", "--groupoid", "toy_layer.json", "--seed", "11"],
+     "5dae455c622f55a9e4684954bbb90f93cbc700dd088d7d2995abe6b09f9e1078"),
+    (["spectral-check", "--groupoid", "toy_layer.json", "--trials", "20", "--seed", "5"],
+     "d8b6c5450e6361ecb9d04326128bbec9f2dbf7a8c13b27b5c716e87e65887729"),
+    (["norms", "--groupoid", "pair3.json", "--element", "element_pair3.json"],
+     "05db619be4591c3c5349b522e450f4eb14aac1051551ceace662be6276ebfb47"),
+], ids=["fredholm-check-7", "fredholm-check-11", "spectral-check", "norms"])
+def test_algebra_corpus_output_pinned(runner, monkeypatch, args, stdout_sha256):
+    monkeypatch.chdir(Path(corpus("pair3.json")).parent)
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == stdout_sha256

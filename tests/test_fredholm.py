@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -54,10 +56,13 @@ class TestMakeStructure:
 class TestMakeStructureReference:
     @staticmethod
     def outcome(f, g, u):
+        """(the fields, with the arrow indices as a list; the boundary reduction)."""
         try:
-            return vars(f(g, u))
+            s = f(g, u)
         except fr.StructureError as exc:
-            return (type(exc), str(exc))
+            return (type(exc), str(exc)), None
+        fields = {**vars(s), "boundary_arrows": s.boundary_arrows.tolist()}
+        return fields, fields.pop("boundary_groupoid")
 
     def test_designations_match_reference(self):
         toy = co.finite_toy_model(co.assemble_layer_groupoid(co.unit_square()), 3, interior_points=2)
@@ -71,9 +76,10 @@ class TestMakeStructureReference:
             (g.units, not_pair),
         ]
         for units, error in cases:
-            got = self.outcome(fr.make_structure, g, units)
-            assert got == self.outcome(reference.make_structure_reference, g, units)
-            assert got == (fr.StructureError, error) if error else isinstance(got, dict)
+            got, gf = self.outcome(fr.make_structure, g, units)
+            want, gf_reference = self.outcome(reference.make_structure_reference, g, units)
+            assert got == want
+            assert got == (fr.StructureError, error) if error else gf.same_tables(gf_reference)
 
 
 class TestLimitOperators:
@@ -206,3 +212,62 @@ class TestRecognition:
         assert rec.verified
         assert sorted(f.order for f in rec.fibers) == [2, 6]
         assert rec.fibers[0].order != rec.fibers[1].order
+
+
+def loop_reference_cases():
+    """(structure, elements) on random toy structures and the square toy at m = 2 and 3."""
+    rng = np.random.default_rng(17)
+    structures = [gen.random_toy_structure(rng).structure for _ in range(4)]
+    square = co.assemble_layer_groupoid(co.unit_square())
+    structures += [co.finite_toy_model(square, m, interior_points=2).structure for m in (2, 3)]
+    for s in structures:
+        g = s.groupoid
+        elements = [al.random_element(g, rng) for _ in range(3)]
+        elements += [al.AlgebraElement.zero(g), -1.0 * al.AlgebraElement.unit(g)]
+        elements += [-1.0 * al.AlgebraElement.delta(g, g.unit_arrow[s.boundary_representatives[0]])]
+        yield s, elements
+
+
+class TestLoopReference:
+    def test_limit_operators_match_regular_rep_loop(self):
+        for s, elements in loop_reference_cases():
+            for a in elements:
+                fam = fr.limit_operators(s, a)
+                mats, fibers = reference.limit_operators_reference(s, a)
+                assert fam.representatives == s.boundary_representatives
+                assert fam.fibers == fibers
+                assert fam.matrices.keys() == mats.keys()
+                assert all(np.array_equal(fam.matrices[x], mats[x]) for x in mats)
+
+    def test_criterion_and_norm_match_regular_rep_loop(self):
+        verdicts = set()
+        for s, elements in loop_reference_cases():
+            for a in elements:
+                v = fr.fredholm_criterion(s, a)
+                assert v == reference.fredholm_criterion_reference(s, a)
+                assert al.reduced_norm(a) == reference.reduced_norm_reference(a)
+                verdicts.add(v.is_fredholm)
+        assert verdicts == {True, False}
+
+    def test_spectral_check_matches_regular_rep_loop(self):
+        for seed, (s, _) in enumerate(loop_reference_cases()):
+            got = fr.strictly_spectral_check(s, 15, seed)
+            assert vars(got) == vars(reference.strictly_spectral_check_reference(s, 15, seed))
+
+
+def test_one_boundary_reduction_per_structure(monkeypatch):
+    toy = co.finite_toy_model(co.assemble_layer_groupoid(co.unit_square()), 2, interior_points=1)
+    real, calls = gl.reduction, []
+
+    def counted(g, a):
+        calls.append(a)
+        return real(g, a)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gpdlab") and getattr(mod, "reduction", None) is real:
+            monkeypatch.setattr(mod, "reduction", counted)
+    s = fr.make_structure(toy.groupoid, toy.interior_units)
+    fr.fredholm_criterion(s, al.random_element(toy.groupoid, np.random.default_rng(0)))
+    fr.strictly_spectral_check(s, 5, 0)
+    assert fr.recognize_boundary_bundle(s).verified
+    assert len(calls) == 1

@@ -344,6 +344,11 @@ class TestScan:
         assert not res.invertible
         assert res.min_sigma_lower <= res.sigma_tol
 
+    def test_midpoint_dip_needs_two_refinements(self):
+        res = me.invertibility_scan(me.mellin_transform(midpoint_dip_kernel(0.125), 0.5), 0.5)
+        assert res.refinements == 2
+        assert res.as_dict()["refinements"] == 2
+
     @pytest.mark.parametrize("lam0", [0.1, 3.3, 37.3, 190.0])
     def test_dips_stay_not_invertible(self, lam0):
         res = me.invertibility_scan(me.mellin_transform(midpoint_dip_kernel(lam0), 0.5), 0.5)
@@ -383,6 +388,7 @@ class TestVerdict:
         golden = 0.5 - math.sqrt(2) / 4
         for s in v.scans.values():
             assert s.min_sigma == pytest.approx(golden, abs=1e-8)
+            assert (s.grid_points, s.refinements) == (205, 0)
 
     def test_zero_constant_not_elliptic(self):
         v = me.fredholm_verdict(co.unit_square(), c=0.0)

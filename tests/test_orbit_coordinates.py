@@ -90,6 +90,11 @@ class TestMalformed:
         with pytest.raises(al.AlgebraError, match="not spanned"):
             al.block_decompose(chain())
 
+    def test_fiber_beyond_the_transversal_has_no_block_decomposition(self):
+        # the d-fiber at 0 is e0, a, b; the transversal and the isotropy give e0, a
+        with pytest.raises(al.AlgebraError, match="^transversal indexing failed; groupoid is invalid$"):
+            al.block_decompose(stray_product())
+
     def test_isotropy_not_conjugate(self):
         with pytest.raises(GroupoidError, match="^isotropy at 1 is not conjugate to isotropy at 0$"):
             gl.orbits_and_isotropy(extra_loop(), check=True)
@@ -105,6 +110,14 @@ class TestMalformed:
         rec = fr.recognize_boundary_bundle(whole_boundary(g))
         assert not rec.verified
         assert rec.witness == (s, s, "fiber product")
+
+    def test_broken_square_fails_the_translation_identity(self):
+        # the limit operators at (0, z) and (1, z) have equal spectra for the
+        # zero element; the index matrices still differ by more than t_y
+        g, _ = twisted_square()
+        with pytest.raises(fr.StructureError, match=r"^regular representation at \(1, 'z'\) is not "
+                           r"the one at \(0, 'z'\) conjugated by the transversal$"):
+            fr.limit_operators(whole_boundary(g), al.AlgebraElement.zero(g))
 
 
 def square_toy(m, interior_points):
