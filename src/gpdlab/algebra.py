@@ -17,7 +17,6 @@ from .groupoid import (
     FiniteGroupoid,
     GroupoidError,
     OrbitPartition,
-    _group_by,
     as_unit_subset,
     is_invariant,
     orbits_and_isotropy,
@@ -32,12 +31,6 @@ DEFAULT_INVERTIBILITY_RTOL = 1e-8
 
 class AlgebraError(ValueError):
     pass
-
-
-def _orbits(g: FiniteGroupoid) -> OrbitPartition:
-    if "orbit_partition" not in g._cache:
-        g._cache["orbit_partition"] = orbits_and_isotropy(g, check=False)
-    return g._cache["orbit_partition"]
 
 
 class AlgebraElement:
@@ -320,17 +313,15 @@ def block_decompose(g: FiniteGroupoid) -> OrbitBlockDecomposition:
     where it is not are rejected.
     """
     if "blocks" not in g._cache:
-        orbits = _orbits(g)
-        aidx, dfibers = g.arrow_index(), g._fibers_by_dom()
-        members = _group_by(orbits.orbit_index, len(orbits.orbits), g.n_units)
+        orbits = orbits_and_isotropy(g, check=False)
+        dfibers, start = g._fibers_by_dom(), orbits.loop_start
         blocks = []
-        for units, rep, iso in zip(members, orbits.representatives, orbits.isotropy):
+        for units, rep, lo, hi in zip(orbits.members, orbits.representatives, start[:-1], start[1:]):
             transversal = orbits.transversal[units]
             if (transversal < 0).any():
                 raise AlgebraError(f"orbit of {rep!r} is not spanned by arrows from it")
-            loops = np.array([aidx[gamma] for gamma in iso.elements], np.int64)
             fib = dfibers[units[0]]  # the representative is the orbit's first unit
-            spanned = g._mul_idx(transversal[:, None], loops[None, :])
+            spanned = g._mul_idx(transversal[:, None], orbits.loops[None, lo:hi])
             if not np.array_equal(np.sort(spanned, None), fib):
                 raise AlgebraError("transversal indexing failed; groupoid is invalid")
             index = _fiber_index(g, fib)
@@ -363,7 +354,7 @@ def left_multiplication_matrix(a: AlgebraElement) -> np.ndarray:
     return mat
 
 
-def solve_inverse(a: AlgebraElement, rtol: float = DEFAULT_INVERTIBILITY_RTOL):
+def solve_inverse(a: AlgebraElement):
     """Two-sided inverse in the groupoid algebra via the left-regular system.
 
     Returns the inverse element, or None when the element is not
@@ -374,7 +365,7 @@ def solve_inverse(a: AlgebraElement, rtol: float = DEFAULT_INVERTIBILITY_RTOL):
     if g.n_arrows == 0:
         return AlgebraElement.zero(g)
     lmat = left_multiplication_matrix(a)
-    if not matrix_invertible(lmat, rtol):
+    if not matrix_invertible(lmat):
         return None
     unit_vec = AlgebraElement.unit(g).vec
     sol = AlgebraElement(g, np.linalg.solve(lmat, unit_vec))
@@ -386,11 +377,7 @@ def solve_inverse(a: AlgebraElement, rtol: float = DEFAULT_INVERTIBILITY_RTOL):
     return sol
 
 
-def invertible(
-    a: AlgebraElement,
-    rtol: float = DEFAULT_INVERTIBILITY_RTOL,
-    method: str = "blocks",
-) -> bool:
+def invertible(a: AlgebraElement, method: str = "blocks") -> bool:
     """Invertibility in the groupoid algebra.
 
     method='blocks' decides through the faithful orbit decomposition
@@ -399,7 +386,7 @@ def invertible(
     genuinely distinct routes so either can serve as the other's oracle.
     """
     if method == "blocks":
-        return all(matrix_invertible(m, rtol) for m in block_decompose(a.groupoid).matrices(a))
+        return all(matrix_invertible(m) for m in block_decompose(a.groupoid).matrices(a))
     if method == "solve":
-        return solve_inverse(a, rtol) is not None
+        return solve_inverse(a) is not None
     raise AlgebraError(f"unknown invertibility method {method!r}")

@@ -137,16 +137,13 @@ def norms_cmd(groupoid_path, element_path, out):
 def _resolve_interior(g, spec: str):
     if spec != "interior":
         units = spec.split(",")
-        missing = [u for u in units if u not in set(g.units)]
-        if missing:
-            raise click.ClickException(f"unknown unit ids {missing}")
+        if missing := [u for u in units if u not in g.unit_index()]:
+            raise ValueError(f"unknown unit ids {missing}")
         return units
-    part = orbits_and_isotropy(g, check=False)
-    candidates = [
-        orb for orb, iso in zip(part.orbits, part.isotropy) if iso.order == 1
-    ]
+    part = orbits_and_isotropy(g, check=False)  # g passed validation
+    candidates = [orb for orb, order in zip(part.orbits, part.orders) if order == 1]
     if not candidates:
-        raise click.ClickException("no trivial-isotropy orbit to use as the interior")
+        raise ValueError("no trivial-isotropy orbit to use as the interior")
     return max(candidates, key=len)
 
 
@@ -174,8 +171,6 @@ def fredholm_check_cmd(groupoid_path, interior_spec, seed, element_path, hermiti
         results["interior"] = sorted(map(str, structure.interior))
         results["boundary_representatives"] = [str(r) for r in structure.boundary_representatives]
         results["norm_note"] = algebra_mod.AMENABILITY_NOTE
-    except click.ClickException:
-        raise
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     _emit(
@@ -193,7 +188,7 @@ def fredholm_check_cmd(groupoid_path, interior_spec, seed, element_path, hermiti
 @main.command("spectral-check")
 @click.option("--groupoid", "groupoid_path", required=True, type=click.Path())
 @click.option("--u", "interior_spec", default="interior", show_default=True)
-@click.option("--trials", type=int, default=200, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(), default=None)
 def spectral_check_cmd(groupoid_path, interior_spec, trials, seed, out):
@@ -209,8 +204,6 @@ def spectral_check_cmd(groupoid_path, interior_spec, trials, seed, out):
             "boundary_orbit_count": report.boundary_orbit_count,
             "note": report.note,
         }
-    except click.ClickException:
-        raise
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
     _emit(

@@ -18,17 +18,22 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    DEFAULT_INVERTIBILITY_RTOL,
     OrbitBlockDecomposition,
-    _fiber_index,
-    _orbits,
     block_decompose,
     matrix_invertible,
     random_element,
     regular_rep,
     solve_inverse,
 )
-from .groupoid import FiniteGroupoid, as_unit_subset, is_invariant, reduction, unit_mask
+from .groupoid import (
+    FiniteGroupoid,
+    as_unit_subset,
+    is_invariant,
+    orbits_and_isotropy,
+    reduction,
+    structure_witness,
+    unit_mask,
+)
 from .iso import is_pair_over
 
 FINITE_SCALE_NOTE = (
@@ -80,7 +85,7 @@ def make_structure(g: FiniteGroupoid, u) -> FredholmStructure:
         raise StructureError("reduction to the designated interior is not a pair groupoid")
     boundary = usub.complement().members
     gf = reduction(g, boundary)
-    orbits = _orbits(gf)
+    orbits = orbits_and_isotropy(gf, check=False)
     outside = ~unit_mask(g, usub)
     return FredholmStructure(
         groupoid=g,
@@ -112,26 +117,13 @@ def limit_operators(s: FredholmStructure, a: AlgebraElement) -> LimitOperatorFam
     They are the orbit blocks of the boundary algebra.  At a unit y in
     the orbit of the representative x, with transversal t_y : x -> y,
     g -> g t_y maps the d-fiber at y onto the one at x and
-    (g t_y)(h t_y)^-1 = g h^-1: the regular representation at y is the
-    one at x conjugated by that permutation, for every element.  The
-    index matrices are checked for this identity, exactly.
+    (g t_y)(h t_y)^-1 = g h^-1 in Pair(orbit) x isotropy, so the regular
+    representation at y is the one at x conjugated by that permutation.
+    A boundary groupoid that fails the structure certificate raises.
     """
-    af = s.restrict(a)
-    dec = block_decompose(s.boundary_groupoid)
-    gf, orbits = dec.groupoid, dec.orbits
-    dfibers = gf._fibers_by_dom()
-    for k, blk in enumerate(dec.blocks):
-        x, *others = np.flatnonzero(orbits.orbit_index == k)
-        at = np.full(gf.n_arrows + 1, -1, np.int64)  # trailing slot for undefined products
-        at[dfibers[x]] = np.arange(len(blk.fiber))
-        for y in others:
-            perm = at[gf._mul_idx(dfibers[y], orbits.transversal[y])]
-            if not (np.array_equal(np.sort(perm), np.arange(len(blk.fiber)))
-                    and np.array_equal(_fiber_index(gf, dfibers[y]), blk.index[np.ix_(perm, perm)])):
-                raise StructureError(
-                    f"regular representation at {gf.units[y]!r} is not the one at "
-                    f"{blk.representative!r} conjugated by the transversal"
-                )
+    if (witness := structure_witness(s.boundary_groupoid)) is not None:
+        raise StructureError(f"boundary groupoid fails the structure certificate: {witness!r}")
+    af, dec = s.restrict(a), block_decompose(s.boundary_groupoid)
     return LimitOperatorFamily(
         s, s.boundary_representatives,
         {blk.representative: m for blk, m in zip(dec.blocks, dec.matrices(af))},
@@ -167,17 +159,15 @@ def _unitalized(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement.unit(a.groupoid) + a
 
 
-def _block_verdicts(dec: OrbitBlockDecomposition, b: AlgebraElement, rtol: float) -> dict:
+def _block_verdicts(dec: OrbitBlockDecomposition, b: AlgebraElement) -> dict:
     """Per orbit representative, whether 1 + the block of b is invertible."""
     return {
-        blk.representative: matrix_invertible(np.eye(len(m)) + m, rtol)
+        blk.representative: matrix_invertible(np.eye(len(m)) + m)
         for blk, m in zip(dec.blocks, dec.matrices(b))
     }
 
 
-def fredholm_criterion(
-    s: FredholmStructure, a: AlgebraElement, rtol: float = DEFAULT_INVERTIBILITY_RTOL
-) -> CriterionVerdict:
+def fredholm_criterion(s: FredholmStructure, a: AlgebraElement) -> CriterionVerdict:
     """Evaluate the three invertibility verdicts for 1 + a.
 
     * interior: the regular representation at one interior unit;
@@ -193,12 +183,12 @@ def fredholm_criterion(
     af = s.restrict(a)
     if s.interior_representative is not None:
         m = regular_rep(a, s.interior_representative).matrix
-        u_inv = matrix_invertible(np.eye(m.shape[0]) + m, rtol)
+        u_inv = matrix_invertible(np.eye(m.shape[0]) + m)
     else:
         u_inv = True
-    boundary = _block_verdicts(block_decompose(s.boundary_groupoid), af, rtol)
+    boundary = _block_verdicts(block_decompose(s.boundary_groupoid), af)
     # an empty boundary gives the zero quotient algebra, where 1 = 0 is invertible
-    quotient = solve_inverse(_unitalized(af), rtol) is not None
+    quotient = solve_inverse(_unitalized(af)) is not None
     all_boundary = all(boundary.values())
     return CriterionVerdict(
         u_invertible=u_inv,
@@ -228,12 +218,7 @@ class SpectralCheckReport:
         return not self.counterexamples
 
 
-def strictly_spectral_check(
-    s: FredholmStructure,
-    trials: int,
-    seed: int,
-    rtol: float = DEFAULT_INVERTIBILITY_RTOL,
-) -> SpectralCheckReport:
+def strictly_spectral_check(s: FredholmStructure, trials: int, seed: int) -> SpectralCheckReport:
     """Verdict-equivalence of algebra-invertibility and the boundary family.
 
     For random boundary elements b, compares invertibility of 1 + b in
@@ -249,8 +234,8 @@ def strictly_spectral_check(
     bad = []
     for t in range(trials):
         b = random_element(gf, rng)
-        algebra_route = solve_inverse(_unitalized(b), rtol) is not None
-        family_route = all(_block_verdicts(dec, b, rtol).values())
+        algebra_route = solve_inverse(_unitalized(b)) is not None
+        family_route = all(_block_verdicts(dec, b).values())
         if algebra_route != family_route:
             bad.append({"trial": t, "algebra": algebra_route, "family": family_route})
     return SpectralCheckReport(trials, bad, len(s.boundary_orbits))
@@ -278,54 +263,17 @@ def recognize_boundary_bundle(s: FredholmStructure) -> RecognitionReport:
 
     The base is the discrete set of boundary orbits; the fiber over a
     part is the isotropy group at its representative.  The isomorphism
-    is the orbit-coordinate map: an arrow goes to its part, endpoints,
-    and isotropy element t_r^-1 a t_d through the partition's
-    transversal; multiplicativity is verified exhaustively and any
-    failure is reported as a witness instead of raising.
+    is the orbit-coordinate map a -> (part, r(a), t_r^-1 a t_d, d(a)),
+    verified by :func:`~gpdlab.groupoid.structure_witness`, whose witness
+    is reported on failure instead of raising; ``arrow_map`` is then
+    empty, and so is ``fibers`` unless the isotropy tables are groups.
     """
     gf = s.boundary_groupoid
-    part = _orbits(gf)
-    parts, fibers = part.orbits, part.isotropy
-    unspanned = part.orbit_index[part.transversal < 0]
-    if len(unspanned):
-        pi = int(unspanned.min())
-        return RecognitionReport(
-            parts, fibers[:pi + 1], {}, False, witness=(part.representatives[pi], "orbit not spanned")
-        )
-    coords = part.coordinates()
-    stray = np.flatnonzero(coords < 0)
-    if len(stray):
-        return RecognitionReport(
-            parts, fibers, {}, False, witness=(gf.arrows[stray[0]], "not in isotropy")
-        )
-    dom_i, rng_i = gf.dom_i, gf.rng_i
-    orbit = part.orbit_index[dom_i]
-    units = gf.units
-    arrow_map = {
-        a: (p, units[r], c, units[d])
-        for a, p, r, c, d in zip(gf.arrows, orbit.tolist(), rng_i.tolist(), coords.tolist(), dom_i.tolist())
+    part, witness = orbits_and_isotropy(gf, check=False), structure_witness(gf)
+    fibers = part.isotropy if part.isotropy_is_group.all() else ()
+    units, orbit = gf.units, part.orbit_index[gf.dom_i]
+    arrow_map = {} if witness else {
+        a: (p, units[r], c, units[d]) for a, p, r, c, d in zip(
+            gf.arrows, orbit.tolist(), gf.rng_i.tolist(), part.coordinates().tolist(), gf.dom_i.tolist())
     }
-    # bijectivity onto the pull-back model
-    expected = sum(len(orb) ** 2 * iso.order for orb, iso in zip(parts, fibers))
-    order = np.array([iso.order for iso in fibers], np.int64)
-    keys = (rng_i * gf.n_units + dom_i) * int(order.max(initial=1)) + coords
-    if len(np.unique(keys)) != gf.n_arrows or gf.n_arrows != expected:
-        return RecognitionReport(parts, fibers, arrow_map, False, witness=("count", expected))
-    # multiplicativity: image product law (z, gamma, y)(y, gamma', w) = (z, gamma gamma', w)
-    p1, p2, pp = gf.p1, gf.p2, gf.pp
-    joined = (
-        (orbit[p1] == orbit[p2]) & (orbit[p1] == orbit[pp]) & (rng_i[pp] == rng_i[p1])
-        & (dom_i[pp] == dom_i[p2]) & (dom_i[p1] == rng_i[p2])
-    )
-    start = np.concatenate(([0], np.cumsum(order ** 2)))
-    tables = np.concatenate([np.zeros(0, np.int64)] + [np.ravel(iso.table) for iso in fibers])
-    at = start[orbit[p1]] + coords[p1] * order[orbit[p1]] + coords[p2]
-    product = tables[np.where(joined, at, 0)]
-    bad = np.flatnonzero(~joined | (product != coords[pp]))
-    if len(bad):
-        i = bad[0]
-        kind = "endpoints" if not joined[i] else "fiber product"
-        return RecognitionReport(
-            parts, fibers, arrow_map, False, witness=(gf.arrows[p1[i]], gf.arrows[p2[i]], kind)
-        )
-    return RecognitionReport(parts, fibers, arrow_map, True)
+    return RecognitionReport(part.orbits, fibers, arrow_map, witness is None, witness)

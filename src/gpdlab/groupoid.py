@@ -170,7 +170,9 @@ class FiniteGroupoid:
 
     def _mul_idx(self, a, b) -> np.ndarray:
         """Vectorised ``compose.get`` on index arrays: ab, or -1 where undefined."""
-        a, b = np.broadcast_arrays(np.asarray(a, np.int64), np.asarray(b, np.int64))
+        a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
         ft = self._fiber_table()
         ok = self.dom_i[a] == self.rng_i[b]
         out = ft.table[np.where(ok, ft.off[a] + ft.pos[b], len(ft.table) - 1)]
@@ -331,12 +333,15 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom, reporting violations with witnesses.
 
     The report lists each violated axiom with witness tuples (capped per
-    axiom); it is empty exactly when all invariants hold.  Violations are
-    report entries, not exceptions.  Every check is array code over the
-    fiber-indexed composition table, so there is no size cap.
+    axiom); it is empty exactly when all invariants hold, which
+    :func:`structure_witness` certifies.  Only when it fails do the array
+    passes over the fiber-indexed composition table collect witnesses.
+    Violations are report entries, not exceptions; there is no size cap.
     """
     from collections import defaultdict
 
+    if structure_witness(g) is None:
+        return ValidationReport([])
     bucket = defaultdict(list)
     dom_i, rng_i, inv_i, unit_i = g.dom_i, g.rng_i, g.inv_i, g.unit_i
     p1, p2, pp = g.p1, g.p2, g.pp
@@ -485,17 +490,12 @@ class GroupTable:
     def from_table(cls, elements, table) -> "GroupTable":
         """The group whose ``table[i][j]`` is the index of elements[i] * elements[j]."""
         elements, table = tuple(elements), tuple(map(tuple, table))
-        identity = None
         n = len(elements)
-        for e in range(n):
-            if all(table[e][x] == x == table[x][e] for x in range(n)):
-                identity = e
-                break
-        if identity is None:
-            raise GroupoidError("multiplication table has no identity")
-        g = cls(elements, table, identity)
-        g._check_group()
-        return g
+        flat = np.fromiter((x for row in table for x in row), np.int64)
+        if len(flat) != n * n or _non_groups(np.array([n]), np.zeros(n * n, np.int64),
+                                             *np.divmod(np.arange(n * n), n), flat)[0]:
+            raise GroupoidError("multiplication table is not a group")
+        return cls(elements, table, int(np.argmax(flat[::n + 1] == np.arange(n))))  # the idempotent
 
     @classmethod
     def cyclic(cls, m: int) -> "GroupTable":
@@ -517,19 +517,6 @@ class GroupTable:
     def symmetric(cls, n: int) -> "GroupTable":
         perms = tuple(itertools.permutations(range(n)))
         return cls.from_mul(perms, lambda p, q: tuple(p[q[i]] for i in range(n)))
-
-    def _check_group(self):
-        n = self.order
-        for a in range(n):
-            if sorted(self.table[a]) != list(range(n)) or sorted(
-                self.table[x][a] for x in range(n)
-            ) != list(range(n)):
-                raise GroupoidError("table is not a Latin square")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise GroupoidError("table is not associative")
 
     @property
     def order(self) -> int:
@@ -556,6 +543,35 @@ class GroupTable:
     def is_abelian(self) -> bool:
         n = self.order
         return all(self.table[a][b] == self.table[b][a] for a in range(n) for b in range(n))
+
+
+def _non_groups(n, o, a, b, val) -> np.ndarray:
+    """Per table, whether it fails to be a group (closed, Latin, associative).
+
+    Table i is the n[i] x n[i] block of ``val`` from the sum of n[k]^2 over
+    k < i; val[j] is the product of elements a[j] and b[j] of table o[j].
+    Associativity is walked for the first table of each order and those that
+    differ from it; its copies, which a bundle repeats, share its verdict.
+    """
+    tstart, no = np.cumsum(n * n) - n * n, n[o]
+    base, v = tstart[o], np.clip(val, 0, no - 1)
+    row, col = np.zeros(len(v), bool), np.zeros(len(v), bool)
+    row[base + a * no + v] = col[base + v * no + b] = True  # a permutation hits all of its row
+    bad = n == 0
+    bad[o[(val != v) | ~row | ~col]] = True
+    ref = np.full(int(n.max(initial=0)) + 1, len(n))  # per order, its first table
+    np.minimum.at(ref, n, np.arange(len(n)))
+    walk = ref[n] == np.arange(len(n))
+    walk[o[val != val[tstart[ref[no]] + a * no + b]]] = True
+    cube = np.where(walk, n ** 3, 0)
+    cstart, total = np.cumsum(cube) - cube, int(cube.sum())
+    for lo in range(0, total, _TRIPLE_BLOCK):
+        s = np.arange(lo, min(lo + _TRIPLE_BLOCK, total))
+        i = np.searchsorted(cstart, s, "right") - 1
+        k, t, local = n[i], tstart[i], s - cstart[i]
+        x, y, z = local // (k * k), local // k % k, local % k
+        bad[i[v[t + v[t + x * k + y] * k + z] != v[t + x * k + v[t + y * k + z]]]] = True
+    return bad | bad[ref[n]] & ~walk
 
 
 GROUP_ISO_SEARCH_CAP = 24
@@ -626,23 +642,41 @@ class OrbitPartition:
     """Orbit decomposition with one isotropy table per orbit.
 
     ``orbits`` partition the unit set; ``representatives[i]`` is the first
-    unit of orbit i in the groupoid's unit order; ``isotropy[i]`` is the
-    multiplication table of the loops at that representative.
-
-    The arrays are indexed by unit index: ``orbit_index[y]`` is the orbit
-    of y and ``transversal[y]`` the arrow index of t_y, the first arrow
-    rep -> y in arrow order (the unit arrow at the representative itself,
-    -1 where no arrow from the representative reaches y).  With
-    :meth:`coordinates` they give the structure-theorem map
-    a -> (orbit, r(a), t_r^-1 a t_d, d(a)) onto Pair(orbit) x isotropy.
+    unit of orbit i in unit order (unit index ``roots[i]``); ``isotropy[i]``
+    is the table of its loops ``loops[loop_start[i]:loop_start[i + 1]]``
+    (``slot`` maps loop k to k, other arrows and a trailing entry to -1),
+    ``orders[i]`` counts them and ``isotropy_is_group[i]`` says if they form a group.
+    ``orbit_index[y]`` is the orbit of unit y, ``transversal[y]`` the first
+    arrow rep -> y (the unit arrow at the representative, -1 if none).  The
+    tuples are built on first access; :meth:`coordinates` completes the
+    structure-theorem map that :func:`structure_witness` certifies.
     """
 
     groupoid: FiniteGroupoid
-    orbits: tuple
-    representatives: tuple
-    isotropy: tuple
     orbit_index: np.ndarray
     transversal: np.ndarray
+    roots: np.ndarray
+    loops: np.ndarray
+    loop_start: np.ndarray
+    slot: np.ndarray
+
+    members = cached_property(lambda p: _group_by(p.orbit_index, len(p.roots), p.groupoid.n_units))
+    orbits = cached_property(lambda p: tuple(frozenset(p.groupoid.units[i] for i in m) for m in p.members))
+    representatives = cached_property(lambda p: tuple(p.groupoid.units[i] for i in p.roots))
+
+    orders = cached_property(lambda p: np.diff(p.loop_start))
+    isotropy_is_group = cached_property(lambda p: ~_non_groups(p.orders, *p._tables))
+
+    @cached_property
+    def isotropy(self) -> tuple:
+        """Per orbit, the GroupTable of its loops; raises unless they form groups."""
+        if not self.isotropy_is_group.all():
+            raise GroupoidError("multiplication table is not a group")
+        n, (_, a, b, val) = self.orders, self._tables
+        arrows, ident = self.groupoid.arrows, a[(a == b) & (val == a)]  # each group's one idempotent
+        return tuple(GroupTable(tuple(arrows[x] for x in self.loops[lo:lo + k]),
+                                tuple(map(tuple, val[t:t + k * k].reshape(k, k).tolist())), int(e))
+                     for lo, k, t, e in zip(self.loop_start, n, np.cumsum(n * n) - n * n, ident))
 
     def orbit_of(self, x) -> int:
         uidx = self.groupoid.unit_index()
@@ -651,71 +685,75 @@ class OrbitPartition:
         return int(self.orbit_index[uidx[x]])
 
     def coordinates(self) -> np.ndarray:
-        """Per arrow a, the index of t_r^-1 a t_d in its orbit's isotropy table.
+        """Per arrow a, the index of t_r^-1 a t_d in its orbit's isotropy table
+        (-1 where it is not one of its loops: malformed tables only)."""
+        return self._coordinates
 
-        -1 where the product is undefined or not a loop of that table
-        (malformed tables only).  Cached on the groupoid.
-        """
-        g = self.groupoid
-        if "orbit_coords" not in g._cache:
-            dom_i, rng_i, inv_i = g.dom_i, g.rng_i, g.inv_i
-            t, aidx = self.transversal, g.arrow_index()
-            slot = np.full(g.n_arrows + 1, -1, np.int64)  # trailing slot for gamma = -1
-            owner = np.full(g.n_arrows + 1, -1, np.int64)
-            for i, table in enumerate(self.isotropy):
-                loops = [aidx[x] for x in table.elements]
-                slot[loops], owner[loops] = np.arange(len(loops)), i
-            coords = np.full(g.n_arrows, -1, np.int64)
-            idx = np.flatnonzero((t[dom_i] >= 0) & (t[rng_i] >= 0))
-            left = g._mul_idx(inv_i[t[rng_i[idx]]], idx)
-            gamma = np.where(left >= 0, g._mul_idx(np.maximum(left, 0), t[dom_i[idx]]), -1)
-            own = owner[gamma] == self.orbit_index[dom_i[idx]]
-            coords[idx] = np.where(own, slot[gamma], -1)
-            g._cache["orbit_coords"] = coords
-        return g._cache["orbit_coords"]
+    witness = cached_property(lambda p: _structure_witness(p))  # read through structure_witness
+
+    @cached_property
+    def _coordinates(self) -> np.ndarray:
+        g, t, orbit = self.groupoid, self.transversal, self.orbit_index
+        dom_i, rng_i, coords = g.dom_i, g.rng_i, np.full(g.n_arrows, -1, np.int64)
+        idx = np.flatnonzero((t[dom_i] >= 0) & (t[rng_i] >= 0))
+        left = g._mul_idx(g.inv_i[t[rng_i[idx]]], idx)
+        gamma = np.where(left >= 0, g._mul_idx(np.maximum(left, 0), t[dom_i[idx]]), -1)
+        coords[idx] = np.where(orbit[dom_i[gamma]] == orbit[dom_i[idx]], self.slot[gamma], -1)
+        return coords
+
+    @cached_property
+    def _tables(self):
+        """(o, a, b, val): the isotropy tables as :func:`_non_groups` reads them."""
+        g, n = self.groupoid, self.orders
+        o = np.repeat(np.arange(len(n)), n * n)
+        a, b = np.divmod(np.arange(len(o)) - np.repeat(np.cumsum(n * n) - n * n, n * n), n[o])
+        first = self.loop_start[o]
+        prod = g._mul_idx(self.loops[first + a], self.loops[first + b])
+        return o, a, b, np.where(self.orbit_index[g.dom_i[prod]] == o, self.slot[prod], -1)
 
 
 def isotropy_table(g: FiniteGroupoid, x) -> GroupTable:
-    i = g.unit_index().get(x, -1)
-    return _loop_table(g, np.flatnonzero((g.dom_i == i) & (g.rng_i == i)))
-
-
-def _loop_table(g: FiniteGroupoid, loops: np.ndarray) -> GroupTable:
-    """The group of the loops (arrow indices) at one unit; raises unless it is one."""
-    at = np.full(g.n_arrows + 1, -1, np.int64)  # trailing slot for undefined products
-    at[loops] = np.arange(len(loops))
-    table = at[g._mul_idx(loops[:, None], loops[None, :])]
+    """The group of the loops at unit x; raises unless they form one."""
+    i = g.unit_index().get(x)
+    if i is None:
+        raise GroupoidError(f"unknown unit {x!r}")
+    loops = np.flatnonzero((g.dom_i == i) & (g.rng_i == i))
+    prod = g._mul_idx(loops[:, None], loops[None, :])  # -1 where undefined
+    table = np.where(np.isin(prod, loops), np.searchsorted(loops, prod), -1)
     return GroupTable.from_table([g.arrows[a] for a in loops], table.tolist())
 
 
 def orbits_and_isotropy(g: FiniteGroupoid, check: bool = True) -> OrbitPartition:
-    """Partition the units into orbits; attach isotropy tables and transversals.
+    """Partition the units into orbits (cached on g); isotropy tables, transversals.
 
-    With ``check=True`` every orbit is verified to be spanned by arrows
-    from its representative, and the loops at each unit to map
-    bijectively onto the representative's isotropy under conjugation by
-    the transversal.
+    With ``check=True`` GroupoidError names the first failing step of
+    :func:`structure_witness`, e.g. "orbit of x is not spanned by arrows
+    from it" or "isotropy at y is not conjugate to isotropy at x".
     """
-    dom_i, rng_i, unit_i = g.dom_i, g.rng_i, g.unit_i
-    roots, orbit_index = np.unique(_min_labels(g.n_units, dom_i, rng_i), return_inverse=True)
-    members = _group_by(orbit_index, len(roots), g.n_units)
-    is_root = np.zeros(g.n_units, bool)
-    is_root[roots] = True
-
-    transversal = np.full(g.n_units, -1, np.int64)
-    leaving = np.flatnonzero(is_root[dom_i])
-    targets, first = np.unique(rng_i[leaving], return_index=True)
-    transversal[targets] = leaving[first]
-    transversal[roots] = unit_i[roots]
-
-    loops = np.flatnonzero((dom_i == rng_i) & is_root[dom_i])
-    loops_by_orbit = _group_by(orbit_index[dom_i[loops]], len(roots), len(loops))
-    part = OrbitPartition(
-        g, tuple(frozenset(g.units[i] for i in m) for m in members), tuple(g.units[i] for i in roots),
-        tuple(_loop_table(g, loops[ls]) for ls in loops_by_orbit), orbit_index, transversal,
-    )
-    if check:
-        _check_isotropy_conjugation(part)
+    if "orbit_partition" not in g._cache:
+        dom_i, rng_i, unit_i = g.dom_i, g.rng_i, g.unit_i
+        label = _min_labels(g.n_units, dom_i, rng_i)
+        is_root = label == np.arange(g.n_units)
+        roots, orbit = np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[label]
+        first = np.full(g.n_units, g.n_arrows)
+        leaving = np.flatnonzero(is_root[dom_i])
+        np.minimum.at(first, rng_i[leaving], leaving)
+        transversal = np.where(first < g.n_arrows, first, -1)
+        transversal[roots] = unit_i[roots]
+        loops = np.flatnonzero((dom_i == rng_i) & is_root[dom_i])
+        loops = loops[np.argsort(orbit[dom_i[loops]], kind="stable")]
+        loop_start = np.searchsorted(orbit[dom_i[loops]], np.arange(len(roots) + 1))
+        slot = np.full(g.n_arrows + 1, -1, np.int64)
+        slot[loops] = np.arange(len(loops)) - loop_start[orbit[dom_i[loops]]]
+        g._cache["orbit_partition"] = OrbitPartition(g, orbit, transversal, roots, loops, loop_start, slot)
+    part = g._cache["orbit_partition"]
+    if check and (w := structure_witness(g)) is not None:
+        if w[-1] == "orbit not spanned":
+            raise GroupoidError(f"orbit of {w[0]!r} is not spanned by arrows from it")
+        if w[-1] == "isotropy not conjugate":
+            rep = part.representatives[part.orbit_of(w[0])]
+            raise GroupoidError(f"isotropy at {w[0]!r} is not conjugate to isotropy at {rep!r}")
+        raise GroupoidError(f"groupoid fails the structure certificate: {w!r}")
     return part
 
 
@@ -732,28 +770,78 @@ def _min_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         label = low
 
 
-def _check_isotropy_conjugation(part: OrbitPartition):
-    # the loops at each unit must hit every isotropy index exactly once
+def structure_witness(g: FiniteGroupoid):
+    """None when g is the disjoint union over its orbits of Pair(orbit) x isotropy.
+
+    Brandt's structure theorem (R. Brown, *Topology and Groupoids*, 2006):
+    then a -> (r(a), gamma(a) = t_r^-1 a t_d, d(a)) is an isomorphism onto
+    the model, (z, gamma, y)(y, gamma', x) = (z, gamma gamma', x), and every
+    axiom holds.  Else the witness of the first failing step: 1. each orbit
+    is spanned from its representative, (rep, "orbit not spanned"); 2. whose
+    loops form a group, (rep, "isotropy not a group"); 3. the loops at each
+    unit map onto it bijectively, (y, "isotropy not conjugate"); 4. every
+    gamma(a) is defined, (a, "not in isotropy"); 5. the map is bijective,
+    ("count", model arrows); 6. units go to (y, e, y), inverses to inverses,
+    (y, "unit") or (a, "inverse"); 7. compose is defined on exactly the
+    composable pairs, (g, h, "composability"); 8. products map to products,
+    (g, h, "endpoints" or "fiber product").  Array code; cached on g.
+    """
+    return orbits_and_isotropy(g, check=False).witness
+
+
+def _structure_witness(part: OrbitPartition):
     g = part.groupoid
-    t, orbit = part.transversal, part.orbit_index
-    loops = np.flatnonzero(g.dom_i == g.rng_i)
-    y, c = g.dom_i[loops], part.coordinates()[loops]
-    order = np.array([table.order for table in part.isotropy], np.int64)
-    width = int(order.max(initial=0)) + 1
-    count = np.bincount(y, minlength=g.n_units)
-    distinct = np.bincount(np.unique(y[c >= 0] * width + c[c >= 0]) // width, minlength=g.n_units)
-    bad = (t >= 0) & ((count != order[orbit]) | (distinct != count))
-    failing = orbit[(t < 0) | bad]
-    if not len(failing):
-        return
-    # report as a walk would: orbits in order, spanning before conjugation,
-    # units in transversal order with the representative first
-    first = failing.min()
-    rep = part.representatives[first]
-    if (t[orbit == first] < 0).any():
-        raise GroupoidError(f"orbit of {rep!r} is not spanned by arrows from it")
-    y = min(np.flatnonzero(bad & (orbit == first)), key=lambda u: (g.units[u] != rep, t[u]))
-    raise GroupoidError(f"isotropy at {g.units[y]!r} is not conjugate to isotropy at {rep!r}")
+    units, arrows, nu, na = g.units, g.arrows, g.n_units, g.n_arrows
+    dom_i, rng_i, inv_i, unit_i = g.dom_i, g.rng_i, g.inv_i, g.unit_i
+    orbit, t, roots = part.orbit_index, part.transversal, part.roots
+    if (t < 0).any():
+        return (units[roots[orbit[t < 0].min()]], "orbit not spanned")
+    n, val = part.orders, part._tables[3]
+    tstart, width = np.cumsum(n * n) - n * n, int(n.max(initial=0)) + 1
+    if not (ok := part.isotropy_is_group).all():
+        return (units[roots[np.argmin(ok)]], "isotropy not a group")
+
+    coords = part.coordinates()
+    expected = int((np.bincount(orbit, minlength=len(n)) ** 2 * n).sum())
+    key = np.sort((rng_i * nu + dom_i) * width + coords)
+    if (coords < 0).any() or na != expected or (key[1:] == key[:-1]).any():
+        # 4 and 5 imply 3, checked here to name the first failure: the loops
+        # at a unit hit each isotropy index once (by orbit, then transversal)
+        y, c = dom_i[dom_i == rng_i], coords[dom_i == rng_i]
+        key, count = np.sort(y[c >= 0] * width + c[c >= 0]), np.bincount(y, minlength=nu)
+        bad = (count != n[orbit]) | (np.bincount(key[np.diff(key, prepend=-1) != 0] // width, minlength=nu) != count)
+        if bad.any():
+            first = orbit[bad].min()
+            y = min(np.flatnonzero(bad & (orbit == first)), key=lambda u: (u != roots[first], t[u]))
+            return (units[y], "isotropy not conjugate")
+        if (coords < 0).any():
+            return (arrows[np.argmax(coords < 0)], "not in isotropy")
+        return ("count", expected)
+
+    bad = (dom_i[unit_i] != np.arange(nu)) | (rng_i[unit_i] != np.arange(nu))
+    if not bad.any():  # the unit arrows of an orbit share one idempotent coordinate, e
+        e = coords[unit_i[roots]][orbit]
+        bad = (coords[unit_i] != e) | (val[tstart[orbit] + e * (n[orbit] + 1)] != e)
+    if bad.any():
+        return (units[np.argmax(bad)], "unit")
+    row = tstart[orbit[dom_i]] + coords * n[orbit[dom_i]]  # row[a] + c: the slot of gamma(a) c
+    swap = (dom_i[inv_i] == rng_i) & (rng_i[inv_i] == dom_i)  # else inv_i may lie in another orbit
+    bad = ~swap | (val[row + np.where(swap, coords[inv_i], 0)] != e[dom_i])
+    if bad.any():
+        return (arrows[np.argmax(bad)], "inverse")
+
+    ft = g._fiber_table()
+    empty = np.flatnonzero(ft.table[:-1] < 0)[:1]
+    if len(empty) or len(ft.side_keys):
+        sg, sh = ft.slot_pairs(empty, dom_i)
+        k = int(np.concatenate((sg * na + sh, ft.side_keys[:1])).min())
+        return (arrows[k // na], arrows[k % na], "composability")
+    p1, p2, pp = g.p1, g.p2, g.pp
+    ends = (rng_i[pp] == rng_i[p1]) & (dom_i[pp] == dom_i[p2])
+    bad = np.flatnonzero(~ends | (val[row[p1] + coords[p2]] != coords[pp]))
+    if len(bad):
+        return (arrows[p1[bad[0]]], arrows[p2[bad[0]]], "fiber product" if ends[bad[0]] else "endpoints")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -804,45 +892,30 @@ def build_group_bundle(base_units, group: GroupTable) -> FiniteGroupoid:
 def build_action(group: GroupTable, points, act: Callable[[Any, Any], Any]) -> FiniteGroupoid:
     """Action groupoid of a right action: arrows (x, g), r = x, d = x.g^{-1}.
 
-    ``act(x, g)`` must be a genuine right action: x.e = x and
-    (x.g).h = x.(gh); this is verified and violations raise.
+    Arrow (x, h) has index x * |G| + h; compose runs over (x, h, e) in
+    order, ((x, h), (x.h^{-1}, e)) -> (x, eh).  ``act(x, g)`` must be a
+    genuine right action on the points: x.e = x and (x.g).h = x.(gh).
+    These laws are the unit and product endpoints of the tables, so a
+    violation raises through :func:`structure_witness`.
     """
     points = tuple(points)
-    ident = group.elements[group.identity]
-    for x in points:
-        if act(x, ident) != x:
-            raise GroupoidError(f"not an action: {x!r} . identity != {x!r}")
-        if act(x, ident) not in points:
-            raise GroupoidError("action leaves the point set")
-    for x in points:
-        for a in group.elements:
-            if act(x, a) not in points:
-                raise GroupoidError("action leaves the point set")
-            for b in group.elements:
-                if act(act(x, a), b) != act(x, group.mul(a, b)):
-                    raise GroupoidError(
-                        f"not a right action at point {x!r} with {a!r}, {b!r}"
-                    )
-
-    def ginv(e):
-        return group.elements[group.inverse_index(group.elements.index(e))]
-
-    arrows = [(x, e) for x in points for e in group.elements]
-    compose = {}
-    for x, h in arrows:
-        y = act(x, ginv(h))
-        for e in group.elements:
-            # (x, h)(x.h^{-1}, e) = (x, eh)
-            compose[((x, h), (y, e))] = (x, group.mul(e, h))
-    return FiniteGroupoid(
-        units=points,
-        arrows=arrows,
-        dom={(x, e): act(x, ginv(e)) for (x, e) in arrows},
-        rng={(x, e): x for (x, e) in arrows},
-        unit_arrow={x: (x, ident) for x in points},
-        inverse={(x, e): (act(x, ginv(e)), ginv(e)) for (x, e) in arrows},
-        compose=compose,
+    index, k, m = _index(points), len(points), group.order
+    if len(index) != k:
+        raise GroupoidError("duplicate unit ids")
+    table = np.array(group.table, np.int64)
+    inv = np.argmax(table == group.identity, axis=1)
+    dom = np.fromiter((index.get(act(x, group.elements[i]), -1) for x in points for i in inv), np.int64, k * m)
+    if (dom < 0).any():
+        raise GroupoidError("action leaves the point set")
+    rng, h = np.divmod(np.arange(k * m), m)
+    p1, e = np.repeat(np.arange(k * m), m), np.tile(np.arange(m), k * m)
+    g = FiniteGroupoid._from_arrays(
+        points, [(x, a) for x in points for a in group.elements], dom, rng, dom * m + inv[h],
+        np.arange(k) * m + group.identity, p1, dom[p1] * m + e, rng[p1] * m + table[e, h[p1]],
     )
+    if (witness := structure_witness(g)) is not None:
+        raise GroupoidError(f"not a right action: {witness!r}")
+    return g
 
 
 def build_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:

@@ -16,7 +16,6 @@ import numpy as np
 from .groupoid import (
     FiniteGroupoid,
     GroupoidError,
-    _group_by,
     find_group_isomorphism,
     orbits_and_isotropy,
     unit_mask,
@@ -56,8 +55,7 @@ def find_isomorphism(g: FiniteGroupoid, h: FiniteGroupoid):
     if g.n_units != h.n_units or g.n_arrows != h.n_arrows:
         return None
     pg, ph = orbits_and_isotropy(g, check=False), orbits_and_isotropy(h, check=False)
-    members_g = _group_by(pg.orbit_index, len(pg.orbits), g.n_units)
-    members_h = _group_by(ph.orbit_index, len(ph.orbits), h.n_units)
+    members_g, members_h = pg.members, ph.members
     sigma = np.zeros(g.n_units, np.int64)
     psi = []  # per orbit of g: isotropy index map
     free = list(range(len(ph.orbits)))

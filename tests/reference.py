@@ -34,7 +34,6 @@ from scipy.optimize import linear_sum_assignment
 
 from gpdlab.algebra import (
     AlgebraElement,
-    DEFAULT_INVERTIBILITY_RTOL,
     matrix_invertible,
     operator_norm,
     random_element,
@@ -188,21 +187,21 @@ def limit_operators_reference(s, a, tol=1e-10):
     return mats, fibers
 
 
-def fredholm_criterion_reference(s, a, rtol=DEFAULT_INVERTIBILITY_RTOL) -> CriterionVerdict:
+def fredholm_criterion_reference(s, a) -> CriterionVerdict:
     def one_plus_invertible(x):
         m = regular_rep(a, x).matrix
-        return matrix_invertible(np.eye(m.shape[0]) + m, rtol)
+        return matrix_invertible(np.eye(m.shape[0]) + m)
 
     u_inv = s.interior_representative is None or one_plus_invertible(s.interior_representative)
     boundary = {rep: one_plus_invertible(rep) for rep in s.boundary_representatives}
     quotient = True
     if s.boundary:
         af, _ = restrict_boundary(a, s.boundary, n_samples=0)
-        quotient = solve_inverse(AlgebraElement.unit(af.groupoid) + af, rtol) is not None
+        quotient = solve_inverse(AlgebraElement.unit(af.groupoid) + af) is not None
     return CriterionVerdict(u_inv, boundary, quotient, quotient == all(boundary.values()), quotient)
 
 
-def strictly_spectral_check_reference(s, trials, seed, rtol=DEFAULT_INVERTIBILITY_RTOL):
+def strictly_spectral_check_reference(s, trials, seed):
     gf = reduction_reference(s.groupoid, s.boundary)
     if gf.n_units == 0:
         return SpectralCheckReport(0, [], 0)
@@ -211,9 +210,9 @@ def strictly_spectral_check_reference(s, trials, seed, rtol=DEFAULT_INVERTIBILIT
     bad = []
     for t in range(trials):
         b = random_element(gf, rng)
-        algebra_route = solve_inverse(AlgebraElement.unit(gf) + b, rtol) is not None
+        algebra_route = solve_inverse(AlgebraElement.unit(gf) + b) is not None
         family_route = all(
-            matrix_invertible(np.eye(len(m)) + m, rtol)
+            matrix_invertible(np.eye(len(m)) + m)
             for m in (regular_rep(b, x).matrix for x in orbits.representatives)
         )
         if algebra_route != family_route:

@@ -354,3 +354,26 @@ def test_algebra_corpus_output_pinned(runner, monkeypatch, args, stdout_sha256):
     res = runner.invoke(main, args)
     assert (res.exit_code, res.stderr) == (0, "")
     assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == stdout_sha256
+
+
+@pytest.mark.parametrize("args, stderr", [
+    (["fredholm-check", "--groupoid", "z2_one_object.json", "--seed", "1"],
+     "error: no trivial-isotropy orbit to use as the interior\n"),
+    (["fredholm-check", "--groupoid", "pair3.json", "--u", "a,nowhere", "--seed", "1"],
+     "error: unknown unit ids ['nowhere']\n"),
+    (["spectral-check", "--groupoid", "z2_one_object.json", "--seed", "1"],
+     "error: no trivial-isotropy orbit to use as the interior\n"),
+], ids=["no-interior", "unknown-unit", "spectral-no-interior"])
+def test_bad_interior_exits_two(runner, monkeypatch, args, stderr):
+    monkeypatch.chdir(Path(corpus("pair3.json")).parent)
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_spectral_check_needs_a_trial(runner, trials):
+    res = runner.invoke(main, ["spectral-check", "--groupoid", corpus("toy_layer.json"),
+                               "--trials", trials, "--seed", "5"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "--trials" in res.stderr

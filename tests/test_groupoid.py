@@ -236,6 +236,10 @@ class TestOrbitsIsotropy:
         assert len(part.orbits) == 1
         assert part.isotropy[0].order == 1
 
+    def test_isotropy_table_of_unknown_unit(self):
+        with pytest.raises(GroupoidError, match="^unknown unit 'q'$"):
+            isotropy_table(gl.build_pair(range(2)), "q")
+
     def test_isotropy_isomorphic_within_orbit_by_search(self):
         # conjugation is checked internally; re-check with the explicit search
         g = gl.build_product(gl.build_pair(range(3)), gl.build_group_bundle(["z"], gl.GroupTable.symmetric(3)))
@@ -268,6 +272,12 @@ class TestBuilders:
         z2 = gl.GroupTable.cyclic(2)
         with pytest.raises(GroupoidError):
             gl.build_action(z2, [0, 1], lambda x, e: 0)
+
+    def test_action_breaking_only_the_composition_law_rejected(self):
+        # x.0 = x, but (x.1).1 = x while x.(1 + 1) = x.2 = 1 - x
+        z3 = gl.GroupTable.cyclic(3)
+        with pytest.raises(GroupoidError, match="^not a right action: "):
+            gl.build_action(z3, [0, 1], lambda x, g: x if g == 0 else 1 - x)
 
     def test_fibered_pullback_count(self):
         # |{a,b,c}|^2 x |Z/2| = 18 arrows by enumeration
@@ -311,6 +321,12 @@ class TestGroupTable:
     def test_bad_tables_rejected(self):
         with pytest.raises(GroupoidError):
             gl.GroupTable.from_mul([0, 1], lambda a, b: 0)
+
+    def test_non_associative_latin_table_rejected(self):
+        # a Latin square with identity 0: (1 * 2) * 2 = 4 but 1 * (2 * 2) = 1
+        loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        with pytest.raises(GroupoidError, match="^multiplication table is not a group$"):
+            gl.GroupTable.from_table(range(5), loop)
 
 
 class TestIsoSearch:

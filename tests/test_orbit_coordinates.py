@@ -13,9 +13,11 @@ import gpdlab as gl
 from gpdlab import algebra as al
 from gpdlab import conical as co
 from gpdlab import fredholm as fr
-from gpdlab.groupoid import GROUP_ISO_SEARCH_CAP, GroupoidError
+from gpdlab import groupoid as gd
+from gpdlab.groupoid import GROUP_ISO_SEARCH_CAP, GroupoidError, structure_witness
 
 import gen
+import reference
 
 
 def tables(units, arrows, products):
@@ -106,18 +108,97 @@ class TestMalformed:
 
     def test_fiber_product_broken(self):
         g, s = twisted_square()
-        gl.orbits_and_isotropy(g, check=True)  # conjugation does not see it
+        # conjugation does not see it; the certificate's product step does
+        with pytest.raises(GroupoidError, match=r"^groupoid fails the structure certificate: "
+                           r"\(\(\(1, 1\), \('z', 1\)\), \(\(1, 1\), \('z', 1\)\), 'fiber product'\)$"):
+            gl.orbits_and_isotropy(g, check=True)
         rec = fr.recognize_boundary_bundle(whole_boundary(g))
         assert not rec.verified
         assert rec.witness == (s, s, "fiber product")
 
     def test_broken_square_fails_the_translation_identity(self):
         # the limit operators at (0, z) and (1, z) have equal spectra for the
-        # zero element; the index matrices still differ by more than t_y
+        # zero element; the boundary is still not Pair(orbit) x isotropy
         g, _ = twisted_square()
-        with pytest.raises(fr.StructureError, match=r"^regular representation at \(1, 'z'\) is not "
-                           r"the one at \(0, 'z'\) conjugated by the transversal$"):
+        with pytest.raises(fr.StructureError, match=r"^boundary groupoid fails the structure certificate: "
+                           r"\(\(\(1, 1\), \('z', 1\)\), \(\(1, 1\), \('z', 1\)\), 'fiber product'\)$"):
             fr.limit_operators(whole_boundary(g), al.AlgebraElement.zero(g))
+
+
+# A loop of order 5 with identity 0 and every element its own inverse
+# that is not associative: (1 * 2) * 2 = 4 but 1 * (2 * 2) = 1.
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def loop_bundle():
+    """One unit whose loops multiply by NON_ASSOCIATIVE_LOOP."""
+    ids = [f"l{i}" for i in range(5)]
+    return gl.FiniteGroupoid(
+        ["x"], ids, {a: "x" for a in ids}, {a: "x" for a in ids}, {"x": "l0"}, {a: a for a in ids},
+        {(ids[i], ids[j]): ids[k] for i, row in enumerate(NON_ASSOCIATIVE_LOOP) for j, k in enumerate(row)},
+    )
+
+
+def wrong_inverses():
+    """Z3 at one unit with every arrow declared its own inverse."""
+    g = gl.build_group_bundle(["x"], gl.GroupTable.cyclic(3))
+    return gl.FiniteGroupoid(g.units, g.arrows, g.dom, g.rng, g.unit_arrow, {a: a for a in g.arrows}, g.compose)
+
+
+def crossed_inverse():
+    """Z2 at "a" beside Pair(2), with the inverse of (0, 1) declared to be
+    the other Z2 loop, whose orbit has a larger isotropy table."""
+    g = gl.build_disjoint_union([gl.build_group_bundle(["a"], gl.GroupTable.cyclic(2)), gl.build_pair(range(2))])
+    inverse = {**g.inverse, (1, (0, 1)): (0, ("a", 1))}
+    return gl.FiniteGroupoid(g.units, g.arrows, g.dom, g.rng, g.unit_arrow, inverse, g.compose)
+
+
+def missing_product():
+    """Pair(3) without (2, 1)(1, 0); the coordinates never use that product."""
+    g = gl.build_pair(range(3))
+    compose = {k: v for k, v in g.compose.items() if k != ((2, 1), (1, 0))}
+    return gl.FiniteGroupoid(g.units, g.arrows, g.dom, g.rng, g.unit_arrow, g.inverse, compose)
+
+
+class TestCertificate:
+    """Each table fails one step of the structure certificate and passes the
+    others; validate then walks the axioms, and its report matches the
+    reference oracle."""
+
+    @pytest.mark.parametrize("make, witness", [
+        (loop_bundle, ("x", "isotropy not a group")),
+        (wrong_inverses, (("x", 1), "inverse")),
+        (crossed_inverse, ((1, (0, 1)), "inverse")),
+        (missing_product, ((2, 1), (1, 0), "composability")),
+        (lambda: twisted_square()[0], (((1, 1), ("z", 1)), ((1, 1), ("z", 1)), "fiber product")),
+    ], ids=["step2-group", "step6-inverse", "step6-crossed-inverse", "step7-composability", "step8-product"])
+    def test_one_failing_step(self, make, witness):
+        g = make()
+        assert structure_witness(g) == witness
+        report = gl.validate(g)
+        assert not report.ok
+        reference.check_against_oracle(report, g)
+
+    def test_group_verdict_per_orbit(self):
+        # a copy of an earlier table shares its verdict without its own walk
+        z5 = gl.build_group_bundle(["z"], gl.GroupTable.cyclic(5))
+        for parts, expected in [((loop_bundle(), loop_bundle(), z5), [False, False, True]),
+                                ((z5, loop_bundle(), z5, loop_bundle()), [True, False, True, False])]:
+            part = gl.orbits_and_isotropy(gl.build_disjoint_union(parts), check=False)
+            assert part.isotropy_is_group.tolist() == expected
+            assert part.orders.tolist() == [5] * len(parts)
+
+    def test_valid_groupoids_take_the_certificate_path(self, monkeypatch):
+        walks = []  # the axiom walk collects its witnesses through _collect
+        collect = gd._collect
+        monkeypatch.setattr(gd, "_collect", lambda *args: walks.append(args) or collect(*args))
+        rng = np.random.default_rng(17)
+        for kind in gen.KINDS:
+            for _ in range(3):
+                assert gl.validate(gen.random_groupoid(rng, max_arrows=120, kind=kind)).ok
+        for m in (2, 3, 5):
+            assert gl.validate(square_toy(m, 2).groupoid).ok
+        assert walks == []
 
 
 def square_toy(m, interior_points):
