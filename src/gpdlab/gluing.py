@@ -7,11 +7,13 @@ equivalence generated by those isomorphisms; it carries a well-defined
 product exactly when every composable pair of quotient classes is
 realised inside a single piece (the weak gluing condition).
 
-Gluing runs on one index map: the quotient class of each arrow of the
-disjoint union, numbered piece by piece, is the least number the phi
-pairs join it to (the min-label propagation that finds orbits).  Every
-piece's composable pairs, mapped through it, give the class products
-that the weak condition, the product cross-check and the compose read.
+Everything runs on one index map: the quotient class of each arrow of
+the pieces' disjoint union is the least arrow number the phis join it
+to, computed once per atlas.  The classes decide the atlas laws: once
+every phi passes its local checks, the cocycle law and mutual inverses
+hold exactly when no class holds two arrows of one piece; the pairs and
+triples of pieces are walked only to name a failure.  The class map also
+gives the class products that the weak condition and the compose read.
 
 Separation properties of the quotient topology are vacuous for finite
 discrete unit sets, so they are recorded here rather than checked.
@@ -25,7 +27,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, _id_array, _min_labels, orbits_and_isotropy, saturation, validate
+from .groupoid import (FiniteGroupoid, _id_array, _min_labels, build_disjoint_union, orbits_and_isotropy,
+                       saturation, validate)
 from .iso import is_pair_groupoid, is_pair_over
 
 
@@ -49,18 +52,20 @@ class GluingPiece:
 class GluingAtlas:
     """Pieces over subsets of an ambient unit set with overlap isomorphisms.
 
-    ``phis[(i, j)]`` maps arrows of piece i with both endpoints over
-    U_i & U_j to the corresponding arrows of piece j, covering the
-    identity on ambient units.  Omitted pairs are derived canonically
-    when the overlap reductions have at most one arrow between any two
-    units (e.g. pair-groupoid pieces); otherwise they must be supplied.
+    phi_ij maps the arrows of piece i with both endpoints over U_i & U_j
+    onto the corresponding arrows of piece j, covering the identity on
+    ambient units.  The phis are index arrays over the pieces' disjoint
+    union, where arrow k of piece i is number ``_offsets[i] + k``: edge e
+    of phi_ij maps ``_src[e]`` to ``_dst[e]``, and ``_pair[e]`` = i * P + j
+    (an id a piece lacks gets a negative number).  Given id maps are
+    converted once, here; a map given only for (j, i) is inverted.  The
+    other overlapping pairs are matched by ambient endpoints.
     """
 
     def __init__(self, x_units, pieces, phis: Optional[dict] = None):
         self.x_units = tuple(x_units)
         self.pieces = tuple(pieces)
-        given = dict(phis or {})
-        self._embeds = []
+        given, npieces = dict(phis or {}), len(self.pieces)
         for idx, piece in enumerate(self.pieces):
             emb = dict(piece.embedding)
             if set(emb) != set(piece.groupoid.units):
@@ -69,153 +74,167 @@ class GluingAtlas:
                 raise AtlasError(f"piece {idx}: embedding is not injective")
             if not set(emb.values()) <= set(self.x_units):
                 raise AtlasError(f"piece {idx}: embedding leaves the ambient unit set")
-            self._embeds.append(emb)
-        covered = set().union(*(set(e.values()) for e in self._embeds)) if self.pieces else set()
-        if covered != set(self.x_units):
+        if set().union(*(p.embedded_units() for p in self.pieces)) != set(self.x_units):
             raise AtlasError("pieces do not cover the ambient unit set")
+        # the pieces' disjoint union: the ambient unit of each unit; per arrow number its piece,
+        # ambient dom and rng, and in _over[j] if it lies over another piece j; _sizes[i, j] of those in i
+        self._union = build_disjoint_union(p.groupoid for p in self.pieces)
         xidx = {x: k for k, x in enumerate(self.x_units)}
-        # per piece: ambient unit index of each piece unit; arrow number offsets
-        self._unit_maps = [
-            np.array([xidx[emb[u]] for u in p.groupoid.units], np.int64)
-            for p, emb in zip(self.pieces, self._embeds)
-        ]
+        self._units = np.array([xidx[p.embedding[u]] for p in self.pieces for u in p.groupoid.units], np.int64)
         self._offsets = np.cumsum([0] + [p.groupoid.n_arrows for p in self.pieces])
-        # per piece i: ambient dom and rng of each arrow, and in row j of
-        # _overlaps[i] the arrows with both endpoints over the (i, j) overlap
-        covers = np.array([np.bincount(m, minlength=len(self.x_units)) > 0 for m in self._unit_maps])
-        self._ends = [(m[p.groupoid.dom_i], m[p.groupoid.rng_i]) for m, p in zip(self._unit_maps, self.pieces)]
-        self._overlaps = [covers[:, d] & covers[:, r] for d, r in self._ends]
-        self.phis = self._complete_phis(given)
-        self._checked = False
+        self._piece = np.repeat(np.arange(npieces), np.diff(self._offsets))
+        self._dom, self._rng = self._units[self._union.dom_i], self._units[self._union.rng_i]
+        self._covers = np.zeros((npieces, len(self.x_units)), bool)
+        unit_piece = np.repeat(np.arange(npieces), [p.groupoid.n_units for p in self.pieces])
+        self._covers[unit_piece, self._units] = True
+        mine = self._piece == np.arange(npieces)[:, None]
+        self._over = self._covers[:, self._dom] & self._covers[:, self._rng] & ~mine
+        self._sizes = mine.astype(np.int64) @ self._over.T
+        derived = self._sizes > 0  # the pairs whose phi is matched by endpoints
+        for i, j in given:
+            if not (0 <= i < npieces and 0 <= j < npieces):
+                raise AtlasError(f"phi({i},{j}) names a piece out of range")
+            if i == j:
+                raise AtlasError(f"phi({i},{j}) maps a piece to itself")
+            if not self._sizes[i, j]:
+                raise AtlasError(f"phi({i},{j}) joins pieces that do not overlap")
+            derived[i, j] = derived[j, i] = False
+        edges, unknown = [self._matched_phis(derived)], {}  # unknown: an id a piece lacks -> its number
+        for i, j in np.argwhere((self._sizes > 0) & ~derived).tolist():
+            phi = given[(i, j)] if (i, j) in given else {v: k for k, v in given[(j, i)].items()}
+            index = self._union.arrow_index()  # (piece, arrow id) -> arrow number
+            src, dst = (np.array([index[(p, a)] if (p, a) in index else unknown.setdefault(a, -1 - len(unknown))
+                                  for a in ids], np.int64) for p, ids in ((i, phi.keys()), (j, phi.values())))
+            edges.append((np.full(len(phi), i * npieces + j), src, dst))
+        pair, src, dst = map(np.concatenate, zip(*edges))
+        order = np.argsort(pair, kind="stable")
+        self._pair, self._src, self._dst = pair[order], src[order], dst[order]
+        self._checked, self._classes = False, None
 
-    # -- overlap machinery ----------------------------------------------------
-
-    def overlap_arrows(self, i: int, j: int) -> list:
-        """Arrows of piece i with both endpoints over the (i, j) overlap."""
-        return list(itertools.compress(self.pieces[i].groupoid.arrows, self._overlaps[i][j].tolist()))
-
-    def _complete_phis(self, given: dict) -> dict:
-        phis = {}
-        for i, j in itertools.permutations(range(len(self.pieces)), 2):
-            if not self._overlaps[i][j].any():
-                continue
-            if (i, j) in given:
-                phis[(i, j)] = dict(given[(i, j)])
-            elif (j, i) in given:
-                phis[(i, j)] = {v: k for k, v in given[(j, i)].items()}
-            else:
-                phis[(i, j)] = self._canonical_phi(i, j)
-        return phis
-
-    def _canonical_phi(self, i: int, j: int) -> dict:
-        """Unique endpoint-respecting match, defined when hom sets are thin."""
-        nx = len(self.x_units)
-
-        def over(k, other):  # overlap arrows of piece k and their ambient (rng, dom) keys
-            a = np.flatnonzero(self._overlaps[k][other])
-            return a, self._ends[k][1][a] * nx + self._ends[k][0][a]
-
-        a, key_a = over(i, j)
-        b, key_b = over(j, i)
-        target = dict(zip(key_b.tolist(), b.tolist()))
-        if len(target) != len(b):
-            raise AtlasError(f"pieces {i},{j}: overlap has parallel arrows; supply phi explicitly")
-        image = [target.get(k, -1) for k in key_a.tolist()]
-        if -1 in image:
-            r, d = divmod(int(key_a[image.index(-1)]), nx)
-            raise AtlasError(f"pieces {i},{j}: no matching arrow over {(self.x_units[r], self.x_units[d])}; "
-                             "supply phi explicitly")
-        if len(set(image)) != len(target):
+    def _matched_phis(self, need):
+        """The edges (pair code, src, dst) of the phis of the pairs (i, j)
+        where need[i, j], matched in one sort-join on ambient (rng, dom):
+        each key over both pieces must hold at most one arrow of each, and
+        one of piece i exactly when one of piece j."""
+        keys, key = np.unique(self._rng * len(self.x_units) + self._dom, return_inverse=True)
+        count = np.zeros((len(need), len(keys)), np.int64)  # the arrows of each piece at each key
+        np.add.at(count, (self._piece, key), 1)
+        n, j = np.nonzero(need[self._piece] & self._over.T)  # arrow n of piece i over piece j
+        code = self._piece[n] * len(need) + j
+        lone = count[j, key[n]] == 0  # piece j has no arrow at n's key
+        twin, miss = (np.bincount(code[f], minlength=need.size).reshape(need.shape) > 0
+                      for f in (count[self._piece[n], key[n]] > 1, lone))
+        bad = np.argwhere(twin.T | miss | miss.T).tolist()
+        if bad:
+            i, j = bad[0]
+            if twin[j, i]:
+                raise AtlasError(f"pieces {i},{j}: overlap has parallel arrows; supply phi explicitly")
+            if miss[i, j]:
+                a = n[(code == i * len(need) + j) & lone][0]
+                over = (self.x_units[self._rng[a]], self.x_units[self._dom[a]])
+                raise AtlasError(f"pieces {i},{j}: no matching arrow over {over}; supply phi explicitly")
             raise AtlasError(f"pieces {i},{j}: overlap reductions are not isomorphic")
-        gi, gj = self.pieces[i].groupoid, self.pieces[j].groupoid
-        return {gi.arrows[x]: gj.arrows[y] for x, y in zip(a.tolist(), image)}
+        at = np.zeros(count.shape, np.int64)
+        at[self._piece, key] = np.arange(len(key))  # the arrow of each piece at each key, where it is alone
+        return code, n, at[j, key[n]]
 
     # -- invariants -------------------------------------------------------------
 
     def check(self):
-        """Verify all atlas invariants; raises AtlasError on the first failure."""
+        """Verify all atlas invariants; raises AtlasError on the first failure.
+
+        The local checks run over the edge list at once; then the quotient
+        classes decide the cocycle law and mutual inverses together.
+        """
         if self._checked:
             return
-        to = {}  # per phi: arrow position in piece j of each arrow of piece i, -2 off the overlap
-        for (i, j), phi in self.phis.items():
-            gi, gj = self.pieces[i].groupoid, self.pieces[j].groupoid
-            if set(phi) != set(self.overlap_arrows(i, j)):
-                raise AtlasError(f"phi({i},{j}) domain is not the overlap reduction")
-            if len(set(phi.values())) != len(phi):
-                raise AtlasError(f"phi({i},{j}) is not injective")
-            if set(phi.values()) != set(self.overlap_arrows(j, i)):
-                raise AtlasError(f"phi({i},{j}) image is not the overlap reduction")
-            src, dst = self._positions(i, phi), self._positions(j, phi.values())
-            (di, ri), (dj, rj) = self._ends[i], self._ends[j]
-            moved = (di[src] != dj[dst]) | (ri[src] != rj[dst])
-            if moved.any():
-                a = gi.arrows[src[np.argmax(moved)]]
-                raise AtlasError(f"phi({i},{j}) does not cover the identity on units at {a!r}")
-            t = to[(i, j)] = np.full(gi.n_arrows, -2, np.int64)
-            t[src] = dst
-            # multiplicative on the overlap reduction: first failure in row-major arrow order
-            p1, p2, pp = gi.p1, gi.p2, gi.pp
-            rows = np.flatnonzero((t[p1] >= 0) & (t[p2] >= 0))
-            bad = rows[gj._mul_idx(t[p1[rows]], t[p2[rows]]) != t[pp[rows]]]
-            if len(bad):
-                k = bad[np.argmin(p1[bad] * gi.n_arrows + p2[bad])]
-                raise AtlasError(
-                    f"phi({i},{j}) is not multiplicative at ({gi.arrows[p1[k]]!r}, {gi.arrows[p2[k]]!r})"
-                )
+        fault = self._local_fault()
+        classes = self.quotient_classes()[1] * len(self.pieces) + self._piece  # class and piece of each arrow
+        if fault is None and len(np.unique(classes)) < len(classes):
+            fault = self._law_witness()
+        if fault is not None:
+            raise AtlasError(fault)
+        self._checked = True
+
+    def _local_fault(self) -> Optional[str]:
+        """The first local fault: of the first failing phi in pair order, the
+        first failing test of domain, injective, image, units and products."""
+        npieces, g, pair, src, dst = len(self.pieces), self._union, self._pair, self._src, self._dst
+        s, d = np.maximum(src, 0), np.maximum(dst, 0)
+        moved = (src >= 0) & (dst >= 0) & ((self._dom[s] != self._dom[d]) | (self._rng[s] != self._rng[d]))
+        # every composable (a, b) of a piece i over another piece j, through phi_ij
+        j, r = np.nonzero(self._over[:, g.p1] & self._over[:, g.p2])
+        a, b, ab = g.p1[r], g.p2[r], g.pp[r]
+        code = self._piece[a] * npieces + j
+        x, y, z = self._image(np.tile(code, 3), np.concatenate([a, b, ab])).reshape(3, -1)
+        on = np.flatnonzero((x >= 0) & (y >= 0))
+        wrong = on[g._mul_idx(x[on], y[on]) != z[on]]
+        # (pair code, test) of every fault; per pair code its entries, distinct images, |O_ij| and |O_ji|
+        every, entries = np.arange(npieces ** 2), np.bincount(pair, minlength=npieces ** 2)
+        distinct = np.bincount(np.unique(np.stack([pair, dst]), axis=1)[0], minlength=npieces ** 2)
+        size, back = self._sizes.ravel(), self._sizes.T.ravel()
+        faults = np.concatenate([5 * c + test for c, test in [
+            (pair[(src < 0) | ~self._over[pair % npieces, s]], 0), (every[entries != size], 0),
+            (every[distinct < entries], 1),
+            (pair[(dst < 0) | ~self._over[pair // npieces, d]], 2), (every[entries != back], 2),
+            (pair[moved], 3), (code[wrong], 4)]])
+        if not len(faults):
+            return None
+        c, test = divmod(int(faults.min()), 5)
+        phi, name = "phi({},{})".format(*divmod(c, npieces)), lambda k: repr(g.arrows[k][1])
+        if test == 3:
+            return f"{phi} does not cover the identity on units at {name(src[moved & (pair == c)][0])}"
+        if test == 4:
+            a, b = (e[wrong][code[wrong] == c] for e in (a, b))
+            k = np.argmin(a * len(g.arrows) + b)
+            return f"{phi} is not multiplicative at ({name(a[k])}, {name(b[k])})"
+        return f"{phi} " + ("domain is not the overlap reduction", "is not injective",
+                            "image is not the overlap reduction")[test]
+
+    def _image(self, code, numbers) -> np.ndarray:
+        """The image of each arrow number under the phi of its pair code, -2
+        where that phi does not map it."""
+        n, known = len(self._piece), (self._src >= 0) & (self._dst >= 0)
+        key = self._pair[known] * n + self._src[known]
+        order = np.argsort(key)
+        key, value = np.append(key[order], np.iinfo(np.int64).max), np.append(self._dst[known][order], -2)
+        at = np.searchsorted(key, code * n + numbers)
+        return np.where(key[at] == code * n + numbers, value[at], -2)
+
+    def _law_witness(self) -> str:
+        """The first pair of phis that are not mutually inverse, else the
+        first arrow where the cocycle law fails."""
+        to = {}  # per phi: the image of every arrow number, -2 off its domain
+        for c in np.unique(self._pair).tolist():
+            t = to[divmod(c, len(self.pieces))] = np.full(len(self._piece), -2, np.int64)
+            t[self._src[self._pair == c]] = self._dst[self._pair == c]
         for (i, j), t in to.items():
-            if (j, i) not in to:
-                raise AtlasError(f"phi({j},{i}) missing")
-            a = np.flatnonzero(t >= 0)
-            if (to[(j, i)][t[a]] != a).any():
-                raise AtlasError(f"phi({i},{j}) and phi({j},{i}) are not mutually inverse")
+            if (to[(j, i)][t[t >= 0]] != np.flatnonzero(t >= 0)).any():
+                return f"phi({i},{j}) and phi({j},{i}) are not mutually inverse"
         # cocycle law on triple overlaps: phi_jk phi_ij = phi_ik where both sides start
         for i, j, k in itertools.permutations(range(len(self.pieces)), 3):
             if {(i, j), (i, k), (j, k)} <= to.keys():
                 tij, tik = to[(i, j)], to[(i, k)]
                 bad = np.flatnonzero((tij >= 0) & (tik >= 0) & (to[(j, k)][np.maximum(tij, 0)] != tik))
                 if len(bad):
-                    raise AtlasError(
-                        f"cocycle violated at arrow {self.pieces[i].groupoid.arrows[bad[0]]!r} of piece {i} "
-                        f"(via piece {j} to piece {k})"
-                    )
-        self._checked = True
+                    return (f"cocycle violated at arrow {self._union.arrows[bad[0]][1]!r} of piece {i} "
+                            f"(via piece {j} to piece {k})")
+        raise AssertionError("a quotient class holds two arrows of one piece, yet no law fails")
 
     # -- quotient classes --------------------------------------------------------
 
-    def _positions(self, i: int, arrows) -> np.ndarray:
-        index = self.pieces[i].groupoid.arrow_index()
-        return np.fromiter(map(index.__getitem__, arrows), np.int64)
-
     def quotient_classes(self):
-        """The quotient class of every arrow of the disjoint union.
+        """The quotient class of every arrow number, computed once per atlas.
 
-        Arrow k of piece i has the number ``_offsets[i] + k``; the phi pairs
-        join numbers.  Returns (canon, cls): canon, ascending, holds each
-        class's least number, its canonical member (least piece, then least
-        arrow position), and cls[n] is the class index of number n.
+        Returns (canon, cls): canon, ascending, holds each class's least
+        number, its canonical member (least piece, then least arrow
+        position), and cls[n] is the class index of number n.
         """
-        src = [self._offsets[i] + self._positions(i, phi) for (i, _j), phi in self.phis.items()]
-        dst = [self._offsets[j] + self._positions(j, phi.values()) for (_i, j), phi in self.phis.items()]
-        empty = [np.zeros(0, np.int64)]
-        label = _min_labels(int(self._offsets[-1]), np.concatenate(src + empty), np.concatenate(dst + empty))
-        return np.unique(label, return_inverse=True)
-
-    def _union_arrays(self):
-        """dom and rng (ambient unit index) and inverse (arrow number) of
-        every arrow of the disjoint union, and per ambient unit the number
-        of its unit arrow in the first piece that contains it."""
-        rows = [(d, r, off + p.groupoid.inv_i, m, off + p.groupoid.unit_i)
-                for (d, r), m, off, p in zip(self._ends, self._unit_maps, self._offsets, self.pieces)]
-        dom, rng, inv, at, unit = map(np.concatenate, zip(*rows))
-        return dom, rng, inv, unit[np.unique(at, return_index=True)[1]]
-
-    def _arrow_ids(self, numbers) -> list:
-        """(piece, arrow id) of each arrow number."""
-        piece = np.searchsorted(self._offsets, numbers, side="right") - 1
-        return [
-            (i, self.pieces[i].groupoid.arrows[k])
-            for i, k in zip(piece.tolist(), (numbers - self._offsets[piece]).tolist())
-        ]
+        if self._classes is None:
+            known = (self._src >= 0) & (self._dst >= 0)
+            label = _min_labels(len(self._piece), self._src[known], self._dst[known])
+            self._classes = np.unique(label, return_inverse=True)
+        return self._classes
 
 
 @dataclass
@@ -226,17 +245,17 @@ class GluingCheck:
     alternatives: Optional[dict] = None
 
 
-def _class_products(atlas: GluingAtlas, canon, cls, dom, rng):
+def _class_products(atlas: GluingAtlas, canon, cls):
     """The products that the pieces give to each composable class pair.
 
     The pairs (c1, c2) with dom c1 = rng c2 get one slot each, in (c1, c2)
-    order, and every piece's composable slots are mapped onto them through
-    the class map.  Returns (c1, c2, lo, hi, miss, witness): per slot the
-    least and greatest product given (lo > hi where none is), the least
-    piece that misses the product (the piece count where none does), and
-    the first pair no piece carries, as canonical ids, or None.
+    order, onto which the class map sends the composable pairs of the
+    pieces' disjoint union.  Returns (c1, c2, lo, hi, miss, witness): per
+    slot the least and greatest product given (lo > hi where none is), the
+    least piece missing it (else the piece count), and the first pair no
+    piece carries, as canonical ids, or None.
     """
-    nc, cdom, crng, npieces = len(canon), dom[canon], rng[canon], len(atlas.pieces)
+    nc, cdom, crng, npieces = len(canon), atlas._dom[canon], atlas._rng[canon], len(atlas.pieces)
     order = np.argsort(crng, kind="stable")
     start = np.searchsorted(crng[order], np.arange(len(atlas.x_units) + 1))
     pos = np.empty(nc, np.int64)
@@ -245,31 +264,28 @@ def _class_products(atlas: GluingAtlas, canon, cls, dom, rng):
     off = np.concatenate(([0], np.cumsum(width)))  # first slot of c1
     local = np.arange(off[-1]) - np.repeat(off[:-1], width)
     c1, c2 = np.repeat(np.arange(nc), width), order[np.repeat(start[cdom], width) + local]
+    g = atlas._union
+    ft = g._fiber_table()
+    a, b = ft.slot_pairs(np.arange(len(ft.table) - 1), g.dom_i)
+    piece, a, b, prod = atlas._piece[a], cls[a], cls[b], ft.table[:-1]
+    ok = cdom[a] == crng[b]  # composable classes (always, once the atlas is checked)
+    slot, prod, piece = off[a[ok]] + pos[b[ok]], prod[ok], piece[ok]
+    carried, miss = np.zeros(off[-1], bool), np.full(off[-1], npieces)
+    carried[slot] = True
+    np.minimum.at(miss, slot[prod < 0], piece[prod < 0])
+    slot, prod = slot[prod >= 0], cls[prod[prod >= 0]]
     lo, hi = np.full(off[-1], nc, np.int64), np.full(off[-1], -1, np.int64)
-    miss, carried = np.full(off[-1], npieces), np.zeros(off[-1], bool)
-    for i, p in enumerate(atlas.pieces):
-        g, base = p.groupoid, atlas._offsets[i]
-        ft = g._fiber_table()
-        a, b = ft.slot_pairs(np.arange(len(ft.table) - 1), g.dom_i)
-        a, b, prod = cls[base + a], cls[base + b], ft.table[:-1]
-        ok = cdom[a] == crng[b]  # composable classes (always, once the atlas is checked)
-        slot, prod = off[a[ok]] + pos[b[ok]], prod[ok]
-        carried[slot] = True
-        miss[slot[(prod < 0) & (miss[slot] == npieces)]] = i
-        slot, prod = slot[prod >= 0], cls[base + prod[prod >= 0]]
-        np.minimum.at(lo, slot, prod)
-        np.maximum.at(hi, slot, prod)
+    np.minimum.at(lo, slot, prod)
+    np.maximum.at(hi, slot, prod)
     first = np.flatnonzero(~carried)[:1]
-    witness = tuple(atlas._arrow_ids(canon[[c1[first[0]], c2[first[0]]]])) if len(first) else None
+    witness = tuple(g.arrows[k] for k in canon[[c1[first[0]], c2[first[0]]]]) if len(first) else None
     return c1, c2, lo, hi, miss, witness
 
 
 def check_weak_gluing(atlas: GluingAtlas) -> GluingCheck:
     """Every composable pair of quotient classes is carried by one piece."""
     atlas.check()
-    canon, cls = atlas.quotient_classes()
-    dom, rng, _, _ = atlas._union_arrays()
-    witness = _class_products(atlas, canon, cls, dom, rng)[-1]
+    witness = _class_products(atlas, *atlas.quotient_classes())[-1]
     return GluingCheck(witness is None, witness=witness)
 
 
@@ -281,24 +297,21 @@ def check_strong_gluing(atlas: GluingAtlas) -> GluingCheck:
     condition is asserted as well.
     """
     atlas.check()
-    piece_units = [p.embedded_units() for p in atlas.pieces]
-    orbit_in_x: list = []
-    for i, piece in enumerate(atlas.pieces):
-        orbs = orbits_and_isotropy(piece.groupoid, check=False).orbits
-        emb = atlas._embeds[i]
-        orbit_in_x.append({emb[u]: frozenset(emb[v] for v in orb) for orb in orbs for u in orb})
+    covers, units = atlas._covers, atlas._units
+    orbit = orbits_and_isotropy(atlas._union, check=False).orbit_index
+    leaves = np.zeros((len(orbit), len(atlas.pieces)), bool)  # orbit o of some piece leaves piece i
+    v, i = np.nonzero(~covers[:, units].T)
+    leaves[orbit[v], i] = True
+    admissible = covers.T.copy()
+    u, i = np.nonzero(leaves[orbit])
+    admissible[units[u], i] = False
     choice, alternatives = {}, {}
-    for x in atlas.x_units:
-        reach = set()
-        for i in range(len(atlas.pieces)):
-            if x in piece_units[i]:
-                reach |= orbit_in_x[i][x]
-        admissible = [i for i in range(len(atlas.pieces)) if reach <= piece_units[i]]
-        if not admissible:
-            offender = next(i for i in range(len(atlas.pieces)) if x in piece_units[i])
-            return GluingCheck(False, witness=(x, offender, tuple(sorted(reach, key=repr))))
-        choice[x] = admissible[0]
-        alternatives[x] = tuple(admissible[1:])
+    for k, (x, row) in enumerate(zip(atlas.x_units, admissible.tolist())):
+        ok = [i for i, a in enumerate(row) if a]
+        if not ok:
+            reach = {atlas.x_units[y] for y in units[np.isin(orbit, orbit[units == k])].tolist()}
+            return GluingCheck(False, witness=(x, int(np.argmax(covers[:, k])), tuple(sorted(reach, key=repr))))
+        choice[x], alternatives[x] = ok[0], tuple(ok[1:])
     weak = check_weak_gluing(atlas)
     if not weak.ok:
         raise AssertionError("strong gluing held but weak gluing failed; atlas machinery is broken")
@@ -319,72 +332,58 @@ def glue(atlas: GluingAtlas) -> GluedGroupoid:
 
     The product of two classes is computed inside every common piece and
     cross-checked; disagreement (malformed phis) raises GluingError.  The
-    pieces' caches are left as found: the result keeps the atlas alive.
+    compose is in (c1, c2) order.  The tables derived from the pieces'
+    disjoint union are dropped on return: the result keeps the atlas alive.
     """
-    saved = [dict(p.groupoid._cache) for p in atlas.pieces]
     try:
-        return _glue(atlas)
-    finally:
-        for p, cache in zip(atlas.pieces, saved):
-            p.groupoid._cache = cache
-
-
-def _glue(atlas: GluingAtlas) -> GluedGroupoid:
-    atlas.check()
-    canon, cls = atlas.quotient_classes()
-    dom, rng, inv, unit = atlas._union_arrays()
-    ids = _id_array(atlas._arrow_ids(canon))
-    glued = FiniteGroupoid._from_arrays(
-        atlas.x_units, ids, dom[canon], rng[canon], cls[inv[canon]], cls[unit],
-        *_glued_compose(atlas, canon, cls, dom, rng, ids),
-    )
-    report = validate(glued)
-    if not report.ok:
-        raise GluingError(f"glued groupoid fails validation: {sorted(report.axioms())}")
-
-    projections = []
-    for i, p in enumerate(atlas.pieces):
-        proj = cls[atlas._offsets[i]:atlas._offsets[i + 1]]
-        _check_projection(glued, i, p.groupoid, atlas._unit_maps[i], proj)
-        projections.append(dict(zip(p.groupoid.arrows, ids[proj])))
-    return GluedGroupoid(glued, atlas, tuple(projections))
-
-
-def _glued_compose(atlas: GluingAtlas, canon, cls, dom, rng, ids):
-    """Compose entries (c1, c2, c1 c2) of the glued groupoid in (c1, c2)
-    order, once the weak condition holds and every common piece gives the
-    same product."""
-    c1, c2, lo, hi, miss, witness = _class_products(atlas, canon, cls, dom, rng)
-    if witness is not None:
-        raise GluingError(f"weak gluing condition fails at composable pair {witness}")
-    bad = np.flatnonzero((miss < len(atlas.pieces)) | (lo != hi))
-    if len(bad):
-        if miss[bad[0]] < len(atlas.pieces):
+        atlas.check()
+        canon, cls = atlas.quotient_classes()
+        ids, union = _id_array(atlas._union.arrows)[canon], atlas._union
+        c1, c2, lo, hi, miss, witness = _class_products(atlas, canon, cls)
+        if witness is not None:
+            raise GluingError(f"weak gluing condition fails at composable pair {witness}")
+        bad = np.flatnonzero((miss < len(atlas.pieces)) | (lo != hi))
+        if len(bad) and miss[bad[0]] < len(atlas.pieces):
             raise GluingError(f"piece {miss[bad[0]]} misses the product of a composable overlap pair")
-        raise GluingError(f"product of classes {ids[c1[bad[0]]]} and {ids[c2[bad[0]]]} differs between pieces")
-    return c1, c2, lo
+        if len(bad):
+            raise GluingError(f"product of classes {ids[c1[bad[0]]]} and {ids[c2[bad[0]]]} differs between pieces")
+        glued = FiniteGroupoid._from_arrays(
+            atlas.x_units, ids, atlas._dom[canon], atlas._rng[canon], cls[union.inv_i[canon]],
+            cls[union.unit_i[np.unique(atlas._units, return_index=True)[1]]], c1, c2, lo)
+        report = validate(glued)
+        if not report.ok:
+            raise GluingError(f"glued groupoid fails validation: {sorted(report.axioms())}")
+        _check_projections(atlas, glued, canon, cls)
+        return GluedGroupoid(glued, atlas, tuple(dict(zip(p.groupoid.arrows, ids[cls[a:b]])) for p, a, b in zip(
+            atlas.pieces, atlas._offsets[:-1].tolist(), atlas._offsets[1:].tolist())))
+    finally:
+        atlas._union._cache.clear()
 
 
-def _check_projection(glued, i, g, umap, proj):
-    """Each projection (piece arrow position -> glued arrow position) must
-    be a groupoid isomorphism onto the reduction."""
-    gdom, grng, ginv = glued.dom_i, glued.rng_i, glued.inv_i
-    inside = np.zeros(glued.n_units, bool)
-    inside[umap] = True
-    image = np.unique(proj)
-    if len(image) != len(proj) or not np.array_equal(image, np.flatnonzero(inside[gdom] & inside[grng])):
+def _check_projections(atlas: GluingAtlas, glued, canon, cls):
+    """Each piece's projection (its arrows through the class map) must be a
+    groupoid isomorphism onto the reduction; names the first piece that
+    breaks it, at its first failing test."""
+    g, npieces, piece, off = atlas._union, len(atlas.pieces), atlas._piece, atlas._offsets
+    over = atlas._covers[:, glued.dom_i] & atlas._covers[:, glued.rng_i]  # glued arrow c lies over piece i
+    onto = (over.sum(axis=1) != np.diff(off)) | (
+        np.bincount(np.unique(piece * len(canon) + cls) // len(canon), minlength=npieces) < np.diff(off))
+    ends = (glued.dom_i[cls] != atlas._dom) | (glued.rng_i[cls] != atlas._rng)
+    edge = np.flatnonzero(ends | (cls[g.inv_i] != glued.inv_i[cls]))
+    row = np.flatnonzero(glued._mul_idx(cls[g.p1], cls[g.p2]) != cls[g.pp])
+    faults = np.concatenate([3 * piece[~over[piece, cls]], 3 * np.flatnonzero(onto),
+                             3 * piece[edge] + 1, 3 * piece[g.p1[row]] + 2])
+    if not len(faults):
+        return
+    i, test = divmod(int(faults.min()), 3)
+    if test == 0:
         raise GluingError(f"projection of piece {i} is not a bijection onto the reduction")
-    dom_i, rng_i, inv_i = g.dom_i, g.rng_i, g.inv_i
-    ends = (gdom[proj] != umap[dom_i]) | (grng[proj] != umap[rng_i])
-    bad = np.flatnonzero(ends | (proj[inv_i] != ginv[proj]))
-    if len(bad):
-        what = "endpoints" if ends[bad[0]] else "inverses"
-        raise GluingError(f"projection of piece {i} breaks {what} at {g.arrows[bad[0]]!r}")
-    p1, p2, pp = g.p1, g.p2, g.pp
-    bad = np.flatnonzero(glued._mul_idx(proj[p1], proj[p2]) != proj[pp])
-    if len(bad):
-        a, b = g.arrows[p1[bad[0]]], g.arrows[p2[bad[0]]]
-        raise GluingError(f"projection of piece {i} breaks products at ({a!r}, {b!r})")
+    if test == 1:
+        a = edge[piece[edge] == i][0]
+        raise GluingError(f"projection of piece {i} breaks {'endpoints' if ends[a] else 'inverses'} "
+                          f"at {g.arrows[a][1]!r}")
+    a, b = (g.arrows[e[row[piece[g.p1[row]] == i][0]]][1] for e in (g.p1, g.p2))
+    raise GluingError(f"projection of piece {i} breaks products at ({a!r}, {b!r})")
 
 
 def attach_ends(pairpiece: FiniteGroupoid, boundarypiece: FiniteGroupoid) -> GluedGroupoid:

@@ -218,6 +218,10 @@ def atlas_from_dict(doc, where: str = "atlas", base_dir: Path | None = None) -> 
         mapping = spec.get("map")
         _expect(isinstance(mapping, dict), f"{here}.map", "must be a map arrow -> arrow")
         _expect_string_values(mapping, f"{here}.map")
+        _expect(src != dst, here, "src and dst must name two different pieces")
+        _expect((src, dst) not in phis, here, f"repeats the phi from piece {src} to piece {dst}")
+        _expect(pieces[src].embedded_units() & pieces[dst].embedded_units(), here,
+                f"pieces {src} and {dst} do not overlap")
         phis[(src, dst)] = mapping
     try:
         atlas = GluingAtlas(units, pieces, phis or None)

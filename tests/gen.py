@@ -170,6 +170,11 @@ def random_pair_cover_atlas(rng: np.random.Generator, n_max: int = 12, closed: b
 
 def random_bundle_patch_atlas(rng: np.random.Generator):
     """Atlas mixing a pair cover with isolated (possibly duplicated) bundle pieces."""
+    return GluingAtlas(*random_bundle_patch_inputs(rng))
+
+
+def random_bundle_patch_inputs(rng: np.random.Generator):
+    """The units, pieces and given phis of ``random_bundle_patch_atlas``."""
     atlas = random_pair_cover_atlas(rng, n_max=6, closed=bool(rng.random() < 0.7))
     x_units = list(atlas.x_units)
     pieces = list(atlas.pieces)
@@ -183,7 +188,7 @@ def random_bundle_patch_atlas(rng: np.random.Generator):
         }
     else:
         phis = None
-    return GluingAtlas(x_units + extra, pieces, phis)
+    return x_units + extra, pieces, phis
 
 
 # ---------------------------------------------------------------------------

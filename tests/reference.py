@@ -14,6 +14,14 @@ with; ``dump_reference`` is the text ``specfiles.dump`` must reproduce.
 ``build_disjoint_union_reference`` are the dict loops the index-array
 builders must reproduce, compose order included.
 
+``check_atlas_reference`` checks the atlas laws with dict walks: the
+omitted phis matched by ambient endpoints, the per-phi checks, mutual
+inverses per ordered pair and the cocycle law per ordered triple.
+``GluingAtlas`` and its ``check`` must raise the same errors.
+
+``strong_gluing_reference`` walks the orbits of each unit piece by
+piece, as ``check_strong_gluing`` must agree with.
+
 ``glue_reference`` glues an atlas with dict walks: union-find quotient
 classes, the class-pair weak walk, the class-pair product loop and the
 per-entry projection walk.  ``gpdlab.glue`` must give the same tables,
@@ -26,6 +34,7 @@ spectra, as the Fredholm routes did before they read the orbit blocks;
 their verdicts, counterexamples, norms and matrices must be equal.
 """
 
+import itertools
 import json
 from collections import defaultdict
 
@@ -42,7 +51,7 @@ from gpdlab.algebra import (
     solve_inverse,
 )
 from gpdlab.fredholm import CriterionVerdict, FredholmStructure, SpectralCheckReport, StructureError
-from gpdlab.gluing import GluedGroupoid, GluingError
+from gpdlab.gluing import AtlasError, GluedGroupoid, GluingError
 from gpdlab.groupoid import (
     MAX_WITNESSES_PER_AXIOM,
     FiniteGroupoid,
@@ -319,6 +328,88 @@ def relabel_reference(g, unit_map, arrow_map) -> FiniteGroupoid:
 # gluing
 
 
+def atlas_phis_reference(x_units, pieces, phis=None) -> dict:
+    """Every phi of the atlas in ids, after the embedding and cover checks.
+
+    A phi given for (i, j) is kept, one given only for (j, i) is inverted,
+    and the others match arrows with equal ambient endpoints.
+    """
+    given, embs = dict(phis or {}), [dict(p.embedding) for p in pieces]
+    for idx, (piece, emb) in enumerate(zip(pieces, embs)):
+        if set(emb) != set(piece.groupoid.units):
+            raise AtlasError(f"piece {idx}: embedding keys must be exactly the piece units")
+        if len(set(emb.values())) != len(emb):
+            raise AtlasError(f"piece {idx}: embedding is not injective")
+        if not set(emb.values()) <= set(x_units):
+            raise AtlasError(f"piece {idx}: embedding leaves the ambient unit set")
+    if set().union(*(e.values() for e in embs)) != set(x_units):
+        raise AtlasError("pieces do not cover the ambient unit set")
+    full = {}
+    for i, j in itertools.permutations(range(len(pieces)), 2):
+        if not overlap_reference(pieces, i, j):
+            continue
+        if (i, j) in given:
+            full[(i, j)] = dict(given[(i, j)])
+        elif (j, i) in given:
+            full[(i, j)] = {v: k for k, v in given[(j, i)].items()}
+        else:
+            target = {}
+            for b in overlap_reference(pieces, j, i):
+                if ambient_ends(pieces[j], b) in target:
+                    raise AtlasError(f"pieces {i},{j}: overlap has parallel arrows; supply phi explicitly")
+                target[ambient_ends(pieces[j], b)] = b
+            phi = {}
+            for a in overlap_reference(pieces, i, j):
+                if ambient_ends(pieces[i], a) not in target:
+                    raise AtlasError(f"pieces {i},{j}: no matching arrow over {ambient_ends(pieces[i], a)}; "
+                                     "supply phi explicitly")
+                phi[a] = target[ambient_ends(pieces[i], a)]
+            if len(set(phi.values())) != len(target):
+                raise AtlasError(f"pieces {i},{j}: overlap reductions are not isomorphic")
+            full[(i, j)] = phi
+    return full
+
+
+def ambient_ends(piece, a) -> tuple:
+    """(rng, dom) of arrow a as ambient units."""
+    g, emb = piece.groupoid, piece.embedding
+    return emb[g.rng[a]], emb[g.dom[a]]
+
+
+def overlap_reference(pieces, i, j) -> list:
+    """Arrows of piece i with both ambient endpoints over piece j."""
+    over = set(pieces[j].embedding.values())
+    return [a for a in pieces[i].groupoid.arrows if set(ambient_ends(pieces[i], a)) <= over]
+
+
+def check_atlas_reference(x_units, pieces, phis=None) -> None:
+    """Raise the AtlasError that GluingAtlas(x_units, pieces, phis).check() raises."""
+    full = atlas_phis_reference(x_units, pieces, phis)
+    for (i, j), phi in full.items():
+        gi, gj = pieces[i].groupoid, pieces[j].groupoid
+        if set(phi) != set(overlap_reference(pieces, i, j)):
+            raise AtlasError(f"phi({i},{j}) domain is not the overlap reduction")
+        if len(set(phi.values())) != len(phi):
+            raise AtlasError(f"phi({i},{j}) is not injective")
+        if set(phi.values()) != set(overlap_reference(pieces, j, i)):
+            raise AtlasError(f"phi({i},{j}) image is not the overlap reduction")
+        for a, b in phi.items():
+            if ambient_ends(pieces[i], a) != ambient_ends(pieces[j], b):
+                raise AtlasError(f"phi({i},{j}) does not cover the identity on units at {a!r}")
+        pos = gi.arrow_index()
+        for (a, b), ab in sorted(gi.compose.items(), key=lambda e: (pos[e[0][0]], pos[e[0][1]])):
+            if a in phi and b in phi and gj.compose.get((phi[a], phi[b]), "none") != phi.get(ab, "off"):
+                raise AtlasError(f"phi({i},{j}) is not multiplicative at ({a!r}, {b!r})")
+    for (i, j), phi in full.items():
+        if any(full[(j, i)][b] != a for a, b in phi.items()):
+            raise AtlasError(f"phi({i},{j}) and phi({j},{i}) are not mutually inverse")
+    for i, j, k in itertools.permutations(range(len(pieces)), 3):
+        if {(i, j), (i, k), (j, k)} <= full.keys():
+            for a in pieces[i].groupoid.arrows:
+                if a in full[(i, j)] and a in full[(i, k)] and full[(j, k)].get(full[(i, j)][a]) != full[(i, k)][a]:
+                    raise AtlasError(f"cocycle violated at arrow {a!r} of piece {i} (via piece {j} to piece {k})")
+
+
 def quotient_classes_reference(atlas):
     """Union-find classes of (piece, arrow) under all phis, as (classes, index).
 
@@ -337,11 +428,11 @@ def quotient_classes_reference(atlas):
     for i, piece in enumerate(atlas.pieces):
         for a in piece.groupoid.arrows:
             parent[(i, a)] = (i, a)
-    for (i, j), phi in atlas.phis.items():
-        for a, b in phi.items():
-            rp, rq = find((i, a)), find((j, b))
-            if rp != rq:
-                parent[rp] = rq
+    arrows = atlas._union.arrows  # (piece, arrow id) of each arrow number
+    for a, b in zip(atlas._src.tolist(), atlas._dst.tolist()):  # the phi entries, as arrow numbers
+        rp, rq = find(arrows[a]), find(arrows[b])
+        if rp != rq:
+            parent[rp] = rq
     groups: dict = {}
     for p in parent:
         groups.setdefault(find(p), []).append(p)
@@ -376,6 +467,23 @@ def weak_witness_reference(atlas):
         if not (pieces_of[c1] & pieces_of[c2]):
             return classes[c1][0], classes[c2][0]
     return None
+
+
+def strong_gluing_reference(atlas):
+    """(ok, witness, chart choice, alternatives) of the strong condition,
+    walking each unit's orbit in every piece that contains it."""
+    piece_units = [p.embedded_units() for p in atlas.pieces]
+    orbit_in_x = [{p.embedding[u]: frozenset(p.embedding[v] for v in orb) for orb in orbits_and_isotropy(
+        p.groupoid, check=False).orbits for u in orb} for p in atlas.pieces]
+    choice, alternatives = {}, {}
+    for x in atlas.x_units:
+        reach = set().union(*(orbit_in_x[i][x] for i in range(len(atlas.pieces)) if x in piece_units[i]))
+        admissible = [i for i in range(len(atlas.pieces)) if reach <= piece_units[i]]
+        if not admissible:
+            offender = next(i for i in range(len(atlas.pieces)) if x in piece_units[i])
+            return False, (x, offender, tuple(sorted(reach, key=repr))), None, None
+        choice[x], alternatives[x] = admissible[0], tuple(admissible[1:])
+    return True, None, choice, alternatives
 
 
 def glue_reference(atlas) -> GluedGroupoid:

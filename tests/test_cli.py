@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import gpdlab as gl
 from gpdlab import specfiles as sf
 from gpdlab.cli import main
 
@@ -298,20 +299,51 @@ def test_malformed_groupoid_exits_two_with_field_path(runner, tmp_path, keys, va
     assert res.stderr == f"error: {path}{where}\n"
 
 
-def test_glue_computes_the_quotient_classes_twice(runner, monkeypatch):
-    from gpdlab.gluing import GluingAtlas
+def phi_entry(src, dst, mapping=None):
+    return {"src": src, "dst": dst, "map": mapping or {}}
 
-    calls = []
-    classes = GluingAtlas.quotient_classes
 
-    def counted(atlas):
-        calls.append(atlas)
-        return classes(atlas)
+@pytest.mark.parametrize("fixture, keys, value, where", [
+    ("bad_atlas.json", ("phis", 0, "map", "nonsense"), "g0", ": phi(0,1) domain is not the overlap reduction"),
+    ("atlas_three_piece.json", ("phis",), [phi_entry(0, 0, {"nonsense": "x"})],
+     ".phis[0]: src and dst must name two different pieces"),
+    ("atlas_three_piece.json", ("phis",), [phi_entry(0, 3)], ".phis[0].dst: bad piece index"),
+    ("atlas_three_piece.json", ("phis",), [phi_entry(0, 1), phi_entry(2, 1), phi_entry(0, 1)],
+     ".phis[2]: repeats the phi from piece 0 to piece 1"),
+], ids=["unknown-arrow-id", "same-piece", "piece-out-of-range", "repeated-pair"])
+def test_bad_phi_exits_two(runner, tmp_path, fixture, keys, value, where):
+    path = edited_fixture(tmp_path, fixture, keys, value)
+    res = runner.invoke(main, ["glue", "--atlas", path])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}{where}\n"
 
-    monkeypatch.setattr(GluingAtlas, "quotient_classes", counted)
+
+def test_phi_between_pieces_apart_exits_two(runner, tmp_path):
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps({
+        "spec_version": 1, "kind": "atlas", "units": ["1", "2"],
+        "pieces": [{"groupoid": sf.groupoid_to_dict(gl.build_pair([u])), "embedding": {u: u}} for u in "12"],
+        "phis": [phi_entry(1, 0)],
+    }))
+    res = runner.invoke(main, ["glue", "--atlas", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}.phis[0]: pieces 1 and 0 do not overlap\n"
+
+
+def test_glue_computes_the_quotient_classes_once(runner, monkeypatch):
+    from gpdlab import gluing
+
+    runs = []
+    min_labels = gluing._min_labels
+
+    def counted(*args):
+        runs.append(args)
+        return min_labels(*args)
+
+    monkeypatch.setattr(gluing, "_min_labels", counted)
     res = runner.invoke(main, ["glue", "--atlas", corpus("atlas_three_piece.json")])
     assert res.exit_code == 0
-    assert len(calls) == 2  # one for the glue, one for the strong check's weak assertion
+    assert len(runs) == 1  # the atlas check, the glue and the strong check share the classes
 
 
 @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("-5", "-5.0"), ("nan", "nan"), ("inf", "inf")])

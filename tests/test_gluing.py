@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from importlib import resources
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import gpdlab as gl
 from gpdlab import conical as co
+from gpdlab import gluing
 from gpdlab import specfiles as sf
 from gpdlab.gluing import (
     AtlasError,
@@ -133,6 +135,11 @@ class TestGlue:
         iso = gl.find_isomorphism(glued.groupoid, gl.build_pair(X))
         assert iso is not None
 
+    def test_empty_atlas_glues_to_the_empty_groupoid(self):
+        atlas = GluingAtlas([], [])
+        assert check_strong_gluing(atlas).ok and check_weak_gluing(atlas).ok
+        assert glue(atlas).groupoid.n_arrows == 0
+
     def test_weak_failure_refuses(self, two_piece_atlas):
         with pytest.raises(GluingError, match="weak gluing"):
             glue(two_piece_atlas)
@@ -229,6 +236,14 @@ def outcome(fn, atlas):
         return type(exc), str(exc)
 
 
+def glue_error(fn):
+    try:
+        fn()
+    except GluingError as exc:
+        return str(exc)
+    return "ok"
+
+
 def assert_glue_matches_reference(atlas):
     got, want = outcome(glue, atlas), outcome(reference.glue_reference, atlas)
     if isinstance(want, tuple):
@@ -269,6 +284,16 @@ class TestAgainstReference:
             assert_weak_matches_reference(atlas)
             assert_glue_matches_reference(atlas)
 
+    def test_strong_condition(self):
+        rng = np.random.default_rng(74)
+        verdicts = []
+        for t in range(90):
+            atlas = gen.random_bundle_patch_atlas(rng) if t % 2 else gen.random_pair_cover_atlas(rng, closed=False)
+            res = check_strong_gluing(atlas)
+            assert (res.ok, res.witness, res.chart_choice, res.alternatives) == reference.strong_gluing_reference(atlas)
+            verdicts.append(res.ok)
+        assert any(verdicts) and not all(verdicts)
+
     @pytest.mark.parametrize("name", ["square", "pentagon", "lshape"])
     @pytest.mark.parametrize("m, ip", [(1, 0), (2, 1), (3, 2)])
     def test_toy_models(self, name, m, ip):
@@ -282,6 +307,27 @@ class TestAgainstReference:
         atlas = sf.parse_atlas(resources.files("gpdlab") / "corpus" / "atlas_two_piece.json")
         assert_weak_matches_reference(atlas)
         assert_glue_matches_reference(atlas)
+
+    def test_projection_check_on_broken_class_maps(self):
+        rng = np.random.default_rng(87)
+        seen = set()
+        for t in range(300):
+            atlas = gen.random_bundle_patch_atlas(rng) if t % 2 else gen.random_pair_cover_atlas(rng, n_max=6)
+            if not check_weak_gluing(atlas).ok:
+                continue
+            glued = glue(atlas).groupoid
+            canon, cls = atlas.quotient_classes()
+            cls = cls.copy()
+            a, b = rng.choice(len(cls), 2, replace=False)
+            cls[a], cls[b] = (cls[b], cls[a]) if t % 3 else (cls[a], rng.integers(len(canon)))
+            proj = [dict(zip(p.groupoid.arrows, (glued.arrows[c] for c in cls[lo:hi])))
+                    for p, lo, hi in zip(atlas.pieces, atlas._offsets[:-1], atlas._offsets[1:])]
+            got = glue_error(lambda: gluing._check_projections(atlas, glued, canon, cls))
+            assert got == glue_error(lambda: [reference._check_projection_reference(glued, i, p, proj[i])
+                                              for i, p in enumerate(atlas.pieces)])
+            seen.add(got.split(" at ")[0].split(" ", 4)[-1])
+        assert {"ok", "is not a bijection onto the reduction", "breaks endpoints", "breaks inverses",
+                "breaks products"} <= seen
 
     def test_piece_caches_left_as_found(self, three_piece_atlas):
         before = [dict(p.groupoid._cache) for p in three_piece_atlas.pieces]
@@ -377,3 +423,211 @@ class TestDiagnostics:
         with pytest.raises(GluingError) as err:
             glue(atlas)
         assert str(err.value) == "piece 0 misses the product of a composable overlap pair"
+
+    # the exact AtlasError message of each atlas fault
+
+    @staticmethod
+    def message(build):
+        with pytest.raises(AtlasError) as err:
+            build().check()
+        return str(err.value)
+
+    def test_parallel_arrows_need_an_explicit_phi(self):
+        z2 = GluingPiece(gl.build_group_bundle(["x"], gl.GroupTable.cyclic(2)), {"x": "x"})
+        assert self.message(lambda: GluingAtlas(["x"], [z2, z2])) == \
+            "pieces 0,1: overlap has parallel arrows; supply phi explicitly"
+
+    def test_no_matching_arrow_names_its_ambient_units(self):
+        assert self.message(lambda: GluingAtlas(["1", "2"], [on_12(pair_12()), on_12(discrete_12())])) == \
+            "pieces 0,1: no matching arrow over ('1', '2'); supply phi explicitly"
+
+    def test_overlap_reductions_not_isomorphic(self):
+        assert self.message(lambda: GluingAtlas(["1", "2"], [on_12(discrete_12()), on_12(pair_12())])) == \
+            "pieces 0,1: overlap reductions are not isomorphic"
+
+    def test_phi_not_injective(self):
+        phi = {**z3_identity(), ("x", 2): ("x", 1)}
+        assert self.message(lambda: z3_atlas({(0, 1): phi})) == "phi(0,1) is not injective"
+
+    def test_phi_image_off_the_overlap(self):
+        phi = {**z3_identity(), ("x", 2): ("x", 9)}
+        assert self.message(lambda: z3_atlas({(0, 1): phi})) == "phi(0,1) image is not the overlap reduction"
+
+    def test_phis_not_mutually_inverse(self):
+        assert self.message(lambda: z3_atlas({(0, 1): z3_identity(), (1, 0): z3_twist()})) == \
+            "phi(0,1) and phi(1,0) are not mutually inverse"
+
+    def test_unknown_arrow_id_in_a_phi_map(self):
+        phi = {**z3_identity(), "nonsense": ("x", 0)}
+        assert self.message(lambda: z3_atlas({(0, 1): phi})) == "phi(0,1) domain is not the overlap reduction"
+
+    def test_non_injective_phi_given_backwards_shows_in_its_inverse(self):
+        phi = {**z3_identity(), ("x", 2): ("x", 1)}
+        assert self.message(lambda: z3_atlas({(1, 0): phi})) == "phi(0,1) domain is not the overlap reduction"
+
+    @pytest.mark.parametrize("embedding, text", [
+        ({"1": "1"}, "piece 0: embedding keys must be exactly the piece units"),
+        ({"1": "1", "2": "1"}, "piece 0: embedding is not injective"),
+        ({"1": "1", "2": "3"}, "piece 0: embedding leaves the ambient unit set"),
+    ])
+    def test_embedding_errors(self, embedding, text):
+        assert self.message(lambda: GluingAtlas(["1", "2"], [GluingPiece(pair_12(), embedding)])) == text
+
+    @pytest.mark.parametrize("phis, text", [
+        ({(0, 0): {}}, "phi(0,0) maps a piece to itself"),
+        ({(0, 2): {}}, "phi(0,2) names a piece out of range"),
+        ({(-1, 0): {}}, "phi(-1,0) names a piece out of range"),
+        ({(1, 0): {}}, "phi(1,0) joins pieces that do not overlap"),
+    ])
+    def test_phi_keys_name_two_overlapping_pieces(self, phis, text):
+        apart = [identity_piece(["1"]), identity_piece(["2"])]
+        assert self.message(lambda: GluingAtlas(["1", "2"], apart, phis)) == text
+
+
+def discrete_12():
+    """Units 1 and 2 with no arrow between them."""
+    g = gl.build_disjoint_union([gl.build_pair(["1"]), gl.build_pair(["2"])])
+    return gl.relabel(g, {(0, "1"): "1", (1, "2"): "2"}, {a: ("d",) + a for a in g.arrows})
+
+
+def z3_identity():
+    return {("x", k): ("x", k) for k in range(3)}
+
+
+def z3_twist():
+    return {("x", 0): ("x", 0), ("x", 1): ("x", 2), ("x", 2): ("x", 1)}
+
+
+def z3_atlas(phis):
+    piece = GluingPiece(gl.build_group_bundle(["x"], gl.GroupTable.cyclic(3)), {"x": "x"})
+    return GluingAtlas(["x"], [piece, piece], phis)
+
+
+# ---------------------------------------------------------------------------
+# the atlas laws against the pair and triple walk
+
+
+def check_outcome(fn, *args):
+    try:
+        fn(*args)
+    except AtlasError as exc:
+        return type(exc), str(exc)
+    return "ok"
+
+
+def assert_check_matches_reference(x_units, pieces, phis=None):
+    got = check_outcome(lambda: GluingAtlas(x_units, pieces, phis).check())
+    assert got == check_outcome(reference.check_atlas_reference, x_units, pieces, phis)
+    return got
+
+
+def random_automorphism(rng, group):
+    """Inversion on an abelian group, else conjugation by a random element
+    (the identity map when the element is central)."""
+    n, table = group.order, group.table
+    if group.is_abelian():
+        return [group.inverse_index(x) for x in range(n)]
+    g = int(rng.integers(n))
+    return [table[table[g][x]][group.inverse_index(g)] for x in range(n)]
+
+
+def bundle_copies(rng, copies):
+    """A random pair cover plus copies of one random bundle over new units:
+    the inputs, the first copy's piece index, and the identity and an
+    automorphism twist of the bundle."""
+    atlas = gen.random_pair_cover_atlas(rng, n_max=6, closed=bool(rng.random() < 0.7))
+    group, extra = gen.random_group(rng), [f"y{i}" for i in range(int(rng.integers(1, 3)))]
+    bundle = gl.build_group_bundle(extra, group)
+    alpha, e = random_automorphism(rng, group), group.elements
+    twist = {(x, e[k]): (x, e[alpha[k]]) for x in extra for k in range(group.order)}
+    first = len(atlas.pieces)
+    pieces = list(atlas.pieces) + [GluingPiece(bundle, {u: u for u in extra})] * copies
+    return (list(atlas.x_units) + extra, pieces), first, {a: a for a in bundle.arrows}, twist
+
+
+def swap_one_entry(rng, x_units, pieces, phis):
+    """Every phi given, one of them with two values swapped (parallel
+    arrows where the atlas has any); None when no phi has two entries."""
+    full = reference.atlas_phis_reference(x_units, pieces, phis)
+    pairs = [(key, a, b) for key, phi in full.items() for a, b in itertools.combinations(phi, 2)]
+    parallel = [(key, a, b) for key, a, b in pairs
+                if reference.ambient_ends(pieces[key[0]], a) == reference.ambient_ends(pieces[key[0]], b)]
+    if not pairs:
+        return None
+    key, a, b = (parallel or pairs)[rng.integers(len(parallel or pairs))]
+    phi = dict(full[key])
+    phi[a], phi[b] = phi[b], phi[a]
+    return {**full, key: phi}
+
+
+def random_piece(rng, x_units):
+    """A pair groupoid, a group bundle, a discrete groupoid or a pair part
+    beside discrete units, over a random subset of the units."""
+    units = sorted(rng.choice(x_units, size=int(rng.integers(1, 5)), replace=False).tolist())
+    kind = rng.integers(4)
+    if kind < 3:
+        g = (gl.build_pair(units) if kind == 0 else
+             gl.build_group_bundle(units, gl.GroupTable.cyclic(int(rng.integers(1, 3)) if kind == 1 else 1)))
+    else:
+        cut = int(rng.integers(1, len(units) + 1))
+        g = gl.build_disjoint_union([gl.build_pair(units[:cut]),
+                                     gl.build_group_bundle(units[cut:], gl.GroupTable.trivial())])
+        g = gl.relabel(g, {u: u[1] for u in g.units}, {a: ("r",) + a for a in g.arrows})
+    return GluingPiece(g, {u: u for u in g.units})
+
+
+class TestAtlasAgainstReference:
+    def test_endpoint_matching_on_mixed_pieces(self):
+        rng = np.random.default_rng(86)
+        seen = set()
+        for _ in range(300):
+            pieces = [random_piece(rng, [f"x{i}" for i in range(6)]) for _ in range(int(rng.integers(2, 5)))]
+            got = assert_check_matches_reference(sorted(set().union(*(p.embedded_units() for p in pieces))), pieces)
+            seen.add(got if got == "ok" else got[1].split(": ")[1].split(" over ")[0])
+        assert seen == {"ok", "overlap has parallel arrows; supply phi explicitly", "no matching arrow",
+                        "overlap reductions are not isomorphic"}
+
+    def test_c03_generator(self):
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            assert assert_check_matches_reference(*gen.random_bundle_patch_inputs(rng)) == "ok"
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_pair_covers(self, closed):
+        rng = np.random.default_rng(81 if closed else 82)
+        for _ in range(60):
+            atlas = gen.random_pair_cover_atlas(rng, closed=closed)
+            assert assert_check_matches_reference(atlas.x_units, atlas.pieces) == "ok"
+
+    def test_one_entry_swapped(self):
+        rng = np.random.default_rng(83)
+        seen = set()
+        for _ in range(80):
+            x_units, pieces, phis = gen.random_bundle_patch_inputs(rng)
+            swapped = swap_one_entry(rng, x_units, pieces, phis)
+            if swapped is None:
+                continue
+            got = assert_check_matches_reference(x_units, pieces, swapped)
+            seen.add(got if got == "ok" else got[1])
+        assert any(text.endswith("are not mutually inverse") for text in seen)  # reached the class test
+
+    def test_cocycle_broken_through_a_third_piece(self):
+        rng = np.random.default_rng(84)
+        verdicts = []
+        for _ in range(60):
+            (x_units, pieces), b, ident, twist = bundle_copies(rng, 3)
+            got = assert_check_matches_reference(
+                x_units, pieces, {(b, b + 1): ident, (b + 1, b + 2): ident, (b, b + 2): twist})
+            verdicts.append(got == "ok")
+            assert got == "ok" or got[1].startswith("cocycle violated at arrow ('y0', ")
+        assert any(verdicts) and not all(verdicts)
+
+    def test_one_sided_inverse(self):
+        rng = np.random.default_rng(85)
+        verdicts = []
+        for _ in range(60):
+            (x_units, pieces), b, ident, twist = bundle_copies(rng, 2)
+            got = assert_check_matches_reference(x_units, pieces, {(b, b + 1): ident, (b + 1, b): twist})
+            verdicts.append(got == "ok")
+            assert got == "ok" or got[1] == f"phi({b},{b + 1}) and phi({b + 1},{b}) are not mutually inverse"
+        assert any(verdicts) and not all(verdicts)
