@@ -109,7 +109,7 @@ class GluingAtlas:
         pair, src, dst = map(np.concatenate, zip(*edges))
         order = np.argsort(pair, kind="stable")
         self._pair, self._src, self._dst = pair[order], src[order], dst[order]
-        self._checked, self._classes = False, None
+        self._checked, self._classes, self._weak = False, None, None  # _weak: (witness,) once known
 
     def _matched_phis(self, need):
         """The edges (pair code, src, dst) of the phis of the pairs (i, j)
@@ -236,6 +236,15 @@ class GluingAtlas:
             self._classes = np.unique(label, return_inverse=True)
         return self._classes
 
+    def weak_witness(self):
+        """The first composable pair of quotient classes that no piece
+        carries, as canonical ids, or None; found once per checked atlas
+        (``glue`` records the one its class products give)."""
+        self.check()
+        if self._weak is None:
+            self._weak = (_class_products(self, *self.quotient_classes())[-1],)
+        return self._weak[0]
+
 
 @dataclass
 class GluingCheck:
@@ -284,8 +293,7 @@ def _class_products(atlas: GluingAtlas, canon, cls):
 
 def check_weak_gluing(atlas: GluingAtlas) -> GluingCheck:
     """Every composable pair of quotient classes is carried by one piece."""
-    atlas.check()
-    witness = _class_products(atlas, *atlas.quotient_classes())[-1]
+    witness = atlas.weak_witness()
     return GluingCheck(witness is None, witness=witness)
 
 
@@ -340,6 +348,7 @@ def glue(atlas: GluingAtlas) -> GluedGroupoid:
         canon, cls = atlas.quotient_classes()
         ids, union = _id_array(atlas._union.arrows)[canon], atlas._union
         c1, c2, lo, hi, miss, witness = _class_products(atlas, canon, cls)
+        atlas._weak = (witness,)
         if witness is not None:
             raise GluingError(f"weak gluing condition fails at composable pair {witness}")
         bad = np.flatnonzero((miss < len(atlas.pieces)) | (lo != hi))

@@ -32,10 +32,17 @@ compose order, projections, witnesses and messages.
 build one ``regular_rep`` per unit and compare limit operators by their
 spectra, as the Fredholm routes did before they read the orbit blocks;
 their verdicts, counterexamples, norms and matrices must be equal.
+
+``double_layer_reference`` assembles the Nystrom double-layer matrix from
+the (N, N, 2) difference array with two einsums and a same-edge mask, and
+``nystrom_sigmas_reference`` takes each level's sigma_min from a full SVD
+of the weighted matrix, as ``gpdlab.nystrom`` did before it read the Gram
+matrix's least eigenvalue.
 """
 
 import itertools
 import json
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -61,6 +68,7 @@ from gpdlab.groupoid import (
     validate,
 )
 from gpdlab.iso import is_pair_groupoid
+from gpdlab.nystrom import polygon_mesh
 
 
 def axiom_violations(g) -> dict:
@@ -547,3 +555,24 @@ def _check_projection_reference(glued, i, piece, proj):
     for (a, b), k in g.compose.items():
         if glued.compose.get((proj[a], proj[b])) != proj[k]:
             raise GluingError(f"projection of piece {i} breaks products at ({a!r}, {b!r})")
+
+
+def double_layer_reference(mesh) -> np.ndarray:
+    x = mesh.nodes
+    diff = x[:, None, :] - x[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(r2, 1.0)
+    dot = np.einsum("ijk,jk->ij", diff, mesh.normals)
+    kmat = dot / (2.0 * math.pi * r2)
+    kmat[mesh.edge_of[:, None] == mesh.edge_of[None, :]] = 0.0
+    return kmat * mesh.weights[None, :]
+
+
+def nystrom_sigmas_reference(domain, levels, base_panels=4) -> list:
+    sigmas = []
+    for level in range(1, levels + 1):
+        mesh = polygon_mesh(domain, base_panels * 2 ** (level - 1))
+        a = 0.5 * np.eye(len(mesh.nodes)) + double_layer_reference(mesh)
+        d = np.sqrt(mesh.weights / mesh.vertex_distance)
+        sigmas.append(float(np.linalg.svd((d[:, None] * a) / d[None, :], compute_uv=False)[-1]))
+    return sigmas

@@ -231,6 +231,12 @@ print(json.dumps({"writes": writes, "env": {v: os.environ.get(v) for v in %r}}))
         code = "import sys, gpdlab.cli; print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.integrate') if m in sys.modules))"
         assert run_python(code, dict(os.environ)).strip() == "[]"
 
+    def test_nystrom_oracle_leaves_scipy_linalg_unloaded(self):
+        # sigma_min comes from numpy's Gram eigenvalues; scipy.linalg costs 0.4 s to import
+        code = ("import sys; from gpdlab import conical, nystrom; nystrom.nystrom_oracle(conical.unit_square(), 3); "
+                "print('scipy.linalg' in sys.modules)")
+        assert run_python(code, dict(os.environ)).strip() == "False"
+
 
 CLI_REPORTS = {
     "validate": ["validate", "--groupoid", corpus("pair3.json")],
@@ -330,6 +336,9 @@ def test_phi_between_pieces_apart_exits_two(runner, tmp_path):
     assert res.stderr == f"error: {path}.phis[0]: pieces 1 and 0 do not overlap\n"
 
 
+GLUE_THREE_PIECE_SHA256 = "d3b5b2d4067cce36fa62bc9a82056dce6a90aebcf3fed3261e6c5310fdea33bc"
+
+
 def test_glue_computes_the_quotient_classes_once(runner, monkeypatch):
     from gpdlab import gluing
 
@@ -346,6 +355,24 @@ def test_glue_computes_the_quotient_classes_once(runner, monkeypatch):
     assert len(runs) == 1  # the atlas check, the glue and the strong check share the classes
 
 
+def test_glue_runs_the_class_products_once(runner, monkeypatch):
+    from gpdlab import gluing
+
+    runs = []
+    class_products = gluing._class_products
+
+    def counted(*args):
+        runs.append(args)
+        return class_products(*args)
+
+    monkeypatch.setattr(gluing, "_class_products", counted)
+    monkeypatch.chdir(Path(corpus("atlas_three_piece.json")).parent)
+    res = runner.invoke(main, ["glue", "--atlas", "atlas_three_piece.json"])
+    assert res.exit_code == 0
+    assert len(runs) == 1  # the strong check's weak self-check reads the witness glue found
+    assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == GLUE_THREE_PIECE_SHA256
+
+
 @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("-5", "-5.0"), ("nan", "nan"), ("inf", "inf")])
 def test_mellin_scan_bad_lambda_max_exits_two(runner, value, shown):
     res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--lambda-max", value])
@@ -354,7 +381,7 @@ def test_mellin_scan_bad_lambda_max_exits_two(runner, value, shown):
 
 
 @pytest.mark.parametrize("name, code, stdout_sha256, stderr", [
-    ("atlas_three_piece.json", 0, "d3b5b2d4067cce36fa62bc9a82056dce6a90aebcf3fed3261e6c5310fdea33bc", ""),
+    ("atlas_three_piece.json", 0, GLUE_THREE_PIECE_SHA256, ""),
     ("atlas_two_piece.json", 2, None,
      "error: weak gluing condition fails at composable pair ((0, '12'), (1, '24'))\n"),
     ("bad_atlas.json", 2, None,

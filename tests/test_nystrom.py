@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,22 @@ import pytest
 from gpdlab import conical as co
 from gpdlab import mellin as me
 from gpdlab import nystrom as ny
+from gpdlab import specfiles as sf
+
+import reference
+
+POLYGONS = {
+    "square": co.unit_square,
+    "pentagon": lambda: co.regular_polygon(5),
+    "lshape": lambda: sf.parse_domain(Path(ny.__file__).parent / "corpus" / "lshape.json"),
+}
+
+
+def permuted(mesh, rng):
+    """The same mesh with its nodes in random order, so edges are not contiguous."""
+    p = rng.permutation(len(mesh.nodes))
+    return ny.PolygonMesh(mesh.nodes[p], mesh.weights[p], mesh.normals[p], mesh.edge_of[p],
+                          mesh.vertex_distance[p])
 
 
 class TestMesh:
@@ -41,6 +58,12 @@ class TestDoubleLayerMatrix:
         same = mesh.edge_of[:, None] == mesh.edge_of[None, :]
         assert np.max(np.abs(kmat[same])) == 0.0
 
+    @pytest.mark.parametrize("name", sorted(POLYGONS))
+    def test_matches_einsum_assembly(self, name):
+        mesh = ny.polygon_mesh(POLYGONS[name](), 16)
+        for m in (mesh, permuted(mesh, np.random.default_rng(3))):
+            assert np.max(np.abs(ny.double_layer_matrix(m) - reference.double_layer_reference(m))) <= 1e-15
+
     def test_gauss_row_sums(self):
         # closed-curve identity: the kernel integrates to 1/2 with inward
         # normals; checked away from the corners
@@ -70,6 +93,28 @@ class TestPolygonTrace:
         lines = trace.as_csv().strip().splitlines()
         assert lines[0] == "level,dof,sigma_min"
         assert len(lines) == 3
+
+
+class TestGramSigmaMin:
+    @pytest.mark.parametrize("name", sorted(POLYGONS))
+    def test_matches_full_svd(self, name):
+        domain = POLYGONS[name]()
+        got = ny.nystrom_oracle(domain, levels=6).sigmas()
+        want = reference.nystrom_sigmas_reference(domain, 6)
+        assert all(abs(g - w) <= 1e-10 * w for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("s_min", [0.0, 1e-6])
+    def test_near_singular_input(self, s_min):
+        n, rng = 64, np.random.default_rng(5)
+        u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        s = np.geomspace(1.0, 1e-3, n)
+        s[-1] = s_min
+        # unit density: the weighted matrix is the matrix itself
+        ones = np.ones(n)
+        mesh = ny.PolygonMesh(np.zeros((n, 2)), ones, np.zeros((n, 2)), np.arange(n), ones)
+        sigma = ny.weighted_sigma_min((u * s) @ v.T, mesh)
+        assert math.isfinite(sigma) and sigma >= 0.0
+        assert abs(sigma - s_min) <= math.sqrt(n * np.finfo(float).eps) * s[0]
 
 
 class TestModelOperator:
