@@ -8,8 +8,11 @@ constraints.  Diagnostics name the offending field path and witness.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from contextlib import contextmanager
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -34,10 +37,26 @@ def _load_json(path):
     if not path.exists():
         raise SchemaError(str(path), "file does not exist")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, _gc_paused():
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector while an acyclic tree (a JSON document) is built.
+
+    Its many new lists would otherwise trigger collections that can find
+    nothing; the collector's state on entry is restored on exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -99,19 +118,7 @@ def _groupoid_tables(doc, where: str) -> FiniteGroupoid:
     inv_i = _id_table(doc.get("inverse"), f"{where}.inverse", aidx, "arrow", aidx)
     compose_spec = doc.get("compose")
     _expect(isinstance(compose_spec, list), f"{where}.compose", "must be an array of [g, h, gh]")
-    # one pass with the checks inlined: the messages are formatted only on failure
-    n, get, seen, triples = len(arrows), aidx.get, set(), []
-    for i, triple in enumerate(compose_spec):
-        if not (isinstance(triple, list) and len(triple) == 3):
-            raise SchemaError(f"{where}.compose[{i}]", "must be a triple [g, h, gh]")
-        g, h, k = triple
-        strings = isinstance(g, str) and isinstance(h, str) and isinstance(k, str)
-        a, b, c = (get(g, -1), get(h, -1), get(k, -1)) if strings else (-1, -1, -1)
-        if a < 0 or b < 0 or c < 0 or a * n + b in seen:
-            raise SchemaError(f"{where}.compose[{i}]", _compose_fault(triple, aidx))
-        seen.add(a * n + b)
-        triples += (a, b, c)
-    p1, p2, pp = np.array(triples, np.int64).reshape(-1, 3).T
+    p1, p2, pp = _compose_columns(compose_spec, aidx, f"{where}.compose")
     return FiniteGroupoid._from_arrays(units, arrows, ends[:, 0], ends[:, 1], inv_i, unit_i, p1, p2, pp)
 
 
@@ -145,6 +152,47 @@ def _expect_string_values(table: dict, path: str):
             raise SchemaError(f"{path}[{key!r}]", f"must be a string id, got {value!r}")
 
 
+def _compose_columns(spec: list, aidx: dict, path: str) -> np.ndarray:
+    """The (g, h, gh) arrow-index columns of the compose entries, in their order.
+
+    The ids are looked up in one vectorised pass and a repeated (g, h) is
+    found by one ``np.unique``.  A fault is reported at the first entry that
+    is not a triple of declared string ids or repeats an earlier (g, h).
+    """
+    if spec and set(map(type, spec)) == {list} and set(map(len, spec)) == {3}:
+        try:
+            return _index_columns(spec, aidx, path)
+        except TypeError:  # an unhashable id
+            pass
+    # the walk: the first entry that is not a triple of strings, and faults before it
+    end = next((i for i, t in enumerate(spec) if not _is_id_triple(t)), len(spec))
+    columns = _index_columns(spec[:end], aidx, path)
+    if end == len(spec):
+        return columns
+    triple = spec[end]
+    if not (isinstance(triple, list) and len(triple) == 3):
+        raise SchemaError(f"{path}[{end}]", "must be a triple [g, h, gh]")
+    raise SchemaError(f"{path}[{end}]", _compose_fault(triple, aidx))
+
+
+def _is_id_triple(triple) -> bool:
+    return isinstance(triple, list) and len(triple) == 3 and all(isinstance(x, str) for x in triple)
+
+
+def _index_columns(triples: list, aidx: dict, path: str) -> np.ndarray:
+    """The index columns of entries that are lists of length 3; a faulty entry raises."""
+    ids = np.fromiter(map(aidx.get, chain.from_iterable(triples), repeat(-1)), np.int64,
+                      3 * len(triples)).reshape(-1, 3)
+    _, first = np.unique(ids[:, 0] * len(aidx) + ids[:, 1], return_index=True)
+    bad = np.ones(len(triples), bool)
+    bad[first] = False  # all but the first entry of each (g, h)
+    bad |= (ids < 0).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise SchemaError(f"{path}[{i}]", _compose_fault(triples[i], aidx))
+    return ids.T
+
+
 def _compose_fault(triple, aidx) -> str:
     """Why a well-shaped compose triple is rejected: the first bad id, else a duplicate."""
     for name, val in zip(("g", "h", "gh"), triple):
@@ -156,6 +204,8 @@ def _compose_fault(triple, aidx) -> str:
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     names = _id_array([_id_str(a) for a in g.arrows])
     unit_names = _id_array([_id_str(x) for x in g.units])
+    with _gc_paused():
+        compose = np.stack([names[g.p1], names[g.p2], names[g.pp]], axis=1).tolist()
     return {
         "spec_version": SPEC_VERSION,
         "kind": "groupoid",
@@ -166,7 +216,7 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
         ],
         "unit_arrows": dict(zip(unit_names.tolist(), names[g.unit_i].tolist())),
         "inverse": dict(zip(names.tolist(), names[g.inv_i].tolist())),
-        "compose": np.stack([names[g.p1], names[g.p2], names[g.pp]], axis=1).tolist(),
+        "compose": compose,
     }
 
 
@@ -363,10 +413,13 @@ def dump(doc: dict, path=None) -> str:
 
     The text is ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` byte
     for byte.  CPython's C encoder only runs without ``indent``, so the
-    layout is written here and strings go through the C escaper.
+    layout is written here and strings go through the C escaper, each
+    distinct string once.  A table of id rows (a compose table) is laid out
+    as one list of separators and quoted ids, which the final join turns
+    into text in one go.
     """
     out = []
-    _layout(doc, "\n", out)
+    _layout(doc, "\n", out, _Quoted())
     out.append("\n")
     text = "".join(out)
     if path is not None:
@@ -374,24 +427,36 @@ def dump(doc: dict, path=None) -> str:
     return text
 
 
-def _layout(obj, nl: str, out: list) -> None:
+class _Quoted(dict):
+    """The JSON literal of each string, quoted on first use."""
+
+    def __missing__(self, s):
+        text = self[s] = _quote(s)
+        return text
+
+
+def _layout(obj, nl: str, out: list, quoted: _Quoted) -> None:
     """Append the JSON text of ``obj``; ``nl`` is a newline plus the indent of its line."""
     if isinstance(obj, str):
-        out.append(_quote(obj))
+        out.append(quoted[obj])
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
         inner = nl + "  "
         try:  # most lists in groupoid files hold only ids
-            out.append("[" + inner + ("," + inner).join(map(_quote, obj)) + nl + "]")
+            out.append("[" + inner + ("," + inner).join(map(quoted.__getitem__, obj)) + nl + "]")
             return
         except TypeError:
             pass
+        table = _table_pieces(obj, nl, quoted)
+        if table is not None:
+            out += table
+            return
         sep = "[" + inner
         for value in obj:
             out.append(sep)
-            _layout(value, inner, out)
+            _layout(value, inner, out, quoted)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(obj, dict):
@@ -401,12 +466,34 @@ def _layout(obj, nl: str, out: list) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(sep + _quote(key if isinstance(key, str) else _key_str(key)) + ": ")
-            _layout(value, inner, out)
+            out.append(sep + quoted[key if isinstance(key, str) else _key_str(key)] + ": ")
+            _layout(value, inner, out, quoted)
             sep = "," + inner
         out.append(nl + "}")
     else:
         out.append(_scalar_str(obj))
+
+
+def _table_pieces(rows, nl: str, quoted: _Quoted) -> list | None:
+    """The text of ``rows`` as separators interleaved with quoted ids, if it
+    is a table: lists or tuples of one non-zero width, holding only strings.
+    """
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    width = widths.pop()
+    inner, cell = nl + "  ", nl + "    "
+    pieces = ["," + cell] * (2 * width * len(rows) + 1)
+    pieces[0] = "[" + inner + "[" + cell
+    pieces[2 * width:-1:2 * width] = [inner + "]," + inner + "[" + cell] * (len(rows) - 1)
+    pieces[-1] = inner + "]" + nl + "]"
+    try:
+        pieces[1::2] = map(quoted.__getitem__, chain.from_iterable(rows))
+    except TypeError:  # an item that is not a string
+        return None
+    return pieces
 
 
 def _scalar_str(o) -> str:

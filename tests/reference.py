@@ -9,6 +9,11 @@ whose capped report must list a subset of these witnesses.
 reduction by filtering the dict tables, as the array code must agree
 with; ``dump_reference`` is the text ``specfiles.dump`` must reproduce.
 
+``compose_tables_reference`` reads a compose section entry by entry, with
+a set of the (g, h) pairs seen so far, as ``specfiles`` did before it
+looked the ids up in one pass; its index columns, and the path and
+message of the first fault, must be the parser's.
+
 ``build_pair_reference``, ``build_group_bundle_reference``,
 ``build_product_reference``, ``relabel_reference`` and
 ``build_disjoint_union_reference`` are the dict loops the index-array
@@ -69,6 +74,7 @@ from gpdlab.groupoid import (
 )
 from gpdlab.iso import is_pair_groupoid
 from gpdlab.nystrom import polygon_mesh
+from gpdlab.specfiles import SchemaError
 
 
 def axiom_violations(g) -> dict:
@@ -127,6 +133,29 @@ def check_against_oracle(report, g) -> None:
 
 def dump_reference(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def compose_tables_reference(compose_spec, aidx: dict, path: str):
+    """The (p1, p2, pp) index arrays of a compose section; a fault raises SchemaError."""
+    n, get, seen, triples = len(aidx), aidx.get, set(), []
+    for i, triple in enumerate(compose_spec):
+        if not (isinstance(triple, list) and len(triple) == 3):
+            raise SchemaError(f"{path}[{i}]", "must be a triple [g, h, gh]")
+        g, h, k = triple
+        strings = isinstance(g, str) and isinstance(h, str) and isinstance(k, str)
+        a, b, c = (get(g, -1), get(h, -1), get(k, -1)) if strings else (-1, -1, -1)
+        if a < 0 or b < 0 or c < 0 or a * n + b in seen:
+            raise SchemaError(f"{path}[{i}]", _compose_fault_reference(triple, aidx))
+        seen.add(a * n + b)
+        triples += (a, b, c)
+    return tuple(np.array(triples, np.int64).reshape(-1, 3).T)
+
+
+def _compose_fault_reference(triple, aidx) -> str:
+    for name, val in zip(("g", "h", "gh"), triple):
+        if not (isinstance(val, str) and val in aidx):
+            return f"{name}={val!r} is not a declared arrow id"
+    return f"duplicate compose entry for ({triple[0]!r}, {triple[1]!r})"
 
 
 def reduction_reference(g, a) -> FiniteGroupoid:

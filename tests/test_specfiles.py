@@ -1,4 +1,6 @@
+import gc
 import json
+import random
 from importlib import resources
 from pathlib import Path
 
@@ -189,6 +191,19 @@ ADVERSARIAL_DOCS = [
     {True: "bool keys", False: 0},
     {None: "null key"},
     "top-level string", 7, -0.0, None, True, [], {},
+    # tables of ids, the shape of a compose section, and near misses
+    [["a", "b", "c"], ["d", "e", "f"], ["a", "b", "c"]],
+    [("a", "b"), ("c", "d")],
+    [["a", "b"], ("c", "d")],
+    {"compose": [["q\"", "back\\slash", "\x00\x1f\x7f\n"], ["é键", "ü😀\u2028", "100%"],
+                 ["%s", "%%", "%(x)d"]]},
+    {"deep": {"er": [["x"], ["y"], ["x"]]}},
+    [["a", 1], ["b", "c"]],
+    [["a", "b"], ["c", 2.5]],
+    [[], [], []],
+    [[["a"]], [["b"]]],
+    [["a", "b"], ["c"]],
+    [["a", "b"], "cd"],
 ]
 
 
@@ -210,7 +225,8 @@ class TestDumpBytes:
     def test_adversarial_documents(self, doc):
         assert sf.dump(doc) == reference.dump_reference(doc)
 
-    @pytest.mark.parametrize("doc", [{"a": 1, None: 2}, {(1, 2): 3}, [np.int64(3)], {"s": {1}}])
+    @pytest.mark.parametrize("doc", [{"a": 1, None: 2}, {(1, 2): 3}, [np.int64(3)], {"s": {1}},
+                                     [["a", np.int64(3)]]])
     def test_unencodable_documents_raise_alike(self, doc):
         with pytest.raises(TypeError) as want:
             reference.dump_reference(doc)
@@ -222,3 +238,177 @@ class TestDumpBytes:
         doc = ADVERSARIAL_DOCS[0]
         text = sf.dump(doc, tmp_path / "doc.json")
         assert (tmp_path / "doc.json").read_text(encoding="utf-8") == text
+
+    def test_dump_quotes_each_distinct_string_once(self, monkeypatch):
+        """Structural guard: ids are quoted once per dump, not once per compose slot."""
+        square = co.assemble_layer_groupoid(co.unit_square())
+        g = co.finite_toy_model(square, 5, interior_points=1).groupoid
+        doc = sf.groupoid_to_dict(g)
+        quote, calls = sf._quote, []
+        monkeypatch.setattr(sf, "_quote", lambda s: calls.append(s) or quote(s))
+        text = sf.dump(doc)
+        other = set(doc).union(*doc["arrows"], [doc["kind"]])  # keys and the kind tag
+        assert len(calls) == len(set(calls)) <= g.n_arrows + g.n_units + len(other)
+        assert text == reference.dump_reference(doc)
+
+
+def _arrow_index(doc) -> dict:
+    return {a["id"]: i for i, a in enumerate(doc["arrows"])}
+
+
+def _compose_outcome(parse):
+    try:
+        return parse()
+    except sf.SchemaError as exc:
+        return exc.path, str(exc)
+
+
+@pytest.fixture(scope="module")
+def compose_docs():
+    square = co.assemble_layer_groupoid(co.unit_square())
+    return {
+        "pair3": json.loads(corpus_path("pair3.json").read_text(encoding="utf-8")),
+        "toy-m2": sf.groupoid_to_dict(co.finite_toy_model(square, 2).groupoid),
+    }
+
+
+def _mutate(compose, kind, rng, arrow_ids):
+    """Apply one fault of ``kind`` at a random triple; returns the entry's index."""
+    triples = [i for i, t in enumerate(compose) if isinstance(t, list) and len(t) == 3]
+    i = rng.choice(triples)
+    if kind == "not-a-list":
+        compose[i] = rng.choice(["aab", 5, None, {"g": "aa"}, tuple(compose[i])])
+    elif kind == "wrong-length":
+        compose[i] = rng.choice([compose[i][:2], compose[i] + ["aa"], []])
+    elif kind.startswith("unknown-"):
+        compose[i] = list(compose[i])
+        compose[i][("g", "h", "gh").index(kind[8:])] = "zz-" + rng.choice(arrow_ids)
+    elif kind.startswith("id-"):
+        compose[i] = list(compose[i])
+        compose[i][rng.randrange(3)] = {"7": 7, "null": None, "[]": [], "{}": {}}[kind[3:]]
+    elif kind == "duplicate":
+        i, j = sorted(rng.sample(triples, 2))
+        compose[j] = [compose[i][0], compose[i][1], rng.choice(arrow_ids)]
+        return j
+    return i
+
+
+FAULTS = ["not-a-list", "wrong-length", "unknown-g", "unknown-h", "unknown-gh",
+          "id-7", "id-null", "id-[]", "id-{}", "duplicate"]
+
+
+class TestComposeParity:
+    """The vectorised compose parse reports what the per-entry walk reports."""
+
+    @pytest.mark.parametrize("name", ["pair3", "toy-m2"])
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_one_fault(self, compose_docs, name, kind):
+        rng = random.Random(f"{name}/{kind}")
+        for _ in range(3):
+            self._check(compose_docs[name], rng, [kind])
+
+    @pytest.mark.parametrize("name", ["pair3", "toy-m2"])
+    @pytest.mark.parametrize("dup_first", [True, False], ids=["duplicate-first", "unknown-first"])
+    def test_two_faults_in_either_order(self, compose_docs, name, dup_first):
+        rng = random.Random(f"{name}/{dup_first}")
+        for _ in range(5):
+            doc = json.loads(json.dumps(compose_docs[name]))
+            compose = doc["compose"]
+            a, b, c = sorted(rng.sample(range(len(compose)), 3))
+            dup, unknown = (b, c) if dup_first else (c, b)
+            compose[dup] = [compose[a][0], compose[a][1], compose[dup][2]]
+            compose[unknown][1] = "zz-unknown"
+            want = _compose_outcome(lambda: reference.compose_tables_reference(
+                compose, _arrow_index(doc), "m.json.compose"))
+            assert want[0] == f"m.json.compose[{b}]"
+            assert _compose_outcome(lambda: sf.groupoid_from_dict(doc, where="m.json")) == want
+
+    @pytest.mark.parametrize("name", ["pair3", "toy-m2"])
+    def test_random_faults(self, compose_docs, name):
+        rng = random.Random(name)
+        for _ in range(40):
+            self._check(compose_docs[name], rng, rng.sample(FAULTS, rng.randrange(1, 4)))
+
+    def _check(self, base, rng, kinds):
+        doc = json.loads(json.dumps(base))
+        for kind in kinds:
+            _mutate(doc["compose"], kind, rng, list(_arrow_index(doc)))
+        want = _compose_outcome(lambda: reference.compose_tables_reference(
+            doc["compose"], _arrow_index(doc), "m.json.compose"))
+        assert isinstance(want, tuple) and want[0].startswith("m.json.compose[")
+        assert _compose_outcome(lambda: sf.groupoid_from_dict(doc, where="m.json")) == want
+
+    @pytest.mark.parametrize("name", ["pair3", "toy-m2"])
+    def test_written_file_keeps_compose_order(self, compose_docs, name, tmp_path):
+        g = sf.groupoid_from_dict(compose_docs[name])
+        sf.dump(sf.groupoid_to_dict(g), tmp_path / "g.json")
+        g2 = sf.parse_groupoid(tmp_path / "g.json")
+        for col in ("p1", "p2", "pp"):
+            assert np.array_equal(getattr(g2, col), getattr(g, col)), col
+        doc = compose_docs[name]
+        want = reference.compose_tables_reference(doc["compose"], _arrow_index(doc), "c")
+        assert all(np.array_equal(a, b) for a, b in zip((g.p1, g.p2, g.pp), want))
+
+    def test_empty_compose_section(self):
+        doc = {"spec_version": 1, "kind": "groupoid", "units": [], "arrows": [],
+               "unit_arrows": {}, "inverse": {}, "compose": []}
+        g = sf.groupoid_from_dict(doc)
+        assert g.n_arrows == 0 and g.p1.shape == g.p2.shape == g.pp.shape == (0,)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestGcPause:
+    """JSON trees are built with the cyclic collector paused, and its state is restored."""
+
+    def test_load_json(self, gc_state, tmp_path, monkeypatch):
+        load, during = json.load, []
+        monkeypatch.setattr(json, "load", lambda fh: during.append(gc.isenabled()) or load(fh))
+        (tmp_path / "ok.json").write_text('{"a": [["x", "y"]]}')
+        assert sf._load_json(tmp_path / "ok.json") == {"a": [["x", "y"]]}
+        assert during == [False] and gc.isenabled() is gc_state
+
+    def test_load_json_decode_error(self, gc_state, tmp_path):
+        (tmp_path / "bad.json").write_text('{"a": [')
+        with pytest.raises(sf.SchemaError, match=":1:"):
+            sf._load_json(tmp_path / "bad.json")
+        assert gc.isenabled() is gc_state
+
+    def test_load_json_missing_file(self, gc_state, tmp_path):
+        with pytest.raises(sf.SchemaError, match="exist"):
+            sf._load_json(tmp_path / "missing.json")
+        assert gc.isenabled() is gc_state
+
+    def test_groupoid_to_dict(self, gc_state):
+        g = sf.parse_groupoid(corpus_path("pair3.json"))
+        assert sf.groupoid_to_dict(g)["compose"][0] == [g.arrows[g.p1[0]], g.arrows[g.p2[0]],
+                                                         g.arrows[g.pp[0]]]
+        assert gc.isenabled() is gc_state
+
+    def test_groupoid_to_dict_raising(self, gc_state):
+        g = sf.parse_groupoid(corpus_path("pair3.json"))
+        g.pp = np.full_like(g.pp, 10**6)  # out of range: the compose gather raises
+        with pytest.raises(IndexError):
+            sf.groupoid_to_dict(g)
+        assert gc.isenabled() is gc_state
+
+    def test_compose_lists_built_with_collector_paused(self, gc_state):
+        square = co.assemble_layer_groupoid(co.unit_square())
+        g = co.finite_toy_model(square, 3).groupoid
+        starts = []
+        collect = lambda phase, info: phase == "start" and starts.append(info["generation"])
+        gc.collect()
+        gc.callbacks.append(collect)
+        try:
+            sf.groupoid_to_dict(g)
+        finally:
+            gc.callbacks.remove(collect)
+        # one pass per gc.get_threshold()[0] new lists, were the collector running
+        assert len(starts) <= len(g.p1) / gc.get_threshold()[0] / 4
+        assert gc.isenabled() is gc_state
