@@ -6,9 +6,20 @@ Two independent discrete oracles:
   assembled on a mesh graded (exponent 3) toward the vertices, with the
   singular values taken in the inner product weighted by the inverse
   distance to the vertex set (the discrete stand-in for the conical
-  metric); sigma_min is the square root of the least eigenvalue of the
-  weighted matrix's Gram matrix, within sqrt(N eps) sigma_max of the
-  singular value (about N eps (sigma_max / sigma_min)^2 / 2 relative);
+  metric).  When rotating the polygon by 2 pi / k about its vertex
+  centroid maps vertex i onto vertex i + n / k, the mesh's first N / k
+  nodes form a fundamental block, the weighted matrix M is block
+  circulant, and only its block row B_0 .. B_{k-1} is assembled.  The
+  discrete Fourier transform over the rotation group splits M into the
+  blocks F_j = sum_r omega^(jr) B_r, and sigma_min is the least of
+  sqrt(lambda_min(F_j^H F_j)) over the characters j <= k / 2 (j and
+  k - j give conjugate blocks); k = 1 is the whole matrix.  Each Gram
+  eigenvalue is within sqrt(N eps) sigma_max of the singular value
+  (about N eps (sigma_max / sigma_min)^2 / 2 relative).  Against a full
+  SVD of the whole weighted matrix the result agrees at levels 1-6 to
+  7e-15 relative on the square and a rectangle, 9e-14 for k = 1, and
+  1e-11 on the regular 3- to 8-gons, whose vertices are rotated images
+  of each other only to rounding;
 * the half-line model operator c + Mellin convolution at a single cone,
   discretized on a log-uniform mesh whose window grows with the level,
   used for adversarial kernels whose symbol hits zero.  It keeps the
@@ -28,6 +39,9 @@ from .mellin import MellinKernel
 
 GRADING_EXPONENT = 3
 MIN_PANELS_PER_HALF_EDGE = 4
+# a rotation maps the vertices onto themselves when it moves none of them
+# farther than this fraction of the diameter
+ROTATION_TOL = 1e-12
 
 
 class MeshError(ValueError):
@@ -41,6 +55,9 @@ class PolygonMesh:
     normals: np.ndarray  # inward normals at nodes
     edge_of: np.ndarray  # edge index per node
     vertex_distance: np.ndarray  # distance to the vertex set
+    # k: the first N / k nodes, rotated r times by 2 pi / k, are nodes
+    # r N / k .. (r + 1) N / k - 1
+    rotation_order: int = 1
 
 
 def _polygon_coords(domain: LayerDomain):
@@ -75,40 +92,62 @@ def polygon_mesh(domain: LayerDomain, panels_per_half_edge: int) -> PolygonMesh:
         half = 0.5 * length
         cuts = np.concatenate([breaks * half, length - breaks[::-1][1:] * half])
         mids = 0.5 * (cuts[:-1] + cuts[1:])
-        for s, w in zip(mids, np.diff(cuts)):
-            nodes.append(p + s * direction)
-            weights.append(w)
-            normals.append(inward)
-            edge_of.append(e)
-    nodes = np.array(nodes)
+        nodes.append(p + mids[:, None] * direction)
+        weights.append(np.diff(cuts))
+        normals.append(np.broadcast_to(inward, (len(mids), 2)))
+        edge_of.append(np.full(len(mids), e))
+    nodes = np.concatenate(nodes)
     dists = np.min(
         np.linalg.norm(nodes[:, None, :] - coords[None, :, :], axis=2), axis=1
     )
     return PolygonMesh(
         nodes=nodes,
-        weights=np.array(weights),
-        normals=np.array(normals),
-        edge_of=np.array(edge_of),
+        weights=np.concatenate(weights),
+        normals=np.concatenate(normals),
+        edge_of=np.concatenate(edge_of),
         vertex_distance=dists,
+        rotation_order=_rotation_order(coords),
     )
 
 
-def double_layer_matrix(mesh: PolygonMesh) -> np.ndarray:
-    """Nystrom matrix of the double-layer operator with inward normals.
+def _rotation_order(coords: np.ndarray) -> int:
+    """Largest k dividing n whose rotation by 2 pi / k about the vertex
+    centroid maps each vertex i onto vertex i + n / k."""
+    n = len(coords)
+    centred = coords - coords.mean(axis=0)
+    diameter = np.max(np.linalg.norm(centred[:, None, :] - centred[None, :, :], axis=2))
+    for k in range(n, 1, -1):
+        if n % k:
+            continue
+        c, s = math.cos(2.0 * math.pi / k), math.sin(2.0 * math.pi / k)
+        rotated = centred @ np.array([[c, s], [-s, c]])
+        moved = np.linalg.norm(rotated - np.roll(centred, -(n // k), axis=0), axis=1)
+        if np.max(moved) <= ROTATION_TOL * diameter:
+            return k
+    return 1
 
-    Same-edge blocks vanish exactly on straight edges (collinear points)
-    and are set to zero, whatever the order of the nodes.
+
+def double_layer_matrix(mesh: PolygonMesh) -> np.ndarray:
+    """Block row of the Nystrom double-layer matrix with inward normals.
+
+    The rows are the first N / k nodes (k = ``mesh.rotation_order``) and
+    the columns all N, so the shape is (N / k, N); the rotation maps
+    this row onto every other block row, and for k = 1 it is the whole
+    matrix.  Same-edge blocks vanish exactly on straight edges
+    (collinear points) and are set to zero, whatever the order of the
+    nodes.
     """
     x, normals = mesh.nodes, mesh.normals
-    d = np.subtract.outer(x[:, 0], x[:, 0])
+    rows = x[: len(x) // mesh.rotation_order]
+    d = np.subtract.outer(rows[:, 0], x[:, 0])
     kmat = d * normals[:, 0]  # (x_i - x_j) . n_j, term by term
     r2 = np.square(d, out=d)
     # the second coordinate's difference is formed twice, so that no
-    # fourth N x N array is live at once
-    d = np.subtract.outer(x[:, 1], x[:, 1])
+    # fourth array of this size is live at once
+    d = np.subtract.outer(rows[:, 1], x[:, 1])
     d *= normals[:, 1]
     kmat += d
-    np.subtract.outer(x[:, 1], x[:, 1], out=d)
+    np.subtract.outer(rows[:, 1], x[:, 1], out=d)
     d *= d
     r2 += d
     np.fill_diagonal(r2, 1.0)
@@ -118,35 +157,56 @@ def double_layer_matrix(mesh: PolygonMesh) -> np.ndarray:
     order = np.argsort(mesh.edge_of, kind="stable")
     ends = np.flatnonzero(np.diff(mesh.edge_of[order])) + 1
     for block in np.split(order, ends):
-        kmat[np.ix_(block, block)] = 0.0
+        kmat[np.ix_(block[block < len(rows)], block)] = 0.0
     return kmat
 
 
 def weighted_sigma_min(a: np.ndarray, mesh: PolygonMesh) -> float:
     """sigma_min in the inner product with density (panel weight) / r.
 
-    With D = diag(sqrt(density)), this is sigma_min of M = D a D^-1,
-    taken as sqrt(lambda_min(M^T M)).  ``a`` is overwritten by M.  The
-    Gram eigenvalue is backward stable to about N eps sigma_max^2, so
-    the result is within sqrt(N eps) sigma_max of the singular value
-    (relative error about N eps (sigma_max / sigma_min)^2 / 2); a
-    rounding-negative lambda_min of a singular M reads as 0.
+    ``a`` is the block row (B_0 .. B_{k-1}) of a matrix that is block
+    circulant under the mesh's rotation group, k = ``mesh.rotation_order``;
+    for k = 1 it is the whole matrix.  With D = diag(sqrt(density)), the
+    result is sigma_min of M = D a D^-1, the least over the characters
+    j <= k / 2 of sqrt(lambda_min(F_j^H F_j)), F_j = sum_r omega^(jr) B_r.
+    ``a`` is overwritten by M's block row.  Each Gram eigenvalue is
+    backward stable to about N eps sigma_max^2, so the result is within
+    sqrt(N eps) sigma_max of the singular value (relative error about
+    N eps (sigma_max / sigma_min)^2 / 2); a rounding-negative
+    lambda_min of a singular M reads as 0.
     """
+    b, k = len(a), mesh.rotation_order
     d = np.sqrt(mesh.weights / mesh.vertex_distance)
-    a *= d[:, None]
+    a *= d[:b, None]
     a /= d
-    lam = np.linalg.eigvalsh(a.T @ a)[0]
-    return math.sqrt(max(float(lam), 0.0))
+    blocks = a.reshape(b, k, b)
+    lam = math.inf
+    for j in range(k // 2 + 1):
+        omega = np.exp(2j * math.pi * (j * np.arange(k) % k) / k)  # omega^(jr), r < k
+        # the characters 0 and k / 2 are +-1, so F_0 and F_{k/2} are real
+        gram = _character_gram(blocks, omega.real if 2 * j % k == 0 else omega)
+        lam = min(lam, float(np.linalg.eigvalsh(gram)[0]))
+    return math.sqrt(max(lam, 0.0))
+
+
+def _character_gram(blocks: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """F^H F for F = sum_r chi_r B_r; F is freed before the eigensolver copies F^H F."""
+    f = np.einsum("arc,r->ac", blocks, chi)
+    return f.conj().T @ f
 
 
 def gauss_row_sum_defect(mesh: PolygonMesh) -> float:
     """Deviation of sum_j K[i, j] from 1/2 at the node nearest each edge
-    midpoint (the closed-curve Gauss identity; a mesh sanity oracle)."""
-    kmat = double_layer_matrix(mesh)
-    sums = kmat.sum(axis=1)
+    midpoint (the closed-curve Gauss identity; a mesh sanity oracle).
+
+    Only the block row's edges are read: the rotation gives every other
+    edge the same row sums.
+    """
+    sums = double_layer_matrix(mesh).sum(axis=1)
     worst = 0.0
-    for e in np.unique(mesh.edge_of):
-        sel = np.flatnonzero(mesh.edge_of == e)
+    edge_of = mesh.edge_of[: len(sums)]
+    for e in np.unique(edge_of):
+        sel = np.flatnonzero(edge_of == e)
         mid = sel[np.argmax(mesh.vertex_distance[sel])]
         worst = max(worst, abs(float(sums[mid]) - 0.5))
     return worst
@@ -162,6 +222,7 @@ class TraceRow:
 @dataclass
 class SigmaTrace:
     rows: list
+    rotation_order: int = 1  # of the polygon's mesh; 1 for the model operator
 
     def sigmas(self) -> list:
         return [r.sigma_min for r in self.rows]
@@ -199,9 +260,10 @@ def nystrom_oracle(domain: LayerDomain, levels: int, base_panels: int = 4) -> Si
     for level in range(1, levels + 1):
         mesh = polygon_mesh(domain, base_panels * 2 ** (level - 1))
         a = double_layer_matrix(mesh)
-        a[np.diag_indices_from(a)] += 0.5
+        i = np.arange(len(a))
+        a[i, i] += 0.5
         rows.append(TraceRow(level, len(mesh.nodes), weighted_sigma_min(a, mesh)))
-    return SigmaTrace(rows)
+    return SigmaTrace(rows, mesh.rotation_order)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import gc
 import json
 import math
-from contextlib import contextmanager
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -37,26 +36,37 @@ def _load_json(path):
     if not path.exists():
         raise SchemaError(str(path), "file does not exist")
     try:
-        with open(path, "r", encoding="utf-8") as fh, _gc_paused():
+        with open(path, "r", encoding="utf-8") as fh, _gc_paused:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic collector while an acyclic tree (a JSON document) is built.
+class _GcPause:
+    """``with _gc_paused:`` pauses the cyclic collector while an acyclic tree
+    (a JSON document) is built, read or written.
 
     Its many new lists would otherwise trigger collections that can find
-    nothing; the collector's state on entry is restored on exit.
+    nothing.  The collector's state on entry is restored on exit, and
+    pauses nest.  Entering allocates no tracked object, and nothing is
+    allocated after the collector is enabled again: either would start a
+    collection over a tree that is still alive.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
+
+    _was_enabled: list = []
+
+    @staticmethod
+    def __enter__():
+        _GcPause._was_enabled.append(gc.isenabled())
+        gc.disable()
+
+    @staticmethod
+    def __exit__(*exc):
+        if _GcPause._was_enabled.pop():
             gc.enable()
+
+
+_gc_paused = _GcPause()
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -202,22 +212,22 @@ def _compose_fault(triple, aidx) -> str:
 
 
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
-    names = _id_array([_id_str(a) for a in g.arrows])
-    unit_names = _id_array([_id_str(x) for x in g.units])
-    with _gc_paused():
-        compose = np.stack([names[g.p1], names[g.p2], names[g.pp]], axis=1).tolist()
-    return {
-        "spec_version": SPEC_VERSION,
-        "kind": "groupoid",
-        "units": unit_names.tolist(),
-        "arrows": [
-            {"id": a, "dom": d, "rng": r}
-            for a, d, r in zip(names.tolist(), unit_names[g.dom_i].tolist(), unit_names[g.rng_i].tolist())
-        ],
-        "unit_arrows": dict(zip(unit_names.tolist(), names[g.unit_i].tolist())),
-        "inverse": dict(zip(names.tolist(), names[g.inv_i].tolist())),
-        "compose": compose,
-    }
+    with _gc_paused:
+        names = _id_array([_id_str(a) for a in g.arrows])
+        unit_names = _id_array([_id_str(x) for x in g.units])
+        return {
+            "spec_version": SPEC_VERSION,
+            "kind": "groupoid",
+            "units": unit_names.tolist(),
+            "arrows": [
+                {"id": a, "dom": d, "rng": r}
+                for a, d, r in zip(names.tolist(), unit_names[g.dom_i].tolist(),
+                                   unit_names[g.rng_i].tolist())
+            ],
+            "unit_arrows": dict(zip(unit_names.tolist(), names[g.unit_i].tolist())),
+            "inverse": dict(zip(names.tolist(), names[g.inv_i].tolist())),
+            "compose": np.stack([names[g.p1], names[g.p2], names[g.pp]], axis=1).tolist(),
+        }
 
 
 def _id_str(value) -> str:
@@ -225,7 +235,9 @@ def _id_str(value) -> str:
 
 
 def parse_groupoid(path) -> FiniteGroupoid:
-    return groupoid_from_dict(_load_json(path), where=str(path))
+    # the tree is dropped inside the pause, so no collection ever walks it
+    with _gc_paused:
+        return groupoid_from_dict(_load_json(path), where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +430,13 @@ def dump(doc: dict, path=None) -> str:
     as one list of separators and quoted ids, which the final join turns
     into text in one go.
     """
-    out = []
-    _layout(doc, "\n", out, _Quoted())
-    out.append("\n")
-    text = "".join(out)
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+    with _gc_paused:
+        out = []
+        _layout(doc, "\n", out, _Quoted())
+        out.append("\n")
+        text = "".join(out)
+        if path is not None:
+            Path(path).write_text(text, encoding="utf-8")
     return text
 
 

@@ -38,11 +38,13 @@ build one ``regular_rep`` per unit and compare limit operators by their
 spectra, as the Fredholm routes did before they read the orbit blocks;
 their verdicts, counterexamples, norms and matrices must be equal.
 
-``double_layer_reference`` assembles the Nystrom double-layer matrix from
-the (N, N, 2) difference array with two einsums and a same-edge mask, and
-``nystrom_sigmas_reference`` takes each level's sigma_min from a full SVD
-of the weighted matrix, as ``gpdlab.nystrom`` did before it read the Gram
-matrix's least eigenvalue.
+``polygon_mesh_reference`` lays out the graded polygon mesh node by node;
+``gpdlab.polygon_mesh`` must give the same arrays bit for bit.
+``double_layer_reference`` assembles the whole Nystrom double-layer matrix
+from the (N, N, 2) difference array with two einsums and a same-edge mask,
+and ``nystrom_sigmas_reference`` takes each level's sigma_min from a full
+SVD of the whole weighted matrix, as ``gpdlab.nystrom`` did before it read
+Gram eigenvalues of the rotation group's Fourier blocks.
 """
 
 import itertools
@@ -73,7 +75,7 @@ from gpdlab.groupoid import (
     validate,
 )
 from gpdlab.iso import is_pair_groupoid
-from gpdlab.nystrom import polygon_mesh
+from gpdlab.nystrom import PolygonMesh, _polygon_coords
 from gpdlab.specfiles import SchemaError
 
 
@@ -586,6 +588,29 @@ def _check_projection_reference(glued, i, piece, proj):
             raise GluingError(f"projection of piece {i} breaks products at ({a!r}, {b!r})")
 
 
+def polygon_mesh_reference(domain, panels_per_half_edge: int) -> PolygonMesh:
+    coords = _polygon_coords(domain)
+    nodes, weights, normals, edge_of = [], [], [], []
+    n_edges = len(coords)
+    breaks = (np.arange(panels_per_half_edge + 1) / panels_per_half_edge) ** 3
+    for e in range(n_edges):
+        p, q = coords[e], coords[(e + 1) % n_edges]
+        length = float(np.linalg.norm(q - p))
+        direction = (q - p) / length
+        inward = np.array([-direction[1], direction[0]])
+        half = 0.5 * length
+        cuts = np.concatenate([breaks * half, length - breaks[::-1][1:] * half])
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        for s, w in zip(mids, np.diff(cuts)):
+            nodes.append(p + s * direction)
+            weights.append(w)
+            normals.append(inward)
+            edge_of.append(e)
+    nodes = np.array(nodes)
+    dists = np.min(np.linalg.norm(nodes[:, None, :] - coords[None, :, :], axis=2), axis=1)
+    return PolygonMesh(nodes, np.array(weights), np.array(normals), np.array(edge_of), dists)
+
+
 def double_layer_reference(mesh) -> np.ndarray:
     x = mesh.nodes
     diff = x[:, None, :] - x[None, :, :]
@@ -600,7 +625,7 @@ def double_layer_reference(mesh) -> np.ndarray:
 def nystrom_sigmas_reference(domain, levels, base_panels=4) -> list:
     sigmas = []
     for level in range(1, levels + 1):
-        mesh = polygon_mesh(domain, base_panels * 2 ** (level - 1))
+        mesh = polygon_mesh_reference(domain, base_panels * 2 ** (level - 1))
         a = 0.5 * np.eye(len(mesh.nodes)) + double_layer_reference(mesh)
         d = np.sqrt(mesh.weights / mesh.vertex_distance)
         sigmas.append(float(np.linalg.svd((d[:, None] * a) / d[None, :], compute_uv=False)[-1]))

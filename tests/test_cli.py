@@ -197,6 +197,14 @@ class TestLayerAndMellinCommands:
         assert lines[0] == "level,dof,sigma_min"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("domain,order", [("square.json", 4), ("lshape.json", 1)])
+    def test_nystrom_json_names_rotation_order(self, runner, domain, order):
+        res = runner.invoke(main, ["nystrom-verify", "--domain", corpus(domain), "--levels", "2"])
+        assert res.exit_code in (0, 1)
+        results = json.loads(res.stdout)["results"]
+        assert results["rotation_order"] == order
+        assert [r["level"] for r in results["trace"]] == [1, 2]
+
 
 def run_python(code: str, env: dict) -> str:
     src = str(Path(__file__).resolve().parents[1] / "src")

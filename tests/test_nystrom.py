@@ -18,6 +18,32 @@ POLYGONS = {
 }
 
 
+def random_triangle(seed=11):
+    """Three seeded points in counterclockwise order: no rotation maps it onto itself."""
+    pts = np.random.default_rng(seed).random((3, 2))
+    a, b, c = pts
+    if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0:
+        pts = pts[::-1]
+    return co.polygon_domain(pts)
+
+
+def moved_square():
+    """The unit square with one vertex moved by 1e-9."""
+    return co.polygon_domain([(0, 0), (1, 0), (1, 1 + 1e-9), (0, 1)])
+
+
+# shape -> rotation order: sigma_min is read from that many Fourier blocks
+ROTATION_ORDERS = {
+    "square": (co.unit_square, 4),
+    "pentagon": (POLYGONS["pentagon"], 5),
+    "rectangle": (lambda: co.polygon_domain([(0, 0), (2, 0), (2, 1), (0, 1)]), 2),
+    **{f"regular{n}": (lambda n=n: co.regular_polygon(n), n) for n in (3, 4, 6, 7, 8)},
+    "lshape": (POLYGONS["lshape"], 1),
+    "random-triangle": (random_triangle, 1),
+    "moved-square": (moved_square, 1),
+}
+
+
 def permuted(mesh, rng):
     """The same mesh with its nodes in random order, so edges are not contiguous."""
     p = rng.permutation(len(mesh.nodes))
@@ -50,19 +76,67 @@ class TestMesh:
         with pytest.raises(ny.MeshError):
             ny.polygon_mesh(co.cone_3d(), 8)
 
+    @pytest.mark.parametrize("name", sorted(POLYGONS))
+    def test_matches_node_by_node_layout(self, name):
+        domain = POLYGONS[name]()
+        for panels in (4, 8, 16, 32, 64, 128):
+            got, want = ny.polygon_mesh(domain, panels), reference.polygon_mesh_reference(domain, panels)
+            for field in ("nodes", "weights", "normals", "edge_of", "vertex_distance"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (panels, field)
+
+
+class TestRotationOrder:
+    @pytest.mark.parametrize("name", sorted(ROTATION_ORDERS))
+    def test_detected(self, name):
+        make, k = ROTATION_ORDERS[name]
+        assert ny.polygon_mesh(make(), 4).rotation_order == k
+
+    @pytest.mark.parametrize("start", range(4))
+    def test_square_from_each_vertex(self, start):
+        corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        domain = co.polygon_domain(corners[start:] + corners[:start])
+        assert ny.polygon_mesh(domain, 4).rotation_order == 4
+
+    def test_hand_built_mesh_is_one_block(self):
+        mesh = ny.polygon_mesh(co.unit_square(), 4)
+        assert permuted(mesh, np.random.default_rng(0)).rotation_order == 1
+
+    @pytest.mark.parametrize("name", ["square", "pentagon", "regular6", "rectangle"])
+    def test_whole_matrix_is_block_circulant(self, name):
+        make, k = ROTATION_ORDERS[name]
+        mesh = ny.polygon_mesh(make(), 8)
+        full = reference.double_layer_reference(mesh)
+        b = len(full) // k
+        for r in range(k):
+            # block row r is block row 0 with its blocks moved r places right
+            assert np.allclose(full[r * b:(r + 1) * b], np.roll(full[:b], r * b, axis=1),
+                               rtol=0.0, atol=1e-12)
+
+    def test_eigensolver_sees_only_fourier_blocks(self, monkeypatch):
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: shapes.append(g.shape) or eigvalsh(g))
+        trace = ny.nystrom_oracle(co.unit_square(), 5)
+        assert trace.rotation_order == 4 and shapes
+        n = trace.rows[-1].dof
+        assert max(rows for rows, _ in shapes) <= n // 4
+
 
 class TestDoubleLayerMatrix:
     def test_same_edge_blocks_vanish(self):
         mesh = ny.polygon_mesh(co.unit_square(), 8)
         kmat = ny.double_layer_matrix(mesh)
-        same = mesh.edge_of[:, None] == mesh.edge_of[None, :]
+        assert kmat.shape == (len(mesh.nodes) // 4, len(mesh.nodes))
+        same = mesh.edge_of[: len(kmat), None] == mesh.edge_of[None, :]
         assert np.max(np.abs(kmat[same])) == 0.0
 
     @pytest.mark.parametrize("name", sorted(POLYGONS))
     def test_matches_einsum_assembly(self, name):
         mesh = ny.polygon_mesh(POLYGONS[name](), 16)
         for m in (mesh, permuted(mesh, np.random.default_rng(3))):
-            assert np.max(np.abs(ny.double_layer_matrix(m) - reference.double_layer_reference(m))) <= 1e-15
+            kmat = ny.double_layer_matrix(m)
+            assert kmat.shape == (len(m.nodes) // m.rotation_order, len(m.nodes))
+            assert np.max(np.abs(kmat - reference.double_layer_reference(m)[: len(kmat)])) <= 1e-15
 
     def test_gauss_row_sums(self):
         # closed-curve identity: the kernel integrates to 1/2 with inward
@@ -96,12 +170,14 @@ class TestPolygonTrace:
 
 
 class TestGramSigmaMin:
-    @pytest.mark.parametrize("name", sorted(POLYGONS))
+    @pytest.mark.parametrize("name", sorted(ROTATION_ORDERS))
     def test_matches_full_svd(self, name):
-        domain = POLYGONS[name]()
-        got = ny.nystrom_oracle(domain, levels=6).sigmas()
+        make, k = ROTATION_ORDERS[name]
+        domain = make()
+        trace = ny.nystrom_oracle(domain, levels=6)
         want = reference.nystrom_sigmas_reference(domain, 6)
-        assert all(abs(g - w) <= 1e-10 * w for g, w in zip(got, want))
+        assert trace.rotation_order == k
+        assert all(abs(g - w) <= 1e-10 * w for g, w in zip(trace.sigmas(), want))
 
     @pytest.mark.parametrize("s_min", [0.0, 1e-6])
     def test_near_singular_input(self, s_min):

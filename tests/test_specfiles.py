@@ -412,3 +412,48 @@ class TestGcPause:
         # one pass per gc.get_threshold()[0] new lists, were the collector running
         assert len(starts) <= len(g.p1) / gc.get_threshold()[0] / 4
         assert gc.isenabled() is gc_state
+
+    @pytest.fixture
+    def toy_file(self, tmp_path):
+        square = co.assemble_layer_groupoid(co.unit_square())
+        g = co.finite_toy_model(square, 3).groupoid
+        path = tmp_path / "toy.json"
+        sf.dump(sf.groupoid_to_dict(g), path)
+        return g, path
+
+    @staticmethod
+    def collections(action):
+        starts = []
+        collect = lambda phase, info: phase == "start" and starts.append(info["generation"])
+        gc.collect()
+        gc.callbacks.append(collect)
+        try:
+            out = action()
+        finally:
+            gc.callbacks.remove(collect)
+        return out, starts
+
+    def test_no_collection_inside_parse_groupoid(self, gc_state, toy_file):
+        g, path = toy_file
+        parsed, starts = self.collections(lambda: sf.parse_groupoid(path))
+        assert starts == [] and gc.isenabled() is gc_state
+        assert parsed.n_arrows == g.n_arrows and len(parsed.p1) == len(g.p1)
+
+    def test_no_collection_while_writing(self, gc_state, toy_file):
+        g, path = toy_file
+        text, starts = self.collections(lambda: sf.dump(sf.groupoid_to_dict(g), path))
+        assert starts == [] and gc.isenabled() is gc_state
+        assert text == path.read_text(encoding="utf-8")
+
+    def test_failing_parse_restores_collector(self, gc_state, tmp_path):
+        (tmp_path / "bad.json").write_text('{"spec_version": 1, "kind": "groupoid"}')
+        with pytest.raises(sf.SchemaError):
+            sf.parse_groupoid(tmp_path / "bad.json")
+        assert gc.isenabled() is gc_state
+
+    def test_pauses_nest(self, gc_state):
+        with sf._gc_paused:
+            with sf._gc_paused:
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is gc_state
