@@ -122,11 +122,15 @@ class AlgebraElement:
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """(a * b)(g) = sum over factorizations g = g'h of a(g') b(h)."""
     a._require_same(b)
-    g = a.groupoid
-    p1, p2, pp = g.p1, g.p2, g.pp
-    out = np.zeros(g.n_arrows, dtype=np.complex128)
-    np.add.at(out, pp, a.vec[p1] * b.vec[p2])
-    return AlgebraElement(g, out)
+    return AlgebraElement(a.groupoid, _convolve_rows(a.groupoid, a.vec[None], b.vec[None])[0])
+
+
+def _convolve_rows(g: FiniteGroupoid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row t is the convolution of rows t of a and b (T x n coefficient arrays)."""
+    t, n = a.shape
+    out = np.zeros(t * n, dtype=np.complex128)
+    np.add.at(out, (np.arange(t)[:, None] * n + g.pp).ravel(), (a[:, g.p1] * b[:, g.p2]).ravel())
+    return out.reshape(t, n)
 
 
 def star(a: AlgebraElement) -> AlgebraElement:
@@ -331,18 +335,18 @@ def block_decompose(g: FiniteGroupoid) -> OrbitBlockDecomposition:
     return g._cache["blocks"]
 
 
-def singular_extremes(m: np.ndarray):
-    if m.size == 0:
-        return (np.inf, 0.0)
-    svals = np.linalg.svd(m, compute_uv=False)
-    return (float(svals[-1]), float(svals[0]))
+def _invertible_stack(*stacks: np.ndarray) -> np.ndarray:
+    """Per row t, whether the block-diagonal matrix of the square matrices
+    stacks[i][t, ...] is invertible: its least singular value exceeds
+    DEFAULT_INVERTIBILITY_RTOL times its largest (a zero matrix is not)."""
+    svals = np.concatenate(
+        [np.linalg.svd(m, compute_uv=False).reshape(len(m), -1) for m in stacks], axis=1
+    )
+    return svals.min(axis=1) > DEFAULT_INVERTIBILITY_RTOL * svals.max(axis=1)
 
 
-def matrix_invertible(m: np.ndarray, rtol: float = DEFAULT_INVERTIBILITY_RTOL) -> bool:
-    smin, smax = singular_extremes(m)
-    if smax == 0.0:
-        return m.size == 0
-    return smin > rtol * smax
+def matrix_invertible(m: np.ndarray) -> bool:
+    return m.size == 0 or bool(_invertible_stack(m[None])[0])
 
 
 def left_multiplication_matrix(a: AlgebraElement) -> np.ndarray:
@@ -354,27 +358,102 @@ def left_multiplication_matrix(a: AlgebraElement) -> np.ndarray:
     return mat
 
 
+@dataclass(eq=False)
+class _DFiberBlocks:
+    """Left multiplication on C[G] as one k x k block per d-fiber of size k.
+
+    The blocks lie back to back in a flat array, grouped by fiber size;
+    block entry i holds the coefficient of arrow ``source[i]`` (n_arrows,
+    a zero, where no compose triple lands), and ``groups`` holds, per
+    size, the fibers' arrows as a (fiber count) x k array and the group's
+    first flat position.
+    """
+
+    source: np.ndarray
+    groups: tuple
+
+
+def _dfiber_blocks(g: FiniteGroupoid) -> _DFiberBlocks:
+    """The d-fiber blocks of left multiplication; cached on g.
+
+    Since d(gh) = d(h), left multiplication maps each C[G_x] into itself,
+    and the compose triple (g, h, gh) is entry (gh, h) of the block at
+    d(h).  A table where some d(gh) != d(h), or where two triples share
+    (gh, h), has no such blocks and raises.
+    """
+    if "dfiber_blocks" not in g._cache:
+        dom_i, p1, p2, pp, n = g.dom_i, g.p1, g.p2, g.pp, g.n_arrows
+        k = np.bincount(dom_i, minlength=g.n_units)[dom_i]  # each arrow's fiber size
+        key = k * g.n_units + dom_i
+        perm = np.argsort(key, kind="stable")  # fiber by fiber, the fibers by size
+        skey, sk = key[perm], k[perm]
+        first = np.searchsorted(skey, skey)  # where each arrow's fiber starts in perm
+        entries_before = np.cumsum(sk) - sk  # a fiber of size k holds k * k block entries
+        pos, off = np.empty(n, np.int64), np.empty(n, np.int64)
+        pos[perm] = np.arange(n) - first
+        off[perm] = entries_before[first]
+        slot = off[p2] + pos[pp] * k[p2] + pos[p2]
+        source, entries = np.full(int(sk.sum()), n), np.arange(len(p1))
+        bad, fault = np.flatnonzero(dom_i[pp] != dom_i[p2]), "leaves the d-fiber of its right factor"
+        if not len(bad):
+            source[slot] = entries  # of the entries that share a slot, one is kept
+            bad = np.flatnonzero(source[slot] != entries)
+            fault = "shares its product and right factor with another entry"
+        if len(bad):
+            j = bad[0]
+            raise AlgebraError(
+                f"compose entry ({g.arrows[p1[j]]!r}, {g.arrows[p2[j]]!r}) -> {g.arrows[pp[j]]!r} {fault}"
+            )
+        source[slot] = p1
+        sizes, starts = np.unique(sk, return_index=True)
+        groups = tuple(
+            (perm[lo:hi].reshape(-1, size), int(entries_before[lo]))
+            for size, lo, hi in zip(sizes.tolist(), starts.tolist(), [*starts[1:].tolist(), n])
+        )
+        g._cache["dfiber_blocks"] = _DFiberBlocks(source, groups)
+    return g._cache["dfiber_blocks"]
+
+
+def _solve_inverse_rows(g: FiniteGroupoid, a: np.ndarray):
+    """Route A for each row of a (T x n coefficient vectors): (ok, sol).
+
+    ok[t] says whether row t is invertible, and then sol[t] is its
+    two-sided inverse.  The left-multiplication matrix is block diagonal
+    up to one permutation of rows and columns (see ``_dfiber_blocks``),
+    so its singular values are those of the blocks and ``_invertible_stack``
+    of the blocks decides as on the whole matrix.  Only rows that pass are
+    solved, block by block, and both residuals are then checked.
+    """
+    t, n = a.shape
+    sol = np.zeros((t, n), np.complex128)
+    if n == 0:
+        return np.ones(t, bool), sol
+    fb = _dfiber_blocks(g)
+    flat = np.concatenate([a, np.zeros((t, 1))], axis=1).take(fb.source, axis=1)
+    blocks = [flat[:, lo:lo + f.size * f.shape[1]].reshape(t, *f.shape, f.shape[1]) for f, lo in fb.groups]
+    ok = _invertible_stack(*blocks)
+    rows, unit_vec = np.flatnonzero(ok), AlgebraElement.unit(g).vec
+    for b, (fibers, _) in zip(blocks, fb.groups):
+        y = np.linalg.solve(b[rows], unit_vec[fibers][..., None])
+        sol[np.ix_(rows, fibers.ravel())] = y.reshape(len(rows), fibers.size)
+    a, s = a[rows], sol[rows]
+    scale = 1.0 + np.abs(a).max(axis=1) * np.maximum(1.0, np.abs(s).max(axis=1))
+    for left, right in ((a, s), (s, a)):
+        residual = np.abs(_convolve_rows(g, left, right) - unit_vec).max(axis=1)
+        ok[rows[residual > 1e-8 * scale]] = False
+    return ok, sol
+
+
 def solve_inverse(a: AlgebraElement):
     """Two-sided inverse in the groupoid algebra via the left-regular system.
 
-    Returns the inverse element, or None when the element is not
-    invertible (left-multiplication matrix numerically singular or the
-    candidate fails the two-sided residual check).
+    The system is solved on one block per d-fiber (see
+    ``_solve_inverse_rows``).  Returns the inverse element, or None when
+    the element is not invertible (left-multiplication matrix numerically
+    singular or the candidate fails the two-sided residual check).
     """
-    g = a.groupoid
-    if g.n_arrows == 0:
-        return AlgebraElement.zero(g)
-    lmat = left_multiplication_matrix(a)
-    if not matrix_invertible(lmat):
-        return None
-    unit_vec = AlgebraElement.unit(g).vec
-    sol = AlgebraElement(g, np.linalg.solve(lmat, unit_vec))
-    scale = 1.0 + float(np.max(np.abs(a.vec))) * max(1.0, float(np.max(np.abs(sol.vec))))
-    if np.max(np.abs(convolve(a, sol).vec - unit_vec)) > 1e-8 * scale:
-        return None
-    if np.max(np.abs(convolve(sol, a).vec - unit_vec)) > 1e-8 * scale:
-        return None
-    return sol
+    ok, sol = _solve_inverse_rows(a.groupoid, a.vec[None])
+    return AlgebraElement(a.groupoid, sol[0]) if ok[0] else None
 
 
 def invertible(a: AlgebraElement, method: str = "blocks") -> bool:
@@ -382,8 +461,10 @@ def invertible(a: AlgebraElement, method: str = "blocks") -> bool:
 
     method='blocks' decides through the faithful orbit decomposition
     (every block matrix invertible); method='solve' solves for a
-    two-sided inverse in the algebra.  The two agree; they are kept as
-    genuinely distinct routes so either can serve as the other's oracle.
+    two-sided inverse in the algebra, one block of the left-regular
+    system per d-fiber.  The two agree; they are kept as genuinely
+    distinct routes so either can serve as the other's oracle: the
+    solve reads only the domains and the compose table.
     """
     if method == "blocks":
         return all(matrix_invertible(m) for m in block_decompose(a.groupoid).matrices(a))

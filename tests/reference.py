@@ -37,6 +37,13 @@ compose order, projections, witnesses and messages.
 build one ``regular_rep`` per unit and compare limit operators by their
 spectra, as the Fredholm routes did before they read the orbit blocks;
 their verdicts, counterexamples, norms and matrices must be equal.
+``solve_inverse_reference``, their algebra route, takes the full SVD of
+the whole left-multiplication matrix and one dense solve, as
+``gpdlab.solve_inverse`` did before it solved one block per d-fiber.
+``matrix_invertible_reference`` decides one matrix from its own SVD and
+``convolve_reference`` adds one product at a time, as
+``gpdlab.matrix_invertible`` and ``gpdlab.convolve`` did before they
+became the one-row cases of the stacked routines.
 
 ``polygon_mesh_reference`` lays out the graded polygon mesh node by node;
 ``gpdlab.polygon_mesh`` must give the same arrays bit for bit.
@@ -56,13 +63,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from gpdlab.algebra import (
+    DEFAULT_INVERTIBILITY_RTOL,
     AlgebraElement,
-    matrix_invertible,
+    left_multiplication_matrix,
     operator_norm,
     random_element,
     regular_rep,
     restrict_boundary,
-    solve_inverse,
 )
 from gpdlab.fredholm import CriterionVerdict, FredholmStructure, SpectralCheckReport, StructureError
 from gpdlab.gluing import AtlasError, GluedGroupoid, GluingError
@@ -208,6 +215,46 @@ def make_structure_reference(g, u) -> FredholmStructure:
 # the Fredholm routes, one regular representation per unit
 
 
+def matrix_invertible_reference(m: np.ndarray) -> bool:
+    if m.size == 0:
+        return True
+    svals = np.linalg.svd(m, compute_uv=False)
+    smin, smax = float(svals[-1]), float(svals[0])
+    if smax == 0.0:
+        return False
+    return smin > DEFAULT_INVERTIBILITY_RTOL * smax
+
+
+def convolve_reference(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    g = a.groupoid
+    out = np.zeros(g.n_arrows, dtype=np.complex128)
+    np.add.at(out, g.pp, a.vec[g.p1] * b.vec[g.p2])
+    return AlgebraElement(g, out)
+
+
+def solve_inverse_reference(a: AlgebraElement):
+    """Two-sided inverse in the groupoid algebra via the left-regular system.
+
+    Returns the inverse element, or None when the element is not
+    invertible (left-multiplication matrix numerically singular or the
+    candidate fails the two-sided residual check).
+    """
+    g = a.groupoid
+    if g.n_arrows == 0:
+        return AlgebraElement.zero(g)
+    lmat = left_multiplication_matrix(a)
+    if not matrix_invertible_reference(lmat):
+        return None
+    unit_vec = AlgebraElement.unit(g).vec
+    sol = AlgebraElement(g, np.linalg.solve(lmat, unit_vec))
+    scale = 1.0 + float(np.max(np.abs(a.vec))) * max(1.0, float(np.max(np.abs(sol.vec))))
+    if np.max(np.abs(convolve_reference(a, sol).vec - unit_vec)) > 1e-8 * scale:
+        return None
+    if np.max(np.abs(convolve_reference(sol, a).vec - unit_vec)) > 1e-8 * scale:
+        return None
+    return sol
+
+
 def _spectra_match_reference(m1, m2) -> float:
     if m1.shape != m2.shape:
         return np.inf
@@ -238,14 +285,14 @@ def limit_operators_reference(s, a, tol=1e-10):
 def fredholm_criterion_reference(s, a) -> CriterionVerdict:
     def one_plus_invertible(x):
         m = regular_rep(a, x).matrix
-        return matrix_invertible(np.eye(m.shape[0]) + m)
+        return matrix_invertible_reference(np.eye(m.shape[0]) + m)
 
     u_inv = s.interior_representative is None or one_plus_invertible(s.interior_representative)
     boundary = {rep: one_plus_invertible(rep) for rep in s.boundary_representatives}
     quotient = True
     if s.boundary:
         af, _ = restrict_boundary(a, s.boundary, n_samples=0)
-        quotient = solve_inverse(AlgebraElement.unit(af.groupoid) + af) is not None
+        quotient = solve_inverse_reference(AlgebraElement.unit(af.groupoid) + af) is not None
     return CriterionVerdict(u_inv, boundary, quotient, quotient == all(boundary.values()), quotient)
 
 
@@ -258,9 +305,9 @@ def strictly_spectral_check_reference(s, trials, seed):
     bad = []
     for t in range(trials):
         b = random_element(gf, rng)
-        algebra_route = solve_inverse(AlgebraElement.unit(gf) + b) is not None
+        algebra_route = solve_inverse_reference(AlgebraElement.unit(gf) + b) is not None
         family_route = all(
-            matrix_invertible(np.eye(len(m)) + m)
+            matrix_invertible_reference(np.eye(len(m)) + m)
             for m in (regular_rep(b, x).matrix for x in orbits.representatives)
         )
         if algebra_route != family_route:

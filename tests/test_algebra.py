@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ import gpdlab as gl
 from gpdlab import algebra as al
 
 import gen
+import reference
 
 
 def pair3():
@@ -325,3 +328,134 @@ class TestBlocksAndInvertibility:
             if inv is not None:
                 unit = al.AlgebraElement.unit(g)
                 assert np.max(np.abs(al.convolve(a, inv).vec - unit.vec)) < 1e-7
+
+
+class TestSolveInverseFiberBlocks:
+    """Route A on d-fiber blocks against the full SVD and dense solve of the reference."""
+
+    @staticmethod
+    def assert_matches_reference(a):
+        got, want = al.solve_inverse(a), reference.solve_inverse_reference(a)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.max(np.abs(got.vec - want.vec), initial=0.0) <= 1e-10 * np.max(np.abs(want.vec), initial=1.0)
+        return got
+
+    def test_random_groupoids_with_unequal_fiber_sizes(self):
+        rng = np.random.default_rng(31)
+        sizes = set()
+        for _ in range(40):
+            g = gen.random_groupoid(rng, max_arrows=60)
+            sizes.add(len(set(np.bincount(g.dom_i, minlength=g.n_units).tolist())))
+            for a in (al.random_element(g, rng), al.AlgebraElement.unit(g) + al.random_element(g, rng)):
+                self.assert_matches_reference(a)
+        assert max(sizes) > 1  # some groupoid has fibers of two sizes
+
+    def test_toy_boundaries(self):
+        from gpdlab import conical as co
+
+        rng = np.random.default_rng(32)
+        square = co.assemble_layer_groupoid(co.unit_square())
+        for m in (2, 3, 4, 5):
+            gf = co.finite_toy_model(square, m, interior_points=1).structure.boundary_groupoid
+            unit = al.AlgebraElement.unit(gf)
+            for a in (unit + al.random_element(gf, rng), al.random_element(gf, rng), -1.0 * unit):
+                self.assert_matches_reference(a)
+
+    def test_nilpotent_zero_and_empty(self):
+        g = pair3()
+        assert self.assert_matches_reference(al.AlgebraElement.from_dict(g, {(0, 1): 1.0, (1, 2): 2.0})) is None
+        assert self.assert_matches_reference(al.AlgebraElement.zero(g)) is None
+        empty = gl.build_pair([])
+        assert self.assert_matches_reference(al.AlgebraElement.zero(empty)).vec.shape == (0,)
+
+    def test_one_singular_fiber_block_is_not_solved(self):
+        g = gl.build_group_bundle(["a", "b"], gl.GroupTable.cyclic(2))
+        singular = al.AlgebraElement.from_dict(g, {("a", 0): 1.0, ("a", 1): 1.0, ("b", 0): 2.0})
+        assert self.assert_matches_reference(singular) is None
+        # in a stack, the singular row is masked out of the solve and the other row solved
+        ok, sol = al._solve_inverse_rows(g, np.stack([singular.vec, al.AlgebraElement.unit(g).vec]))
+        assert ok.tolist() == [False, True]
+        assert np.array_equal(sol[1], al.AlgebraElement.unit(g).vec)
+
+    @pytest.mark.parametrize("factor", [1 + 1e-3, 1 - 1e-3])
+    def test_threshold_decided_on_the_extremes_over_all_blocks(self, factor):
+        # fibers of sizes 2 and 3: identity on the pair part, c times the unit on the bundle
+        g = gl.build_disjoint_union([gl.build_pair(range(2)), gl.build_group_bundle(["z"], gl.GroupTable.cyclic(3))])
+        c = al.DEFAULT_INVERTIBILITY_RTOL * factor
+        vec = np.zeros(g.n_arrows, complex)
+        vec[g.unit_i] = [1.0, 1.0, c]
+        inv = self.assert_matches_reference(al.AlgebraElement(g, vec))
+        assert (inv is not None) == (factor > 1)
+
+    @pytest.mark.parametrize("factor", [1 + 1e-3, 1 - 1e-3])
+    def test_threshold_on_a_rotated_block(self, factor):
+        # pair(4): every d-fiber block is the coefficient matrix, here U diag(s) V*; with a
+        # condition number near 1e8 only the verdicts, not the inverses, agree to 1e-10
+        rng = np.random.default_rng(33)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        mat = u @ np.diag([1.0, 0.5, 0.25, al.DEFAULT_INVERTIBILITY_RTOL * factor]) @ v.conj().T
+        g = gl.build_pair(range(4))
+        a = al.AlgebraElement.from_dict(g, {(x, y): mat[x, y] for x in range(4) for y in range(4)})
+        got, want = al.solve_inverse(a), reference.solve_inverse_reference(a)
+        assert (got is None) == (want is None) == (factor < 1)
+
+    def test_one_matrix_and_one_row_cases_match_the_references(self):
+        rng = np.random.default_rng(36)
+        c = al.DEFAULT_INVERTIBILITY_RTOL
+        mats = [np.zeros((0, 0)), np.zeros((3, 3)), np.eye(2), np.diag([1.0, c * (1 + 1e-3)]),
+                np.diag([1.0, c * (1 - 1e-3)]), rng.standard_normal((5, 5)), np.ones((4, 4))]
+        for m in mats:
+            assert al.matrix_invertible(m) == reference.matrix_invertible_reference(m)
+        g = gen.random_groupoid(rng, max_arrows=60)
+        rows = [(al.random_element(g, rng), al.random_element(g, rng)) for _ in range(5)]
+        got = al._convolve_rows(g, np.stack([a.vec for a, _ in rows]), np.stack([b.vec for _, b in rows]))
+        want = np.stack([reference.convolve_reference(a, b).vec for a, b in rows])
+        assert np.array_equal(got, want)  # the same sums in the same order
+
+    @staticmethod
+    def with_products(g, pp):
+        return gl.FiniteGroupoid._from_arrays(g.units, g.arrows, g.dom_i, g.rng_i, g.inv_i, g.unit_i, g.p1, g.p2, pp)
+
+    def test_product_leaving_the_fiber_raises(self):
+        g = pair3()
+        pp = g.pp.copy()
+        j = int(np.flatnonzero(g.dom_i[g.pp] != g.dom_i[g.p1])[0])  # a triple whose factors differ in domain
+        pp[j] = g.p1[j]  # the product now has the left factor's domain
+        left, right = g.arrows[g.p1[j]], g.arrows[g.p2[j]]
+        message = f"compose entry ({left!r}, {right!r}) -> {left!r} leaves the d-fiber of its right factor"
+        with pytest.raises(al.AlgebraError, match=re.escape(message)):
+            al.solve_inverse(al.AlgebraElement.unit(self.with_products(g, pp)))
+
+    def test_two_entries_in_one_block_slot_raise(self):
+        g = pair3()
+        pp = g.pp.copy()
+        i, j = np.flatnonzero(g.p2 == g.p2[0])[:2]  # two triples with one right factor
+        pp[j] = pp[i]  # now both fill the block entry (pp[i], p2[i])
+        with pytest.raises(al.AlgebraError, match="shares its product and right factor with another entry"):
+            al.solve_inverse(al.AlgebraElement.unit(self.with_products(g, pp)))
+
+    def test_compose_triples_fill_each_block_entry_once(self):
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            g = gen.random_groupoid(rng, max_arrows=60)
+            fb = al._dfiber_blocks(g)
+            assert len(fb.source) == (np.bincount(g.dom_i) ** 2).sum() == len(g.p1)
+            assert sorted(fb.source.tolist()) == sorted(g.p1.tolist())
+
+    def test_independent_of_the_orbit_route(self, monkeypatch):
+        import sys
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("route A read the orbit route")
+
+        for name in ("block_decompose", "orbits_and_isotropy", "regular_rep", "structure_witness"):
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("gpdlab") and hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        g = gl.build_product(gl.build_pair(range(2)), gl.build_group_bundle(["z"], gl.GroupTable.cyclic(3)))
+        a = al.AlgebraElement.unit(g) + al.random_element(g, np.random.default_rng(34))
+        assert al.solve_inverse(a) is not None
+        assert al.invertible(a, method="solve")
+        assert al.solve_inverse(al.AlgebraElement.zero(g)) is None

@@ -245,6 +245,14 @@ print(json.dumps({"writes": writes, "env": {v: os.environ.get(v) for v in %r}}))
                 "print('scipy.linalg' in sys.modules)")
         assert run_python(code, dict(os.environ)).strip() == "False"
 
+    def test_spectral_check_leaves_scipy_linalg_unloaded(self):
+        # both routes are numpy gufunc calls: stacked svd and solve
+        code = ("import sys; from gpdlab import conical, fredholm; "
+                "toy = conical.finite_toy_model(conical.assemble_layer_groupoid(conical.unit_square()), 3); "
+                "assert fredholm.strictly_spectral_check(toy.structure, 20, 0).passed; "
+                "print('scipy.linalg' in sys.modules)")
+        assert run_python(code, dict(os.environ)).strip() == "False"
+
 
 CLI_REPORTS = {
     "validate": ["validate", "--groupoid", corpus("pair3.json")],
@@ -413,9 +421,11 @@ def test_glue_corpus_output_pinned(runner, monkeypatch, name, code, stdout_sha25
      "5dae455c622f55a9e4684954bbb90f93cbc700dd088d7d2995abe6b09f9e1078"),
     (["spectral-check", "--groupoid", "toy_layer.json", "--trials", "20", "--seed", "5"],
      "d8b6c5450e6361ecb9d04326128bbec9f2dbf7a8c13b27b5c716e87e65887729"),
+    (["spectral-check", "--groupoid", "toy_layer.json", "--seed", "5"],
+     "908dee13c9e7624090d22802a469f6ac5017c63adc6482e5992fae06b59281db"),
     (["norms", "--groupoid", "pair3.json", "--element", "element_pair3.json"],
      "05db619be4591c3c5349b522e450f4eb14aac1051551ceace662be6276ebfb47"),
-], ids=["fredholm-check-7", "fredholm-check-11", "spectral-check", "norms"])
+], ids=["fredholm-check-7", "fredholm-check-11", "spectral-check", "spectral-check-200", "norms"])
 def test_algebra_corpus_output_pinned(runner, monkeypatch, args, stdout_sha256):
     monkeypatch.chdir(Path(corpus("pair3.json")).parent)
     res = runner.invoke(main, args)

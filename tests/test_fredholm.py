@@ -254,6 +254,24 @@ class TestLoopReference:
             got = fr.strictly_spectral_check(s, 15, seed)
             assert vars(got) == vars(reference.strictly_spectral_check_reference(s, 15, seed))
 
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_spectral_check_over_chunks_matches_reference(self, chunks):
+        s = co.finite_toy_model(co.assemble_layer_groupoid(co.unit_square()), 2, interior_points=1).structure
+        trials = chunks * fr._TRIAL_CHUNK + 1
+        got = fr.strictly_spectral_check(s, trials, 8)
+        assert vars(got) == vars(reference.strictly_spectral_check_reference(s, trials, 8))
+
+    def test_counterexample_trials_numbered_across_chunks(self, monkeypatch):
+        # route A replaced by the sign of each draw's first imaginary part: the
+        # counterexamples then name the trials where it is negative, in draw order
+        s = co.finite_toy_model(co.assemble_layer_groupoid(co.unit_square()), 2, interior_points=1).structure
+        monkeypatch.setattr(fr, "_solve_inverse_rows", lambda g, a: (a[:, 0].imag > 0, None))
+        trials, rng, want = 3 * fr._TRIAL_CHUNK + 1, np.random.default_rng(9), []
+        for t in range(trials):
+            if al.random_element(s.boundary_groupoid, rng).vec[0].imag <= 0:
+                want.append({"trial": t, "algebra": False, "family": True})
+        assert fr.strictly_spectral_check(s, trials, 9).counterexamples == want
+
 
 def test_one_boundary_reduction_per_structure(monkeypatch):
     toy = co.finite_toy_model(co.assemble_layer_groupoid(co.unit_square()), 2, interior_points=1)
