@@ -9,16 +9,21 @@ computed after the substitution t = e^u as the Fourier transform of the
 conjugated kernel g(u) = k(e^u) e^(a u).  g is sampled once on a uniform
 grid of a log window sized from the declared decay, and every lam is a
 trapezoid sum over those samples; the rule converges exponentially for
-kernels analytic in a strip around the line.  The convention (weight in
-the exponent, sign of the dual variable) is fixed here once and shared
-by every oracle in the package.  Scans certify the whole line with two
-bounds from the same samples: a Lipschitz bound between neighbouring
-grid points and an integration-by-parts bound at large |lam|; the grid
-is bisected only where neither bound clears the tolerance.
+kernels analytic in a strip around the line.  Kernels are sampled only
+through ``MellinKernel.values``, one call per grid or refinement step:
+a kernel declared ``vectorized`` (every built-in one) is evaluated by one
+numpy call on the whole array of t, any other kernel node by node.  The
+convention (weight in the exponent, sign of the dual variable) is fixed
+here once and shared by every oracle in the package.  Scans certify the
+whole line with two bounds from the same samples: a Lipschitz bound
+between neighbouring grid points and an integration-by-parts bound at
+large |lam|; the grid is bisected only where neither bound clears the
+tolerance.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -64,12 +69,19 @@ class KernelDecay:
     c_inf: float
 
 
+_SAMPLE_CHUNK = 1024  # scalar-kernel values collected per array conversion
+
+
 @dataclass
 class MellinKernel:
     """Matrix-valued Mellin convolution kernel at one cone point.
 
     ``fn(t)`` returns the (size x size) complex matrix at t > 0; entry
-    (c, c') couples base boundary components c and c'.  ``decay``
+    (c, c') couples base boundary components c and c'.  With
+    ``vectorized=True``, ``fn`` takes an array of t and returns an array
+    of shape t.shape + (size, size) in one call; the default
+    ``vectorized=False`` declares a scalar ``fn``, called once per node.
+    ``values`` is the one way the package samples a kernel.  ``decay``
     certifies integrability against the weight line.  Entries should be
     twice differentiable in log t: the certified large-frequency tail
     bound integrates the second logarithmic derivative.
@@ -77,28 +89,38 @@ class MellinKernel:
 
     vertex: object
     size: int
-    fn: Callable[[float], np.ndarray]
+    fn: Callable[..., np.ndarray]
     decay: KernelDecay
     name: str = "kernel"
+    vectorized: bool = False
+
+    def values(self, ts) -> np.ndarray:
+        """Complex samples of shape ts.shape + (size, size) at an array of t > 0."""
+        ts = np.asarray(ts, dtype=float)
+        k = self.size
+        if self.vectorized:
+            out = np.asarray(self.fn(ts), dtype=np.complex128)
+            if out.shape != ts.shape + (k, k):
+                raise MellinError(
+                    f"kernel {self.name!r} returned shape {out.shape} for t of shape {ts.shape}"
+                )
+            return out
+        flat = ts.ravel().tolist()
+        out = np.empty((len(flat), k, k), dtype=np.complex128)
+        for s in range(0, len(flat), _SAMPLE_CHUNK):
+            vals = np.asarray([self.fn(t) for t in flat[s : s + _SAMPLE_CHUNK]], dtype=np.complex128)
+            if vals.shape[1:] != (k, k):
+                raise MellinError(f"kernel {self.name!r} returned shape {vals.shape[1:]}")
+            out[s : s + len(vals)] = vals
+        return out.reshape(ts.shape + (k, k))
 
     def __call__(self, t: float) -> np.ndarray:
-        out = np.asarray(self.fn(t), dtype=np.complex128)
-        if out.shape != (self.size, self.size):
-            raise MellinError(f"kernel {self.name!r} returned shape {out.shape}")
-        return out
-
-    def conjugated(self, weight: float) -> Callable[[float], np.ndarray]:
-        """g(u) = k(e^u) e^(a u), the kernel on the logarithmic line."""
-
-        def g(u: float) -> np.ndarray:
-            return self(math.exp(u)) * math.exp(weight * u)
-
-        return g
+        return self.values([t])[0]
 
 
 def check_line_integrability(kernel: MellinKernel, weight: float):
     d = kernel.decay
-    if weight + d.p0 <= 0 or weight - d.p_inf >= 0:
+    if not -d.p0 < weight < d.p_inf:
         raise NonIntegrableError(
             f"kernel {kernel.name!r} is not integrable on the weight line a={weight}: "
             f"needs -p0 < a < p_inf with p0={d.p0}, p_inf={d.p_inf}"
@@ -121,6 +143,19 @@ def _log_window(kernel: MellinKernel, weight: float, tail_mass: float = 1e-13):
 # built-in kernels
 
 
+def _scalar_values(entry) -> np.ndarray:
+    """The 1 x 1 kernel values [[entry]], one per element of ``entry``."""
+    return np.asarray(entry)[..., None, None]
+
+
+def _ray_coupling_values(off) -> np.ndarray:
+    """The 2 x 2 kernel values [[0, off], [off, 0]], one per element of ``off``."""
+    off = np.asarray(off)
+    out = np.zeros(off.shape + (2, 2))
+    out[..., 0, 1] = out[..., 1, 0] = off
+    return out
+
+
 def wedge_double_layer_kernel(alpha: float, vertex="corner") -> MellinKernel:
     """Planar Laplace double-layer kernel between the two rays of a wedge.
 
@@ -137,19 +172,21 @@ def wedge_double_layer_kernel(alpha: float, vertex="corner") -> MellinKernel:
     sa, ca = math.sin(alpha), math.cos(alpha)
     if alpha == math.pi or abs(sa) == 0.0:
 
-        def zero_fn(t):
-            return np.zeros((2, 2))
+        def zero_fn(ts):
+            return np.zeros(np.shape(ts) + (2, 2))
 
-        return MellinKernel(vertex, 2, zero_fn, KernelDecay(1.0, 0.0, 1.0, 0.0), "flat-wedge")
+        return MellinKernel(
+            vertex, 2, zero_fn, KernelDecay(1.0, 0.0, 1.0, 0.0), "flat-wedge", vectorized=True
+        )
 
-    def fn(t):
-        off = t * sa / (TWO_PI * (t * t - 2.0 * t * ca + 1.0))
-        return np.array([[0.0, off], [off, 0.0]])
+    def fn(ts):
+        return _ray_coupling_values(ts * sa / (TWO_PI * (ts * ts - 2.0 * ts * ca + 1.0)))
 
     denom_floor = sa * sa if ca > 0 else 1.0
     c_bound = abs(sa) / (TWO_PI * denom_floor)
     return MellinKernel(
-        vertex, 2, fn, KernelDecay(1.0, c_bound, 1.0, c_bound), f"wedge({alpha:.6g})"
+        vertex, 2, fn, KernelDecay(1.0, c_bound, 1.0, c_bound), f"wedge({alpha:.6g})",
+        vectorized=True,
     )
 
 
@@ -163,20 +200,24 @@ def double_layer_kernel_value(x, y, normal_at_y) -> float:
 def sech_test_kernel(vertex="test") -> MellinKernel:
     """Scalar test kernel t / (1 + t^2) = sech(log t) / 2."""
 
-    def fn(t):
-        return np.array([[t / (1.0 + t * t)]])
+    def fn(ts):
+        return _scalar_values(ts / (1.0 + ts * ts))
 
-    return MellinKernel(vertex, 1, fn, KernelDecay(1.0, 1.0, 1.0, 1.0), "sech-test")
+    return MellinKernel(
+        vertex, 1, fn, KernelDecay(1.0, 1.0, 1.0, 1.0), "sech-test", vectorized=True
+    )
 
 
 def symmetric_dilation_kernel(vertex="test") -> MellinKernel:
     """Scalar kernel 2 sqrt(t) / (1 + t^2), symmetric under the end swap
     k(t) -> k(1/t) t^(-2a) on the line a = 1/2."""
 
-    def fn(t):
-        return np.array([[2.0 * math.sqrt(t) / (1.0 + t * t)]])
+    def fn(ts):
+        return _scalar_values(2.0 * np.sqrt(ts) / (1.0 + ts * ts))
 
-    return MellinKernel(vertex, 1, fn, KernelDecay(0.5, 2.0, 1.5, 2.0), "symmetric-dilation")
+    return MellinKernel(
+        vertex, 1, fn, KernelDecay(0.5, 2.0, 1.5, 2.0), "symmetric-dilation", vectorized=True
+    )
 
 
 def forced_zero_kernel(c: float, vertex="adversarial") -> MellinKernel:
@@ -187,11 +228,19 @@ def forced_zero_kernel(c: float, vertex="adversarial") -> MellinKernel:
     """
     scale = c / math.pi
 
-    def fn(t):
-        return np.array([[-scale * 2.0 * math.sqrt(t) / (1.0 + t * t)]])
+    def fn(ts):
+        return _scalar_values(-scale * 2.0 * np.sqrt(ts) / (1.0 + ts * ts))
 
     return MellinKernel(
-        vertex, 1, fn, KernelDecay(0.5, 2.0 * scale, 1.5, 2.0 * scale), "forced-zero"
+        vertex, 1, fn, KernelDecay(0.5, 2.0 * scale, 1.5, 2.0 * scale), "forced-zero",
+        vectorized=True,
+    )
+
+
+def _flipped_decay(d: KernelDecay, weight: float) -> KernelDecay:
+    """Decay of k(1/t) t^(-2a): the two ends swap, shifted by 2a."""
+    return KernelDecay(
+        p0=d.p_inf - 2.0 * weight, c0=d.c_inf, p_inf=d.p0 + 2.0 * weight, c_inf=d.c0
     )
 
 
@@ -203,17 +252,13 @@ def reflect_kernel(kernel: MellinKernel, weight: float) -> MellinKernel:
     k(t) -> k(1/t) t^(-2a).
     """
 
-    def fn(t):
-        return np.asarray(kernel.fn(1.0 / t)) * t ** (-2.0 * weight)
+    def fn(ts):
+        return kernel.values(1.0 / ts) * np.power(ts, -2.0 * weight)[..., None, None]
 
-    d = kernel.decay
-    decay = KernelDecay(
-        p0=d.p_inf - 2.0 * weight,
-        c0=d.c_inf,
-        p_inf=d.p0 + 2.0 * weight,
-        c_inf=d.c0,
+    return MellinKernel(
+        kernel.vertex, kernel.size, fn, _flipped_decay(kernel.decay, weight),
+        f"reflected({kernel.name})", vectorized=True,
     )
-    return MellinKernel(kernel.vertex, kernel.size, fn, decay, f"reflected({kernel.name})")
 
 
 def adjoint_kernel(kernel: MellinKernel, weight: float) -> MellinKernel:
@@ -224,17 +269,14 @@ def adjoint_kernel(kernel: MellinKernel, weight: float) -> MellinKernel:
     plain conjugate-transpose-reflect.
     """
 
-    def fn(t):
-        return np.conj(np.asarray(kernel.fn(1.0 / t))).T * t ** (-2.0 * weight)
+    def fn(ts):
+        flipped = np.conj(kernel.values(1.0 / ts)).swapaxes(-1, -2)
+        return flipped * np.power(ts, -2.0 * weight)[..., None, None]
 
-    d = kernel.decay
-    decay = KernelDecay(
-        p0=d.p_inf - 2.0 * weight,
-        c0=d.c_inf,
-        p_inf=d.p0 + 2.0 * weight,
-        c_inf=d.c0,
+    return MellinKernel(
+        kernel.vertex, kernel.size, fn, _flipped_decay(kernel.decay, weight),
+        f"adjoint({kernel.name})", vectorized=True,
     )
-    return MellinKernel(kernel.vertex, kernel.size, fn, decay, f"adjoint({kernel.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +308,6 @@ MAX_INTERVALS = 2**19  # node cap of the sampled log line
 _START_STEP = 0.125  # coarsest log-line step; refinement halves it
 _PHASE_ENTRIES = 2**17  # phase-matrix entries per lam block (2 MB)
 _FINE = 64  # fine phase factors per coarse one
-_SAMPLE_CHUNK = 1024  # kernel values collected per array conversion
 
 
 def _cis(x: np.ndarray) -> np.ndarray:
@@ -302,15 +343,8 @@ class LogLineSamples:
         return (self.hi - self.lo) / (len(self.u) - 1)
 
     def _sample(self, u: np.ndarray) -> np.ndarray:
-        """(len(u), k*k) samples of g, the kernel evaluated pointwise in chunks."""
-        k = self.kernel.size
-        ts = np.exp(u).tolist()
-        out = np.empty((len(u), k * k), dtype=np.complex128)
-        for s in range(0, len(ts), _SAMPLE_CHUNK):
-            vals = np.asarray([self.kernel.fn(t) for t in ts[s : s + _SAMPLE_CHUNK]], dtype=np.complex128)
-            if vals.shape[1:] != (k, k):
-                raise MellinError(f"kernel {self.kernel.name!r} returned shape {vals.shape[1:]}")
-            out[s : s + len(vals)] = vals.reshape(len(vals), k * k)
+        """(len(u), k*k) samples of g, one ``kernel.values`` call for all of u."""
+        out = self.kernel.values(np.exp(u)).reshape(len(u), -1)
         out *= np.exp(self.weight * u)[:, None]
         return out
 
@@ -527,6 +561,13 @@ def mellin_transform_direct(kernel: MellinKernel, weight: float, lam: float) -> 
 # invertibility scan
 
 
+def _check_scan_constants(c: complex, sigma_tol: float) -> None:
+    if not cmath.isfinite(c):
+        raise MellinError(f"constant term c must be finite, got {c!r}")
+    if not (math.isfinite(sigma_tol) and sigma_tol > 0.0):
+        raise MellinError(f"sigma_tol must be finite and positive, got {sigma_tol!r}")
+
+
 @dataclass
 class ScanResult:
     vertex: object
@@ -568,10 +609,9 @@ def invertibility_scan(
     error, decides the verdict; it and min_sigma, the smallest sample,
     are both capped by tail_floor.
     """
+    _check_scan_constants(c, sigma_tol)
     if abs(c) == 0.0:
         raise MellinError("scan requires a nonzero constant term")
-    if sigma_tol <= 0.0:
-        raise MellinError("sigma_tol must be positive")
     lam_max = family.lambda_max
     if lam_max <= 0:
         raise MellinError("scan grid must contain a nonzero lambda")
@@ -692,6 +732,7 @@ def fredholm_verdict(
     else:
         weight_value = float(weight)
 
+    _check_scan_constants(c, sigma_tol)
     elliptic = abs(c) != 0.0
     scans: dict = {}
     witness = None

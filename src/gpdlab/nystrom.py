@@ -288,15 +288,14 @@ def model_operator_trace(
     stabilizes; a symbol zero makes it sink toward zero as the window
     grows.
     """
-    g = kernel.conjugated(weight)
     k = kernel.size
     rows = []
     for level in range(1, levels + 1):
         window = window0 * growth ** (level - 1)
         n = max(8, int(round(window / step)))
-        us = (np.arange(n) + 0.5) * step - window
         diffs = (np.arange(-(n - 1), n)) * step
-        gvals = np.array([g(u) for u in diffs])  # (2n-1, k, k)
+        # the conjugated kernel g(u) = k(e^u) e^(a u), shape (2n-1, k, k)
+        gvals = kernel.values(np.exp(diffs)) * np.exp(weight * diffs)[:, None, None]
         idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) + (n - 1)
         big = np.zeros((n * k, n * k), dtype=np.complex128)
         for p in range(k):

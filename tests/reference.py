@@ -52,6 +52,13 @@ from the (N, N, 2) difference array with two einsums and a same-edge mask,
 and ``nystrom_sigmas_reference`` takes each level's sigma_min from a full
 SVD of the whole weighted matrix, as ``gpdlab.nystrom`` did before it read
 Gram eigenvalues of the rotation group's Fourier blocks.
+
+``kernel_samples_reference`` samples a Mellin kernel with one ``fn`` call
+per node, in chunks of 1024, and ``log_line_samples_reference`` weights
+those samples into g(u) = k(e^u) e^(a u), as ``LogLineSamples`` did before
+it sampled through ``MellinKernel.values``.  ``reflect_kernel_reference``
+and ``adjoint_kernel_reference`` are the scalar flips k(1/t) t^(-2a) and
+conj(k(1/t))^T t^(-2a), with Python's ``**`` on each node.
 """
 
 import itertools
@@ -82,6 +89,7 @@ from gpdlab.groupoid import (
     validate,
 )
 from gpdlab.iso import is_pair_groupoid
+from gpdlab.mellin import KernelDecay, MellinError, MellinKernel
 from gpdlab.nystrom import PolygonMesh, _polygon_coords
 from gpdlab.specfiles import SchemaError
 
@@ -677,3 +685,41 @@ def nystrom_sigmas_reference(domain, levels, base_panels=4) -> list:
         d = np.sqrt(mesh.weights / mesh.vertex_distance)
         sigmas.append(float(np.linalg.svd((d[:, None] * a) / d[None, :], compute_uv=False)[-1]))
     return sigmas
+
+
+def kernel_samples_reference(kernel, ts) -> np.ndarray:
+    k = kernel.size
+    ts = np.asarray(ts, dtype=float).tolist()
+    out = np.empty((len(ts), k * k), dtype=np.complex128)
+    for s in range(0, len(ts), 1024):
+        vals = np.asarray([kernel.fn(t) for t in ts[s : s + 1024]], dtype=np.complex128)
+        if vals.shape[1:] != (k, k):
+            raise MellinError(f"kernel {kernel.name!r} returned shape {vals.shape[1:]}")
+        out[s : s + len(vals)] = vals.reshape(len(vals), k * k)
+    return out.reshape(len(ts), k, k)
+
+
+def log_line_samples_reference(kernel, weight, u) -> np.ndarray:
+    out = kernel_samples_reference(kernel, np.exp(u)).reshape(len(u), -1)
+    out *= np.exp(weight * u)[:, None]
+    return out
+
+
+def _flipped_decay_reference(d, weight) -> KernelDecay:
+    return KernelDecay(p0=d.p_inf - 2.0 * weight, c0=d.c_inf, p_inf=d.p0 + 2.0 * weight, c_inf=d.c0)
+
+
+def reflect_kernel_reference(kernel, weight) -> MellinKernel:
+    def fn(t):
+        return np.asarray(kernel.fn(1.0 / t)) * t ** (-2.0 * weight)
+
+    decay = _flipped_decay_reference(kernel.decay, weight)
+    return MellinKernel(kernel.vertex, kernel.size, fn, decay, f"reflected({kernel.name})")
+
+
+def adjoint_kernel_reference(kernel, weight) -> MellinKernel:
+    def fn(t):
+        return np.conj(np.asarray(kernel.fn(1.0 / t))).T * t ** (-2.0 * weight)
+
+    decay = _flipped_decay_reference(kernel.decay, weight)
+    return MellinKernel(kernel.vertex, kernel.size, fn, decay, f"adjoint({kernel.name})")

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -394,6 +396,51 @@ def test_mellin_scan_bad_lambda_max_exits_two(runner, value, shown):
     res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--lambda-max", value])
     assert res.exit_code == 2
     assert res.stderr == f"error: lambda_max must be finite and positive, got {shown}\n"
+
+
+def test_mellin_scan_nan_weight_exits_two(runner):
+    res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--weight", "nan"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == (
+        "error: kernel 'wedge(1.5708)' is not integrable on the weight line a=nan: "
+        "needs -p0 < a < p_inf with p0=1.0, p_inf=1.0\n"
+    )
+
+
+@pytest.mark.parametrize("option, value, stderr", [
+    ("--sigma-tol", "nan", "error: sigma_tol must be finite and positive, got nan\n"),
+    ("--sigma-tol", "inf", "error: sigma_tol must be finite and positive, got inf\n"),
+    ("--sigma-tol", "0", "error: sigma_tol must be finite and positive, got 0.0\n"),
+    ("--c", "nan", "error: constant term c must be finite, got nan\n"),
+    ("--c", "inf", "error: constant term c must be finite, got inf\n"),
+    ("--c", "-inf", "error: constant term c must be finite, got -inf\n"),
+])
+def test_mellin_scan_non_finite_constants_exit_two(runner, option, value, stderr):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), option, value])
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", stderr)
+    assert caught == []
+
+
+# stdout of `mellin-scan --domain src/gpdlab/corpus/<name>` run from the
+# repository root (the report echoes the path as given)
+MELLIN_SCAN_SHA256 = {
+    "square.json": "5581e93510350896035932da2a04501cdbd78a926144504ed1df21d635f6066d",
+    "pentagon.json": "d060e066e34ae2733338b753a3007ffc2b56b1905bb4f87f4541b710f140f5e6",
+    "lshape.json": "b2f4b18f84ca21a9b06101e1971514b8a43e09318529846178312f340a268f74",
+}
+
+
+@pytest.mark.parametrize("name", MELLIN_SCAN_SHA256)
+def test_mellin_scan_corpus_output_pinned(runner, monkeypatch, tmp_path, name):
+    rel = Path("src", "gpdlab", "corpus", name)
+    (tmp_path / rel).parent.mkdir(parents=True)
+    shutil.copyfile(corpus(name), tmp_path / rel)
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, ["mellin-scan", "--domain", rel.as_posix()])
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == MELLIN_SCAN_SHA256[name]
 
 
 @pytest.mark.parametrize("name, code, stdout_sha256, stderr", [

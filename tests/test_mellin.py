@@ -7,6 +7,8 @@ import pytest
 from gpdlab import conical as co
 from gpdlab import mellin as me
 
+import reference
+
 
 def wedge_symbol_closed_form(alpha, a, lam):
     # residue evaluation of the ray-coupling integral on the weight line
@@ -478,3 +480,135 @@ def test_scan_of_a_zero_only_grid_refuses():
     fam = me.mellin_transform(me.sech_test_kernel(), 0.5, np.array([0.0]))
     with pytest.raises(me.MellinError, match="nonzero lambda"):
         me.invertibility_scan(fam, 0.5)
+
+
+BUILT_IN_KERNELS = {
+    **{f"wedge-{alpha:.4g}": me.wedge_double_layer_kernel(alpha)
+       for alpha in (0.4, math.pi / 2, math.pi, 2.2, 5.0)},
+    "sech": me.sech_test_kernel(),
+    "symmetric-dilation": me.symmetric_dilation_kernel(),
+    "forced-zero": me.forced_zero_kernel(0.5),
+}
+# t over a log line wider than any built-in window, with 1 and the wedge peaks in between
+SAMPLE_TS = np.concatenate([np.exp(np.linspace(-60.0, 60.0, 3001)), [1.0, 0.5, 2.0]])
+
+
+class TestKernelValues:
+    @pytest.mark.parametrize("name", BUILT_IN_KERNELS)
+    def test_built_ins_are_arrays_equal_to_per_node_samples(self, name):
+        kern = BUILT_IN_KERNELS[name]
+        assert kern.vectorized
+        vals = kern.values(SAMPLE_TS)
+        want = reference.kernel_samples_reference(kern, SAMPLE_TS)
+        assert vals.dtype == np.complex128 and vals.shape == want.shape
+        assert vals.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+    @pytest.mark.parametrize("name", BUILT_IN_KERNELS)
+    def test_built_in_transform_equals_per_node_sampling(self, name, monkeypatch):
+        kern, lams = BUILT_IN_KERNELS[name], np.array([-7.5, 0.0, 0.25, 3.0, 120.0])
+        fam = me.mellin_transform(kern, 0.5, lams)
+        monkeypatch.setattr(me.LogLineSamples, "_sample",
+                            lambda self, u: reference.log_line_samples_reference(self.kernel, self.weight, u))
+        want = me.mellin_transform(kern, 0.5, lams)
+        assert fam.value(lams).tobytes() == want.value(lams).tobytes()
+        assert (fam.tail_c2, fam.lipschitz, fam.max_quad_error) == (
+            want.tail_c2, want.lipschitz, want.max_quad_error)
+
+    @pytest.mark.parametrize("kind", ["vectorized", "scalar"])
+    def test_values_keep_the_shape_of_t(self, kind):
+        base = me.wedge_double_layer_kernel(2.2)
+        kern = base if kind == "vectorized" else me.MellinKernel("v", 2, base.fn, base.decay)
+        ts = SAMPLE_TS[:12].reshape(3, 4)
+        vals = kern.values(ts)
+        assert vals.shape == (3, 4, 2, 2)
+        assert vals.tobytes() == kern.values(ts.ravel()).reshape(3, 4, 2, 2).tobytes()
+        assert kern(ts[1, 2]).tobytes() == vals[1, 2].tobytes()
+        assert kern.values([]).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.25, 0.4, 0.5, 1.0])
+    @pytest.mark.parametrize("flip", ["reflect", "adjoint"])
+    @pytest.mark.parametrize("name", ["wedge-0.4", "wedge-5", "symmetric-dilation"])
+    def test_flips_agree_with_per_node_flips(self, name, flip, weight):
+        # np.power on arrays and Python's ** on floats may differ in the last bit
+        base = BUILT_IN_KERNELS[name]
+        kern = getattr(me, f"{flip}_kernel")(base, weight)
+        ref = getattr(reference, f"{flip}_kernel_reference")(base, weight)
+        assert kern.vectorized and (kern.decay, kern.name) == (ref.decay, ref.name)
+        vals = kern.values(SAMPLE_TS)
+        want = reference.kernel_samples_reference(ref, SAMPLE_TS)
+        assert np.all(np.abs(vals - want) <= 1e-15 * np.abs(want))
+
+    def test_flips_of_a_scalar_kernel(self):
+        base = midpoint_dip_kernel(0.125)
+        for flip in ("reflect", "adjoint"):
+            kern = getattr(me, f"{flip}_kernel")(base, 0.5)
+            want = reference.kernel_samples_reference(
+                getattr(reference, f"{flip}_kernel_reference")(base, 0.5), SAMPLE_TS)
+            assert np.all(np.abs(kern.values(SAMPLE_TS) - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("vectorized, fn", [
+        (True, lambda ts: np.zeros((len(ts), 1, 1))),
+        (True, lambda ts: np.zeros((2, 2))),
+        (True, lambda ts: np.zeros((len(ts) - 1, 2, 2))),
+        (False, lambda t: np.zeros((1, 1))),
+    ], ids=["array-wrong-size", "array-one-matrix", "array-too-few", "scalar-wrong-size"])
+    def test_kernel_of_the_wrong_shape_names_the_kernel(self, vectorized, fn):
+        kern = me.MellinKernel("v", 2, fn, me.KernelDecay(1.0, 1.0, 1.0, 1.0), "bad",
+                               vectorized=vectorized)
+        with pytest.raises(me.MellinError, match="kernel 'bad' returned shape"):
+            me.mellin_transform(kern, 0.5, np.array([0.0]))
+        with pytest.raises(me.MellinError, match="kernel 'bad' returned shape"):
+            kern(1.0)
+
+    def test_scalar_kernel_gives_the_per_node_symbols_exactly(self, monkeypatch):
+        # the midpoint dip, a positional MellinKernel with a scalar fn, as a
+        # benchmark scan runs it: default grid, certified scan
+        kern = midpoint_dip_kernel(0.125)
+        assert not kern.vectorized
+        fam = me.mellin_transform(kern, 0.5)
+        scan = me.invertibility_scan(fam, 0.5)
+        monkeypatch.setattr(me.LogLineSamples, "_sample",
+                            lambda self, u: reference.log_line_samples_reference(self.kernel, self.weight, u))
+        want = me.mellin_transform(kern, 0.5)
+        assert scan == me.invertibility_scan(want, 0.5)
+        grid = fam.grid()
+        assert np.array_equal(grid, want.grid())
+        assert fam.value(grid).tobytes() == want.value(grid).tobytes()
+
+    def test_scalar_kernel_is_called_once_per_node_with_floats(self):
+        seen = []
+        base = me.sech_test_kernel()
+
+        def fn(t):
+            seen.append(type(t))
+            return base.fn(t)
+
+        kern = me.MellinKernel("k", 1, fn, base.decay, "counted")
+        vals = kern.values(SAMPLE_TS)
+        assert seen == [float] * len(SAMPLE_TS)
+        assert vals.tobytes() == base.values(SAMPLE_TS).tobytes()
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0, 1.0])
+def test_weight_outside_the_open_decay_interval_is_not_integrable(weight):
+    with pytest.raises(me.NonIntegrableError, match="not integrable"):
+        me.check_line_integrability(me.wedge_double_layer_kernel(math.pi / 2), weight)
+
+
+@pytest.mark.parametrize("c, sigma_tol, message", [
+    (math.nan, 1e-3, "constant term c must be finite, got nan"),
+    (math.inf, 1e-3, "constant term c must be finite, got inf"),
+    (complex(0.5, math.nan), 1e-3, r"constant term c must be finite, got \(0.5\+nanj\)"),
+    (0.5, math.nan, "sigma_tol must be finite and positive, got nan"),
+    (0.5, math.inf, "sigma_tol must be finite and positive, got inf"),
+    (0.5, 0.0, "sigma_tol must be finite and positive, got 0.0"),
+    (0.5, -1e-3, "sigma_tol must be finite and positive, got -0.001"),
+    (0.0, math.nan, "sigma_tol must be finite and positive, got nan"),
+])
+def test_scan_constants_must_be_finite(c, sigma_tol, message):
+    fam = me.mellin_transform(me.sech_test_kernel(), 0.5, np.array([0.0, 1.0]))
+    with pytest.raises(me.MellinError, match=message):
+        me.invertibility_scan(fam, c, sigma_tol=sigma_tol)
+    # the verdict checks them before its ellipticity test, so c = 0 is no way round
+    with pytest.raises(me.MellinError, match=message):
+        me.fredholm_verdict(co.unit_square(), c=c, sigma_tol=sigma_tol)

@@ -217,3 +217,20 @@ class TestModelOperator:
         k = me.wedge_double_layer_kernel(2.0)
         trace = ny.model_operator_trace(k, 0.5, 0.5, levels=3, window0=4.0, growth=2.0)
         assert trace.rows[0].dof == 2 * max(8, int(round(4.0 / 0.4)))
+
+    @pytest.mark.parametrize("alpha", [math.pi / 2, 2.0])
+    def test_scalar_and_array_kernels_give_the_same_trace(self, alpha):
+        # the trace samples the kernel once per level through MellinKernel.values
+        calls = []
+        base = me.wedge_double_layer_kernel(alpha)
+
+        def fn(t):
+            calls.append(t)
+            return base.fn(t)
+
+        scalar = me.MellinKernel(base.vertex, 2, fn, base.decay, "scalar-wedge")
+        kwargs = dict(levels=3, window0=4.0, growth=2.0)
+        want = ny.model_operator_trace(base, 0.5, 0.5, **kwargs).sigmas()
+        assert ny.model_operator_trace(scalar, 0.5, 0.5, **kwargs).sigmas() == want
+        sizes = [max(8, int(round(4.0 * 2.0 ** (level - 1) / 0.4))) for level in (1, 2, 3)]
+        assert len(calls) == sum(2 * n - 1 for n in sizes)
