@@ -289,6 +289,7 @@ def nystrom_verify_cmd(domain_path, levels, out):
         "trace": [{"level": r.level, "dof": r.dof, "sigma_min": r.sigma_min} for r in trace.rows],
         "stabilized_10pct": stabilized,
         "rotation_order": trace.rotation_order,
+        "symmetry_order": trace.symmetry_order,
     }
     _emit(
         _report("discretization-corroboration",

@@ -119,12 +119,19 @@ class LayerDomain:
 # -- constructors ------------------------------------------------------------
 
 
+def signed_area(coords) -> float:
+    """Shoelace area of a closed vertex list: positive when counterclockwise."""
+    xy = [tuple(map(float, c)) for c in coords]
+    return 0.5 * sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(xy, xy[1:] + xy[:1]))
+
+
 def polygon_domain(coords, ids=None) -> LayerDomain:
     """Planar polygon from an ordered (counterclockwise) vertex list.
 
     Every corner is taken as a cone point; the two boundary rays at a
     vertex point toward its neighbours, and the interior angle is the
-    counterclockwise opening between them.
+    counterclockwise opening between them.  A clockwise list would
+    describe the exterior, so a non-positive signed area is rejected.
     """
     coords = [tuple(map(float, c)) for c in coords]
     n = len(coords)
@@ -144,6 +151,11 @@ def polygon_domain(coords, ids=None) -> LayerDomain:
             raise DomainError(f"vertex {ids[i]!r} is degenerate (collinear neighbours)")
         verts.append(
             Vertex(ids[i], RayBase((to_next, to_prev), interior_angle=opening), coords=x)
+        )
+    area = signed_area(coords)
+    if not area > 0.0:
+        raise DomainError(
+            f"polygon vertices must be in counterclockwise order (signed area {area:g})"
         )
     edges = tuple((ids[i], ids[(i + 1) % n]) for i in range(n))
     return LayerDomain(2, tuple(verts), edges)

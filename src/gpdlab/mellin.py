@@ -730,7 +730,10 @@ def fredholm_verdict(
     if weight == "auto":
         weight_value = weight_line(domain.dimension).boundary_weight
     else:
-        weight_value = float(weight)
+        try:
+            weight_value = float(weight)
+        except (TypeError, ValueError):
+            raise MellinError(f"weight must be 'auto' or a number, got {weight!r}") from None
 
     _check_scan_constants(c, sigma_tol)
     elliptic = abs(c) != 0.0

@@ -6,20 +6,31 @@ Two independent discrete oracles:
   assembled on a mesh graded (exponent 3) toward the vertices, with the
   singular values taken in the inner product weighted by the inverse
   distance to the vertex set (the discrete stand-in for the conical
-  metric).  When rotating the polygon by 2 pi / k about its vertex
-  centroid maps vertex i onto vertex i + n / k, the mesh's first N / k
-  nodes form a fundamental block, the weighted matrix M is block
-  circulant, and only its block row B_0 .. B_{k-1} is assembled.  The
-  discrete Fourier transform over the rotation group splits M into the
-  blocks F_j = sum_r omega^(jr) B_r, and sigma_min is the least of
-  sqrt(lambda_min(F_j^H F_j)) over the characters j <= k / 2 (j and
-  k - j give conjugate blocks); k = 1 is the whole matrix.  Each Gram
-  eigenvalue is within sqrt(N eps) sigma_max of the singular value
-  (about N eps (sigma_max / sigma_min)^2 / 2 relative).  Against a full
-  SVD of the whole weighted matrix the result agrees at levels 1-6 to
-  7e-15 relative on the square and a rectangle, 9e-14 for k = 1, and
-  1e-11 on the regular 3- to 8-gons, whose vertices are rotated images
-  of each other only to rounding;
+  metric).  The polygon's symmetry group G about its vertex centroid is
+  the cyclic group C_k of the rotations by 2 pi / k that map vertex i
+  onto vertex i + n / k, or the dihedral group D_k when a reflection
+  also maps vertex i onto vertex c - i.  G permutes the mesh nodes
+  without fixing any, and the weighted matrix M commutes with it, so
+  only the rows of one node per orbit (N / |G| of them) are assembled.
+  With B_g the columns of the nodes g(t) in those rows, M splits into
+  one block F_rho = sum_g rho(g) (x) B_g per irreducible representation
+  rho (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29,
+  1992), and sigma_min is the least of sqrt(lambda_min(F_rho^H F_rho)).
+  For C_k the representations are the characters, complex but for
+  j = 0 and k / 2; for D_k they are real, of dimension 1 or 2, so every
+  block is real and has at most 2 N / |G| rows; the trivial group gives
+  the whole matrix.  Each Gram eigenvalue is within sqrt(N eps)
+  sigma_max of the singular value (about N eps (sigma_max /
+  sigma_min)^2 / 2 relative).  Against a full SVD of the whole weighted
+  matrix the result agrees at levels 1-6 to 1.3e-11 relative on the
+  square, a rectangle, the regular 3- to 8-gons, the L-shape, an
+  isosceles triangle, a kite and a four-fold pinwheel (3e-15 on the
+  square and the rectangle, 2e-14 on the L-shape): the blocks give
+  the exact singular values of the matrix that the representative rows
+  define (to 1e-12), and the whole assembled matrix is symmetric only
+  to rounding, because mirror-image nodes are placed from different
+  vertices (on a sharp isosceles triangle, apex 37 degrees, that
+  rounding moves sigma_min by 7e-10 relative at level 6);
 * the half-line model operator c + Mellin convolution at a single cone,
   discretized on a log-uniform mesh whose window grows with the level,
   used for adversarial kernels whose symbol hits zero.  It keeps the
@@ -34,13 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conical import LayerDomain
+from .conical import LayerDomain, signed_area
 from .mellin import MellinKernel
 
 GRADING_EXPONENT = 3
 MIN_PANELS_PER_HALF_EDGE = 4
-# a rotation maps the vertices onto themselves when it moves none of them
-# farther than this fraction of the diameter
+# a rotation or reflection maps the vertices onto themselves when it moves
+# none of them farther than this fraction of the diameter
 ROTATION_TOL = 1e-12
 
 
@@ -55,9 +66,24 @@ class PolygonMesh:
     normals: np.ndarray  # inward normals at nodes
     edge_of: np.ndarray  # edge index per node
     vertex_distance: np.ndarray  # distance to the vertex set
-    # k: the first N / k nodes, rotated r times by 2 pi / k, are nodes
-    # r N / k .. (r + 1) N / k - 1
+    # The symmetry group G, acting freely on the node indices.  In the
+    # orbit coordinate t = (i - orbit_start) mod N, the rotation by
+    # 2 pi / k maps node t onto node t + N / k, and, when ``reflection``
+    # holds, a reflection maps node t onto node 2 N / |G| - 1 - t.  The
+    # nodes t < N / |G| are one per orbit.
     rotation_order: int = 1
+    reflection: bool = False
+    orbit_start: int = 0
+
+    @property
+    def symmetry_order(self) -> int:
+        """|G|: k rotations, and as many reflections when there are any."""
+        return self.rotation_order * (2 if self.reflection else 1)
+
+    def orbit_order(self) -> np.ndarray:
+        """Node indices in orbit coordinates: entry t is node orbit_start + t."""
+        n = len(self.nodes)
+        return (self.orbit_start + np.arange(n)) % n
 
 
 def _polygon_coords(domain: LayerDomain):
@@ -74,12 +100,22 @@ def _polygon_coords(domain: LayerDomain):
 
 
 def polygon_mesh(domain: LayerDomain, panels_per_half_edge: int) -> PolygonMesh:
-    """Composite midpoint mesh, graded toward both endpoints of each edge."""
+    """Composite midpoint mesh, graded toward both endpoints of each edge.
+
+    Each edge carries 2 ``panels_per_half_edge`` nodes placed symmetrically
+    about its midpoint, so the polygon's symmetry group permutes the nodes
+    without fixing any of them.
+    """
     if panels_per_half_edge < MIN_PANELS_PER_HALF_EDGE:
         raise MeshError(
             f"mesh too coarse: need at least {2 * MIN_PANELS_PER_HALF_EDGE} points per edge"
         )
     coords = _polygon_coords(domain)
+    area = signed_area(coords)
+    if not area > 0.0:
+        raise MeshError(
+            f"polygon vertices must be in counterclockwise order (signed area {area:g})"
+        )
     nodes, weights, normals, edge_of = [], [], [], []
     n_edges = len(coords)
     grading = np.arange(panels_per_half_edge + 1) / panels_per_half_edge
@@ -100,45 +136,63 @@ def polygon_mesh(domain: LayerDomain, panels_per_half_edge: int) -> PolygonMesh:
     dists = np.min(
         np.linalg.norm(nodes[:, None, :] - coords[None, :, :], axis=2), axis=1
     )
+    k, c = _symmetry(coords)
+    # a reflection mapping vertex i onto vertex c - i maps node j of edge e
+    # onto node c (2 p) - 1 - (2 p e + j), p panels per half edge; the
+    # orbit coordinate from node c p turns it into t -> -1 - t, which the
+    # rotation by 2 pi / k moves to t -> 2 N / |G| - 1 - t
     return PolygonMesh(
         nodes=nodes,
         weights=np.concatenate(weights),
         normals=np.concatenate(normals),
         edge_of=np.concatenate(edge_of),
         vertex_distance=dists,
-        rotation_order=_rotation_order(coords),
+        rotation_order=k,
+        reflection=c is not None,
+        orbit_start=0 if c is None else c * panels_per_half_edge % len(nodes),
     )
 
 
-def _rotation_order(coords: np.ndarray) -> int:
-    """Largest k dividing n whose rotation by 2 pi / k about the vertex
-    centroid maps each vertex i onto vertex i + n / k."""
+def _symmetry(coords: np.ndarray) -> tuple:
+    """(k, c) for the polygon's symmetry group about its vertex centroid.
+
+    k is the largest divisor of n whose rotation by 2 pi / k maps each
+    vertex i onto vertex i + n / k; c is the least c for which a
+    reflection maps each vertex i onto vertex (c - i) mod n, or None.
+    A map counts when it moves no vertex farther than ``ROTATION_TOL``
+    of the diameter from its image.
+    """
     n = len(coords)
-    centred = coords - coords.mean(axis=0)
-    diameter = np.max(np.linalg.norm(centred[:, None, :] - centred[None, :, :], axis=2))
-    for k in range(n, 1, -1):
-        if n % k:
-            continue
-        c, s = math.cos(2.0 * math.pi / k), math.sin(2.0 * math.pi / k)
-        rotated = centred @ np.array([[c, s], [-s, c]])
-        moved = np.linalg.norm(rotated - np.roll(centred, -(n // k), axis=0), axis=1)
-        if np.max(moved) <= ROTATION_TOL * diameter:
-            return k
-    return 1
+    z = (coords - coords.mean(axis=0)) @ np.array([1.0, 1j])
+    tol = ROTATION_TOL * np.max(np.abs(np.subtract.outer(z, z)))
+    rotations = [k for k in range(n, 1, -1) if n % k == 0
+                 and np.max(np.abs(z * np.exp(2j * math.pi / k) - np.roll(z, -(n // k)))) <= tol]
+    k = rotations[0] if rotations else 1
+    for c in range(n):
+        image = z[(c - np.arange(n)) % n]
+        # the reflection about the line at angle phi is z -> e^(2 i phi) conj(z),
+        # so sum(image * z) has the phase 2 phi
+        u = np.sum(image * z)
+        if u != 0 and np.max(np.abs(image - u / abs(u) * np.conj(z))) <= tol:
+            return k, c
+    return k, None
 
 
 def double_layer_matrix(mesh: PolygonMesh) -> np.ndarray:
-    """Block row of the Nystrom double-layer matrix with inward normals.
+    """Orbit-representative rows of the Nystrom double-layer matrix with
+    inward normals.
 
-    The rows are the first N / k nodes (k = ``mesh.rotation_order``) and
-    the columns all N, so the shape is (N / k, N); the rotation maps
-    this row onto every other block row, and for k = 1 it is the whole
-    matrix.  Same-edge blocks vanish exactly on straight edges
-    (collinear points) and are set to zero, whatever the order of the
-    nodes.
+    Rows and columns follow the orbit coordinate (``mesh.orbit_order()``):
+    the rows are the N / |G| nodes t < N / |G|, one per orbit of the
+    mesh's symmetry group, and the columns are all N nodes, so the shape
+    is (N / |G|, N).  The group maps these rows onto every other row; for
+    the trivial group they are the whole matrix.  Same-edge blocks vanish
+    exactly on straight edges (collinear points) and are set to zero,
+    whatever the order of the nodes.
     """
-    x, normals = mesh.nodes, mesh.normals
-    rows = x[: len(x) // mesh.rotation_order]
+    order = mesh.orbit_order()
+    x, normals, weights = mesh.nodes[order], mesh.normals[order], mesh.weights[order]
+    rows = x[: len(x) // mesh.symmetry_order]
     d = np.subtract.outer(rows[:, 0], x[:, 0])
     kmat = d * normals[:, 0]  # (x_i - x_j) . n_j, term by term
     r2 = np.square(d, out=d)
@@ -153,10 +207,11 @@ def double_layer_matrix(mesh: PolygonMesh) -> np.ndarray:
     np.fill_diagonal(r2, 1.0)
     r2 *= 2.0 * math.pi
     kmat /= r2
-    kmat *= mesh.weights
-    order = np.argsort(mesh.edge_of, kind="stable")
-    ends = np.flatnonzero(np.diff(mesh.edge_of[order])) + 1
-    for block in np.split(order, ends):
+    kmat *= weights
+    edge_of = mesh.edge_of[order]
+    by_edge = np.argsort(edge_of, kind="stable")
+    ends = np.flatnonzero(np.diff(edge_of[by_edge])) + 1
+    for block in np.split(by_edge, ends):
         kmat[np.ix_(block[block < len(rows)], block)] = 0.0
     return kmat
 
@@ -164,34 +219,65 @@ def double_layer_matrix(mesh: PolygonMesh) -> np.ndarray:
 def weighted_sigma_min(a: np.ndarray, mesh: PolygonMesh) -> float:
     """sigma_min in the inner product with density (panel weight) / r.
 
-    ``a`` is the block row (B_0 .. B_{k-1}) of a matrix that is block
-    circulant under the mesh's rotation group, k = ``mesh.rotation_order``;
-    for k = 1 it is the whole matrix.  With D = diag(sqrt(density)), the
-    result is sigma_min of M = D a D^-1, the least over the characters
-    j <= k / 2 of sqrt(lambda_min(F_j^H F_j)), F_j = sum_r omega^(jr) B_r.
-    ``a`` is overwritten by M's block row.  Each Gram eigenvalue is
-    backward stable to about N eps sigma_max^2, so the result is within
-    sqrt(N eps) sigma_max of the singular value (relative error about
-    N eps (sigma_max / sigma_min)^2 / 2); a rounding-negative
+    ``a`` holds the orbit-representative rows of a matrix that commutes
+    with the mesh's symmetry group G, laid out as ``double_layer_matrix``
+    lays them out; for the trivial group it is the whole matrix.  With
+    D = diag(sqrt(density)), the result is sigma_min of M = D a D^-1: the
+    least over G's irreducible representations rho of
+    sqrt(lambda_min(F_rho^H F_rho)), F_rho = sum_g rho(g) (x) B_g, where
+    B_g holds the columns of the nodes g(t), t < N / |G|
+    (``_irreducible_grams``).  ``a`` is overwritten by M's rows.  Each
+    Gram eigenvalue is backward stable to about N eps sigma_max^2, so the
+    result is within sqrt(N eps) sigma_max of the singular value (relative
+    error about N eps (sigma_max / sigma_min)^2 / 2); a rounding-negative
     lambda_min of a singular M reads as 0.
     """
-    b, k = len(a), mesh.rotation_order
-    d = np.sqrt(mesh.weights / mesh.vertex_distance)
+    b = len(a)
+    d = np.sqrt(mesh.weights / mesh.vertex_distance)[mesh.orbit_order()]
     a *= d[:b, None]
     a /= d
-    blocks = a.reshape(b, k, b)
-    lam = math.inf
-    for j in range(k // 2 + 1):
-        omega = np.exp(2j * math.pi * (j * np.arange(k) % k) / k)  # omega^(jr), r < k
-        # the characters 0 and k / 2 are +-1, so F_0 and F_{k/2} are real
-        gram = _character_gram(blocks, omega.real if 2 * j % k == 0 else omega)
-        lam = min(lam, float(np.linalg.eigvalsh(gram)[0]))
+    blocks = a.reshape(b, mesh.rotation_order, 2 if mesh.reflection else 1, b)
+    lam = min(float(np.linalg.eigvalsh(gram)[0]) for gram in _irreducible_grams(blocks))
     return math.sqrt(max(lam, 0.0))
 
 
-def _character_gram(blocks: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """F^H F for F = sum_r chi_r B_r; F is freed before the eigensolver copies F^H F."""
-    f = np.einsum("arc,r->ac", blocks, chi)
+def _irreducible_grams(blocks: np.ndarray):
+    """F^H F for F = F_rho and each irreducible representation rho, up to
+    conjugation; each F is freed before the eigensolver copies F^H F.
+
+    ``blocks[:, r, 0]`` is B for R^r, R the rotation by 2 pi / k, and,
+    with a reflection S (t -> 2 N / |G| - 1 - t), ``blocks[:, r, 1, ::-1]``
+    is B for R^r S.  Without a reflection (the cyclic group C_k) the
+    representations are the characters R^r -> omega^(jr), j <= k / 2 (j
+    and k - j give conjugate blocks); j = 0 and k / 2 are real.  With one
+    (the dihedral group D_k, whose representations are real), each real
+    character extends to two, S -> +-1, and each other j gives the 2-d
+    representation R -> rotation by 2 pi j / k, S -> diag(1, -1).
+    """
+    k = blocks.shape[1]
+    rotations = blocks[:, :, 0]
+    mirrored = blocks[:, :, 1, ::-1] if blocks.shape[2] == 2 else None
+    for j in range(k // 2 + 1):
+        omega = np.exp(2j * math.pi * (j * np.arange(k) % k) / k)  # omega^(jr), r < k
+        if mirrored is None:
+            # the characters 0 and k / 2 are +-1, so F_0 and F_{k/2} are real
+            yield _gram(_combine(rotations, omega.real if 2 * j % k == 0 else omega))
+        elif 2 * j % k == 0:
+            z, w = _combine(rotations, omega.real), _combine(mirrored, omega.real)
+            yield _gram(z + w)
+            yield _gram(z - w)
+        else:
+            c, s = _combine(rotations, omega.real), _combine(rotations, omega.imag)
+            cm, sm = _combine(mirrored, omega.real), _combine(mirrored, omega.imag)
+            yield _gram(np.block([[c + cm, sm - s], [s + sm, c - cm]]))
+
+
+def _combine(blocks: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """sum_r chi_r B_r over the blocks B_r = blocks[:, r]."""
+    return np.einsum("arc,r->ac", blocks, chi)
+
+
+def _gram(f: np.ndarray) -> np.ndarray:
     return f.conj().T @ f
 
 
@@ -199,15 +285,16 @@ def gauss_row_sum_defect(mesh: PolygonMesh) -> float:
     """Deviation of sum_j K[i, j] from 1/2 at the node nearest each edge
     midpoint (the closed-curve Gauss identity; a mesh sanity oracle).
 
-    Only the block row's edges are read: the rotation gives every other
-    edge the same row sums.
+    Only the orbit-representative rows are read: the symmetry group gives
+    every other edge the same row sums.
     """
     sums = double_layer_matrix(mesh).sum(axis=1)
+    reps = mesh.orbit_order()[: len(sums)]
+    edge_of, vertex_distance = mesh.edge_of[reps], mesh.vertex_distance[reps]
     worst = 0.0
-    edge_of = mesh.edge_of[: len(sums)]
     for e in np.unique(edge_of):
         sel = np.flatnonzero(edge_of == e)
-        mid = sel[np.argmax(mesh.vertex_distance[sel])]
+        mid = sel[np.argmax(vertex_distance[sel])]
         worst = max(worst, abs(float(sums[mid]) - 0.5))
     return worst
 
@@ -222,7 +309,9 @@ class TraceRow:
 @dataclass
 class SigmaTrace:
     rows: list
-    rotation_order: int = 1  # of the polygon's mesh; 1 for the model operator
+    # of the polygon's mesh; 1 for the model operator
+    rotation_order: int = 1
+    symmetry_order: int = 1
 
     def sigmas(self) -> list:
         return [r.sigma_min for r in self.rows]
@@ -263,7 +352,7 @@ def nystrom_oracle(domain: LayerDomain, levels: int, base_panels: int = 4) -> Si
         i = np.arange(len(a))
         a[i, i] += 0.5
         rows.append(TraceRow(level, len(mesh.nodes), weighted_sigma_min(a, mesh)))
-    return SigmaTrace(rows, mesh.rotation_order)
+    return SigmaTrace(rows, mesh.rotation_order, mesh.symmetry_order)
 
 
 # ---------------------------------------------------------------------------

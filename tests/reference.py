@@ -52,6 +52,14 @@ from the (N, N, 2) difference array with two einsums and a same-edge mask,
 and ``nystrom_sigmas_reference`` takes each level's sigma_min from a full
 SVD of the whole weighted matrix, as ``gpdlab.nystrom`` did before it read
 Gram eigenvalues of the rotation group's Fourier blocks.
+``weighted_sigma_min_reference`` is ``gpdlab.weighted_sigma_min`` as it was
+over the rotation group alone (block row of the first N / k nodes, one
+Fourier block per character); for the trivial group the full-group code
+must give its sigma_min bit for bit.  ``polygon_symmetries_reference``
+finds the polygon's symmetries by brute force over the orthogonal maps of
+its vertex set and matches each mapped node to the nearest node, and
+``group_matrix_reference`` rebuilds the whole matrix from the
+orbit-representative rows under those permutations.
 
 ``kernel_samples_reference`` samples a Mellin kernel with one ``fn`` call
 per node, in chunks of 1024, and ``log_line_samples_reference`` weights
@@ -685,6 +693,56 @@ def nystrom_sigmas_reference(domain, levels, base_panels=4) -> list:
         d = np.sqrt(mesh.weights / mesh.vertex_distance)
         sigmas.append(float(np.linalg.svd((d[:, None] * a) / d[None, :], compute_uv=False)[-1]))
     return sigmas
+
+
+def weighted_sigma_min_reference(a: np.ndarray, mesh) -> float:
+    b, k = len(a), mesh.rotation_order
+    d = np.sqrt(mesh.weights / mesh.vertex_distance)
+    a *= d[:b, None]
+    a /= d
+    blocks = a.reshape(b, k, b)
+    lam = math.inf
+    for j in range(k // 2 + 1):
+        omega = np.exp(2j * math.pi * (j * np.arange(k) % k) / k)
+        f = np.einsum("arc,r->ac", blocks, omega.real if 2 * j % k == 0 else omega)
+        lam = min(lam, float(np.linalg.eigvalsh(f.conj().T @ f)[0]))
+    return math.sqrt(max(lam, 0.0))
+
+
+def polygon_symmetries_reference(domain, mesh, tol=1e-11) -> list:
+    """Node permutations P (node i maps onto node P[i]), one per symmetry."""
+    coords = _polygon_coords(domain)
+    n, centre = len(coords), coords.mean(axis=0)
+    x = coords - centre
+    diameter = max(np.linalg.norm(p - q) for p in x for q in x)
+    perms = []
+    for sign in (1, -1):
+        for c in range(n):
+            y = x[[(sign * i + c) % n for i in range(n)]]
+            # the orthogonal q with q x_i closest to y_i (Procrustes)
+            u, _, vt = np.linalg.svd(y.T @ x)
+            q = u @ vt
+            if max(np.linalg.norm(q @ xi - yi) for xi, yi in zip(x, y)) > tol * diameter:
+                continue
+            moved = (mesh.nodes - centre) @ q.T + centre
+            dist = np.linalg.norm(moved[:, None, :] - mesh.nodes[None, :, :], axis=2)
+            perm = np.argmin(dist, axis=1)
+            assert np.max(dist[np.arange(len(perm)), perm]) <= tol * diameter
+            assert len(set(perm.tolist())) == len(perm)
+            perms.append(perm)
+    return perms
+
+
+def group_matrix_reference(rows: np.ndarray, mesh, perms) -> np.ndarray:
+    """The matrix A with A[P[i], P[j]] = A[i, j] for every P whose
+    orbit-representative rows (in ``mesh.orbit_order()`` coordinates) are ``rows``."""
+    order = mesh.orbit_order()
+    reps = order[: len(rows)]
+    full = np.full((len(order), len(order)), np.nan)
+    for p in perms:
+        full[np.ix_(p[reps], p[order])] = rows
+    assert not np.isnan(full).any()
+    return full
 
 
 def kernel_samples_reference(kernel, ts) -> np.ndarray:

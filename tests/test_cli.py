@@ -205,6 +205,8 @@ class TestLayerAndMellinCommands:
         assert res.exit_code in (0, 1)
         results = json.loads(res.stdout)["results"]
         assert results["rotation_order"] == order
+        # |G|: the square's and the L-shape's reflections double the rotations
+        assert results["symmetry_order"] == 2 * order
         assert [r["level"] for r in results["trace"]] == [1, 2]
 
 
@@ -405,6 +407,25 @@ def test_mellin_scan_nan_weight_exits_two(runner):
         "error: kernel 'wedge(1.5708)' is not integrable on the weight line a=nan: "
         "needs -p0 < a < p_inf with p0=1.0, p_inf=1.0\n"
     )
+
+
+def test_mellin_scan_non_numeric_weight_exits_two(runner):
+    res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--weight", "abc"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "error: weight must be 'auto' or a number, got 'abc'\n"
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_nystrom_verify_clockwise_vertices_exit_two(runner, tmp_path):
+    # reversed vertices describe the exterior, whose trace sinks with the level
+    doc = json.loads(Path(corpus("square.json")).read_text())
+    doc["vertices"].reverse()
+    path = tmp_path / "clockwise.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["nystrom-verify", "--domain", str(path), "--levels", "2"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "error: polygon vertices must be in counterclockwise order (signed area -1)\n"
+    assert isinstance(res.exception, SystemExit)
 
 
 @pytest.mark.parametrize("option, value, stderr", [

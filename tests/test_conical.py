@@ -45,6 +45,13 @@ class TestDomains:
         with pytest.raises(co.DomainError, match="ray"):
             co.LayerDomain(2, (v,))
 
+    def test_clockwise_polygon_rejected(self):
+        # a clockwise list would describe the exterior: openings of 3 pi / 2
+        with pytest.raises(co.DomainError, match=r"counterclockwise order \(signed area -1\)"):
+            co.polygon_domain([(0, 0), (0, 1), (1, 1), (1, 0)])
+        with pytest.raises(co.DomainError, match=r"counterclockwise order \(signed area 0\)"):
+            co.polygon_domain([(0, 0), (1, 1), (1, 0), (0, 1)])  # a bow tie
+
     def test_degenerate_polygon_rejected(self):
         with pytest.raises(co.DomainError, match="degenerate"):
             co.polygon_domain([(0, 0), (1, 0), (2, 0), (0, 1)])

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -19,7 +20,7 @@ POLYGONS = {
 
 
 def random_triangle(seed=11):
-    """Three seeded points in counterclockwise order: no rotation maps it onto itself."""
+    """Three seeded points in counterclockwise order: no rotation or reflection maps it onto itself."""
     pts = np.random.default_rng(seed).random((3, 2))
     a, b, c = pts
     if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0:
@@ -32,16 +33,31 @@ def moved_square():
     return co.polygon_domain([(0, 0), (1, 0), (1, 1 + 1e-9), (0, 1)])
 
 
-# shape -> rotation order: sigma_min is read from that many Fourier blocks
-ROTATION_ORDERS = {
-    "square": (co.unit_square, 4),
-    "pentagon": (POLYGONS["pentagon"], 5),
-    "rectangle": (lambda: co.polygon_domain([(0, 0), (2, 0), (2, 1), (0, 1)]), 2),
-    **{f"regular{n}": (lambda n=n: co.regular_polygon(n), n) for n in (3, 4, 6, 7, 8)},
-    "lshape": (POLYGONS["lshape"], 1),
-    "random-triangle": (random_triangle, 1),
-    "moved-square": (moved_square, 1),
+def pinwheel():
+    """Eight vertices, each pair the previous one turned by pi / 2: four rotations, no reflection."""
+    return co.polygon_domain([(z.real, z.imag) for r in range(4) for z in (1j**r, 1j**r * (0.6 + 0.3j))])
+
+
+# shape -> (rotation order, reflection): sigma_min is read from one block per
+# irreducible representation of that group
+SYMMETRIES = {
+    "square": (co.unit_square, 4, True),
+    "pentagon": (POLYGONS["pentagon"], 5, True),
+    "rectangle": (lambda: co.polygon_domain([(0, 0), (2, 0), (2, 1), (0, 1)]), 2, True),
+    **{f"regular{n}": (lambda n=n: co.regular_polygon(n), n, True) for n in (3, 4, 6, 7, 8)},
+    "lshape": (POLYGONS["lshape"], 1, True),
+    "isosceles": (lambda: co.polygon_domain([(0, 0), (2, 0), (1, 1.5)]), 1, True),
+    "kite": (lambda: co.polygon_domain([(0, -1), (1, 0), (0, 2), (-1, 0)]), 1, True),
+    "pinwheel": (pinwheel, 4, False),
+    "random-triangle": (random_triangle, 1, False),
+    "moved-square": (moved_square, 1, False),
 }
+# A sharp isosceles triangle (apex 36.9 degrees).  Its mirror-image nodes
+# agree only to rounding, so near its corners the assembled kernel is
+# symmetric only to 3e-9 relative at level 6, and sigma_min differs from the
+# whole matrix's by 7e-10 there; it is checked against the matrix that its
+# representative rows define.
+SHARP_ISOSCELES = {"sharp-isosceles": (lambda: co.polygon_domain([(0, 0), (2, 0), (1, 3)]), 1, True)}
 
 
 def permuted(mesh, rng):
@@ -72,6 +88,15 @@ class TestMesh:
         assert mesh.vertex_distance.min() < (1.0 / 32) ** 3 * 0.5
         assert mesh.vertex_distance.min() > 0.0
 
+    def test_clockwise_vertices_rejected(self, tmp_path):
+        # a spec file reaches the mesh without passing through polygon_domain
+        doc = json.loads((Path(ny.__file__).parent / "corpus" / "square.json").read_text())
+        doc["vertices"].reverse()
+        path = tmp_path / "clockwise.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ny.MeshError, match=r"counterclockwise order \(signed area -1\)"):
+            ny.polygon_mesh(sf.parse_domain(path), 4)
+
     def test_non_planar_rejected(self):
         with pytest.raises(ny.MeshError):
             ny.polygon_mesh(co.cone_3d(), 8)
@@ -86,11 +111,20 @@ class TestMesh:
                 assert a.dtype == b.dtype and np.array_equal(a, b), (panels, field)
 
 
+def whole_matrix(mesh):
+    """The whole reference matrix and its orbit-representative rows, in orbit coordinates."""
+    order = mesh.orbit_order()
+    full = reference.double_layer_reference(mesh)
+    return full, full[np.ix_(order[: len(order) // mesh.symmetry_order], order)]
+
+
 class TestRotationOrder:
-    @pytest.mark.parametrize("name", sorted(ROTATION_ORDERS))
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
     def test_detected(self, name):
-        make, k = ROTATION_ORDERS[name]
-        assert ny.polygon_mesh(make(), 4).rotation_order == k
+        make, k, reflection = SYMMETRIES[name]
+        mesh = ny.polygon_mesh(make(), 4)
+        assert (mesh.rotation_order, mesh.reflection) == (k, reflection)
+        assert mesh.symmetry_order == k * (2 if reflection else 1)
 
     @pytest.mark.parametrize("start", range(4))
     def test_square_from_each_vertex(self, start):
@@ -98,13 +132,24 @@ class TestRotationOrder:
         domain = co.polygon_domain(corners[start:] + corners[:start])
         assert ny.polygon_mesh(domain, 4).rotation_order == 4
 
+    @pytest.mark.parametrize("start", range(3))
+    def test_isosceles_from_each_vertex(self, start):
+        # the reflection maps vertex i onto vertex c - i with c = 1, 2, 0: the
+        # representatives begin at node c p, p panels per half edge
+        corners = [(0, 0), (2, 0), (1, 3)]
+        domain = co.polygon_domain(corners[start:] + corners[:start])
+        mesh = ny.polygon_mesh(domain, 4)
+        assert (mesh.rotation_order, mesh.reflection) == (1, True)
+        assert mesh.orbit_start == [4, 8, 0][start]
+
     def test_hand_built_mesh_is_one_block(self):
         mesh = ny.polygon_mesh(co.unit_square(), 4)
-        assert permuted(mesh, np.random.default_rng(0)).rotation_order == 1
+        got = permuted(mesh, np.random.default_rng(0))
+        assert (got.rotation_order, got.reflection, got.symmetry_order, got.orbit_start) == (1, False, 1, 0)
 
     @pytest.mark.parametrize("name", ["square", "pentagon", "regular6", "rectangle"])
     def test_whole_matrix_is_block_circulant(self, name):
-        make, k = ROTATION_ORDERS[name]
+        make, k, _ = SYMMETRIES[name]
         mesh = ny.polygon_mesh(make(), 8)
         full = reference.double_layer_reference(mesh)
         b = len(full) // k
@@ -113,30 +158,64 @@ class TestRotationOrder:
             assert np.allclose(full[r * b:(r + 1) * b], np.roll(full[:b], r * b, axis=1),
                                rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES) + sorted(SHARP_ISOSCELES))
+    def test_whole_matrix_commutes_with_the_group(self, name):
+        # A[P i, P j] = A[i, j] for every symmetry P, reflections included,
+        # and a brute-force search finds exactly |G| of them
+        domain = {**SYMMETRIES, **SHARP_ISOSCELES}[name][0]()
+        mesh = ny.polygon_mesh(domain, 8)
+        full = reference.double_layer_reference(mesh)
+        perms = reference.polygon_symmetries_reference(domain, mesh)
+        assert len(perms) == mesh.symmetry_order
+        for p in perms:
+            assert np.allclose(full[np.ix_(p, p)], full, rtol=0.0, atol=1e-12)
+        # and the representative rows rebuild the whole matrix
+        _, rows = whole_matrix(mesh)
+        assert np.allclose(reference.group_matrix_reference(rows, mesh, perms), full,
+                           rtol=0.0, atol=1e-12)
+
     def test_eigensolver_sees_only_fourier_blocks(self, monkeypatch):
         shapes, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: shapes.append(g.shape) or eigvalsh(g))
         trace = ny.nystrom_oracle(co.unit_square(), 5)
-        assert trace.rotation_order == 4 and shapes
+        assert (trace.rotation_order, trace.symmetry_order) == (4, 8) and shapes
         n = trace.rows[-1].dof
-        assert max(rows for rows, _ in shapes) <= n // 4
+        assert max(rows for rows, _ in shapes) <= 2 * n // 8
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
+    def test_eigensolver_sees_at_most_twice_the_orbit_count(self, name, monkeypatch):
+        make, k, reflection = SYMMETRIES[name]
+        mesh = ny.polygon_mesh(make(), 16)
+        a = ny.double_layer_matrix(mesh)
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: shapes.append(g.shape) or eigvalsh(g))
+        ny.weighted_sigma_min(a, mesh)
+        b = len(mesh.nodes) // mesh.symmetry_order
+        # one block per irreducible representation, up to conjugation: D_k has
+        # 2 or 4 of dimension 1 and (k - 1) // 2 of dimension 2; C_k has k // 2 + 1
+        one = 2 if k % 2 else 4
+        want = ([b] * one + [2 * b] * ((k - 1) // 2)) if reflection else [b] * (k // 2 + 1)
+        assert sorted(rows for rows, _ in shapes) == want
+        assert all(r == c for r, c in shapes)
 
 
 class TestDoubleLayerMatrix:
     def test_same_edge_blocks_vanish(self):
         mesh = ny.polygon_mesh(co.unit_square(), 8)
         kmat = ny.double_layer_matrix(mesh)
-        assert kmat.shape == (len(mesh.nodes) // 4, len(mesh.nodes))
-        same = mesh.edge_of[: len(kmat), None] == mesh.edge_of[None, :]
+        assert kmat.shape == (len(mesh.nodes) // 8, len(mesh.nodes))
+        edge_of = mesh.edge_of[mesh.orbit_order()]
+        same = edge_of[: len(kmat), None] == edge_of[None, :]
         assert np.max(np.abs(kmat[same])) == 0.0
 
-    @pytest.mark.parametrize("name", sorted(POLYGONS))
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES) + sorted(SHARP_ISOSCELES))
     def test_matches_einsum_assembly(self, name):
-        mesh = ny.polygon_mesh(POLYGONS[name](), 16)
+        # the N / |G| representative rows, against the reference's rows
+        mesh = ny.polygon_mesh({**SYMMETRIES, **SHARP_ISOSCELES}[name][0](), 16)
         for m in (mesh, permuted(mesh, np.random.default_rng(3))):
             kmat = ny.double_layer_matrix(m)
-            assert kmat.shape == (len(m.nodes) // m.rotation_order, len(m.nodes))
-            assert np.max(np.abs(kmat - reference.double_layer_reference(m)[: len(kmat)])) <= 1e-15
+            assert kmat.shape == (len(m.nodes) // m.symmetry_order, len(m.nodes))
+            assert np.max(np.abs(kmat - whole_matrix(m)[1])) <= 1e-15
 
     def test_gauss_row_sums(self):
         # closed-curve identity: the kernel integrates to 1/2 with inward
@@ -145,6 +224,18 @@ class TestDoubleLayerMatrix:
         assert defect < 2e-4
         defect5 = ny.gauss_row_sum_defect(ny.polygon_mesh(co.regular_polygon(5), 32))
         assert defect5 < 2e-3
+
+    @pytest.mark.parametrize("name", ["lshape", "isosceles", "pinwheel", "random-triangle"])
+    def test_gauss_row_sums_read_every_orbit_of_edges(self, name):
+        # each edge orbit has a representative row at the node nearest its
+        # midpoint, so the defect is the whole matrix's
+        mesh = ny.polygon_mesh(SYMMETRIES[name][0](), 32)
+        full = reference.double_layer_reference(mesh)
+        sums, want = full.sum(axis=1), 0.0
+        for e in np.unique(mesh.edge_of):
+            sel = np.flatnonzero(mesh.edge_of == e)
+            want = max(want, abs(sums[sel[np.argmax(mesh.vertex_distance[sel])]] - 0.5))
+        assert ny.gauss_row_sum_defect(mesh) == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
 class TestPolygonTrace:
@@ -170,14 +261,46 @@ class TestPolygonTrace:
 
 
 class TestGramSigmaMin:
-    @pytest.mark.parametrize("name", sorted(ROTATION_ORDERS))
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
     def test_matches_full_svd(self, name):
-        make, k = ROTATION_ORDERS[name]
+        make, k, reflection = SYMMETRIES[name]
         domain = make()
         trace = ny.nystrom_oracle(domain, levels=6)
         want = reference.nystrom_sigmas_reference(domain, 6)
-        assert trace.rotation_order == k
+        assert (trace.rotation_order, trace.symmetry_order) == (k, k * (2 if reflection else 1))
         assert all(abs(g - w) <= 1e-10 * w for g, w in zip(trace.sigmas(), want))
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES) + sorted(SHARP_ISOSCELES))
+    def test_matches_svd_of_the_group_matrix(self, name):
+        # the blocks give exactly the singular values of the matrix that the
+        # representative rows define, even where the mesh's mirror images
+        # agree only to rounding (the sharp triangle reads 7e-10 against the
+        # whole assembled matrix at level 6)
+        domain = {**SYMMETRIES, **SHARP_ISOSCELES}[name][0]()
+        for level in range(1, 6):
+            mesh = ny.polygon_mesh(domain, 4 * 2 ** (level - 1))
+            a = ny.double_layer_matrix(mesh)
+            a[np.arange(len(a)), np.arange(len(a))] += 0.5
+            d = np.sqrt(mesh.weights / mesh.vertex_distance)[mesh.orbit_order()]
+            rows = a * d[: len(a), None] / d
+            perms = reference.polygon_symmetries_reference(domain, mesh)
+            want = np.linalg.svd(reference.group_matrix_reference(rows, mesh, perms), compute_uv=False)[-1]
+            got = ny.weighted_sigma_min(a, mesh)
+            assert abs(got - want) <= 1e-12 * want, (level, got, want)
+
+    @pytest.mark.parametrize("name", ["random-triangle", "moved-square", "permuted-square"])
+    def test_trivial_group_is_the_rotation_route_bit_for_bit(self, name):
+        for level in range(1, 7):
+            panels = 4 * 2 ** (level - 1)
+            if name == "permuted-square":
+                mesh = permuted(ny.polygon_mesh(co.unit_square(), panels), np.random.default_rng(level))
+            else:
+                mesh = ny.polygon_mesh(SYMMETRIES[name][0](), panels)
+            assert mesh.symmetry_order == 1
+            a = ny.double_layer_matrix(mesh)
+            a[np.arange(len(a)), np.arange(len(a))] += 0.5
+            want = reference.weighted_sigma_min_reference(a.copy(), mesh)
+            assert ny.weighted_sigma_min(a, mesh) == want
 
     @pytest.mark.parametrize("s_min", [0.0, 1e-6])
     def test_near_singular_input(self, s_min):
