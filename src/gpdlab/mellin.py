@@ -9,7 +9,10 @@ computed after the substitution t = e^u as the Fourier transform of the
 conjugated kernel g(u) = k(e^u) e^(a u).  g is sampled once on a uniform
 grid of a log window sized from the declared decay, and every lam is a
 trapezoid sum over those samples; the rule converges exponentially for
-kernels analytic in a strip around the line.  Kernels are sampled only
+kernels analytic in a strip around the line.  A node's phase factors
+into a coarse and a fine one, so a block of lams costs one product of
+the fine phases with the samples and one batched product of the partial
+sums with the coarse phases.  Kernels are sampled only
 through ``MellinKernel.values``, one call per grid or refinement step:
 a kernel declared ``vectorized`` (every built-in one) is evaluated by one
 numpy call on the whole array of t, any other kernel node by node.  The
@@ -306,7 +309,7 @@ def default_grid(lambda_max: float = DEFAULT_LAMBDA_MAX) -> np.ndarray:
 
 MAX_INTERVALS = 2**19  # node cap of the sampled log line
 _START_STEP = 0.125  # coarsest log-line step; refinement halves it
-_PHASE_ENTRIES = 2**17  # phase-matrix entries per lam block (2 MB)
+_PARTIAL_ENTRIES = 2**17  # coarse partial sums per lam block (2 MB)
 _FINE = 64  # fine phase factors per coarse one
 
 
@@ -324,7 +327,9 @@ class LogLineSamples:
     The number of intervals is even, so the even-indexed nodes form the
     grid of step 2h and the trapezoid sums T_h and T_2h come from the same
     samples.  Halving h keeps the old samples and evaluates the kernel
-    only at the midpoints.
+    only at the midpoints.  The sums read one copy of the samples,
+    weighted and laid out fine-major for the factored phase product; it
+    is built at the first sum after each halving.
     """
 
     def __init__(self, kernel: MellinKernel, weight: float, lo: float, hi: float, abs_tol: float):
@@ -386,36 +391,53 @@ class LogLineSamples:
                 return vals.reshape(len(lams), k, k), errs
             self._refine()
 
+    def _weigh(self) -> np.ndarray:
+        """The trapezoid-weighted samples, fine-major, shape (F, C * 2 k^2).
+
+        Even node j = c F + f, and the odd node right after it, go to row f
+        and coarse block c: its first k^2 columns hold the even sample, the
+        other k^2 the odd one.  The end nodes carry weight 1/2, and the
+        nodes past the last even one are zero.
+        """
+        entries = self.g.shape[1]
+        last_c, last_f = divmod(len(self.u) // 2, _FINE)  # the last even node
+        w = np.zeros((_FINE, last_c + 1, 2, entries), dtype=np.complex128)
+        by_coarse = w.swapaxes(0, 1)  # a view: by_coarse[c, f] is node c F + f
+        for half, nodes in enumerate((self.g[::2], self.g[1::2])):
+            full, rest = divmod(len(nodes), _FINE)
+            by_coarse[:full, :, half] = nodes[: full * _FINE].reshape(full, _FINE, entries)
+            if rest:
+                by_coarse[full, :rest, half] = nodes[full * _FINE :]
+        w[0, 0, 0] *= 0.5
+        w[last_f, last_c, 0] *= 0.5
+        return w.reshape(_FINE, -1)
+
     def _trapezoid(self, lams: np.ndarray):
         """T_h and |T_h - T_2h| for every lam, in blocks of lams.
 
         With E and O the weighted sums over the even and the odd nodes,
         T_h = h (E + O) and T_2h = 2 h E.  The odd nodes are the even
-        ones shifted by h, so one phase matrix over the even nodes serves
-        both sums.  Even node j = c F + f has the phase
-        exp(-i lam u_cF) exp(-i lam 2 h f): cos and sin are taken only
-        on the coarse and the fine factors.
+        ones shifted by h, so the same phases serve both sums.  Even node
+        j = c F + f has the phase exp(-i lam u_cF) exp(-i lam 2 h f), so
+        each sum factors as sum_c exp(-i lam u_cF) sum_f exp(-i lam 2 h f)
+        W[c F + f]: one product of the (lams x F) fine phases with the
+        fine-major samples gives C partial sums per lam, and one batched
+        product per lam with its C coarse phases contracts them.
         """
         entries = self.g.shape[1]
         if self._weighted is None:
-            w = self.g.copy()
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            n_even = len(w[::2])
-            padded = _FINE * -(-n_even // _FINE)
-            self._weighted = np.zeros((padded, 2 * entries), dtype=np.complex128)
-            self._weighted[:n_even, :entries] = w[::2]
-            self._weighted[: n_even - 1, entries:] = w[1::2]
+            self._weighted = self._weigh()
+        coarse = self._weighted.shape[1] // (2 * entries)
         h = self.step
-        coarse_u = self.lo + 2.0 * h * _FINE * np.arange(len(self._weighted) // _FINE)
+        coarse_u = self.lo + 2.0 * h * _FINE * np.arange(coarse)
         fine_u = 2.0 * h * np.arange(_FINE)
-        rows = max(1, _PHASE_ENTRIES // len(self._weighted))
+        rows = max(1, _PARTIAL_ENTRIES // self._weighted.shape[1])
         vals = np.empty((len(lams), entries), dtype=np.complex128)
         errs = np.empty(len(lams))
         for s in range(0, len(lams), rows):
             lam = lams[s : s + rows, None]
-            phases = _cis(-lam * coarse_u)[:, :, None] * _cis(-lam * fine_u)[:, None, :]
-            sums = phases.reshape(len(lam), -1) @ self._weighted
+            partial = (_cis(-lam * fine_u) @ self._weighted).reshape(len(lam), coarse, -1)
+            sums = (_cis(-lam * coarse_u)[:, None, :] @ partial)[:, 0]
             even = sums[:, :entries]
             odd = sums[:, entries:] * _cis(-lam * h)
             vals[s : s + rows] = h * (even + odd)
@@ -508,7 +530,8 @@ def mellin_transform(
     The conjugated kernel is sampled once on a uniform grid of a log
     window sized from the declared decay (mass outside below
     abs_tol * 1e-4), and every lam is a trapezoid sum over the samples,
-    the whole grid at once as a product of phases with samples.  The step
+    the whole grid at once: the fine phases of each lam against the
+    samples, then the coarse phases against the partial sums.  The step
     h is halved until, in every entry, the estimate |T_h - T_2h| stays
     within abs_tol and 2 h |lam| <= pi; past MAX_INTERVALS intervals the
     transform raises QuadratureError.  The tail constant C2 comes from

@@ -67,6 +67,13 @@ those samples into g(u) = k(e^u) e^(a u), as ``LogLineSamples`` did before
 it sampled through ``MellinKernel.values``.  ``reflect_kernel_reference``
 and ``adjoint_kernel_reference`` are the scalar flips k(1/t) t^(-2a) and
 conj(k(1/t))^T t^(-2a), with Python's ``**`` on each node.
+
+``trapezoid_reference`` is ``LogLineSamples._trapezoid`` as it was before
+the sum was factored: it forms the full (lams x even nodes) phase matrix,
+each entry the product of a coarse and a fine phase, and multiplies it by
+the node-major weighted samples.  It builds those samples on every call,
+so it can run on a ``LogLineSamples`` of either engine, or stand in for
+the method.
 """
 
 import itertools
@@ -97,7 +104,7 @@ from gpdlab.groupoid import (
     validate,
 )
 from gpdlab.iso import is_pair_groupoid
-from gpdlab.mellin import KernelDecay, MellinError, MellinKernel
+from gpdlab.mellin import KernelDecay, MellinError, MellinKernel, _cis
 from gpdlab.nystrom import PolygonMesh, _polygon_coords
 from gpdlab.specfiles import SchemaError
 
@@ -781,3 +788,34 @@ def adjoint_kernel_reference(kernel, weight) -> MellinKernel:
 
     decay = _flipped_decay_reference(kernel.decay, weight)
     return MellinKernel(kernel.vertex, kernel.size, fn, decay, f"adjoint({kernel.name})")
+
+
+_PHASE_ENTRIES = 2**17  # phase-matrix entries per lam block (2 MB)
+_FINE = 64  # fine phase factors per coarse one
+
+
+def trapezoid_reference(samples, lams: np.ndarray):
+    entries = samples.g.shape[1]
+    w = samples.g.copy()
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    n_even = len(w[::2])
+    padded = _FINE * -(-n_even // _FINE)
+    weighted = np.zeros((padded, 2 * entries), dtype=np.complex128)
+    weighted[:n_even, :entries] = w[::2]
+    weighted[: n_even - 1, entries:] = w[1::2]
+    h = samples.step
+    coarse_u = samples.lo + 2.0 * h * _FINE * np.arange(len(weighted) // _FINE)
+    fine_u = 2.0 * h * np.arange(_FINE)
+    rows = max(1, _PHASE_ENTRIES // len(weighted))
+    vals = np.empty((len(lams), entries), dtype=np.complex128)
+    errs = np.empty(len(lams))
+    for s in range(0, len(lams), rows):
+        lam = lams[s : s + rows, None]
+        phases = _cis(-lam * coarse_u)[:, :, None] * _cis(-lam * fine_u)[:, None, :]
+        sums = phases.reshape(len(lam), -1) @ weighted
+        even = sums[:, :entries]
+        odd = sums[:, entries:] * _cis(-lam * h)
+        vals[s : s + rows] = h * (even + odd)
+        errs[s : s + rows] = h * np.max(np.abs(odd - even), axis=1)
+    return vals, errs

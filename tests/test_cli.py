@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import gpdlab as gl
+from gpdlab import mellin
 from gpdlab import specfiles as sf
 from gpdlab.cli import main
 
@@ -249,6 +250,18 @@ print(json.dumps({"writes": writes, "env": {v: os.environ.get(v) for v in %r}}))
                 "print('scipy.linalg' in sys.modules)")
         assert run_python(code, dict(os.environ)).strip() == "False"
 
+    def test_mellin_scan_leaves_scipy_unloaded(self, tmp_path):
+        # the trapezoid sums are numpy products; scipy.linalg alone costs 0.4 s to import
+        out = tmp_path / "scan.json"
+        code = ("import json, sys; from gpdlab.cli import main\n"
+                "try:\n"
+                f"    main(['mellin-scan', '--domain', {corpus('square.json')!r}, '--out', {str(out)!r}])\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                "print(sorted(m for m in ('scipy.linalg', 'scipy.fft', 'scipy.integrate') if m in sys.modules))")
+        assert run_python(code, dict(os.environ)).strip() == "[]"
+        assert json.loads(out.read_text())["results"]["is_fredholm"] is True
+
     def test_spectral_check_leaves_scipy_linalg_unloaded(self):
         # both routes are numpy gufunc calls: stacked svd and solve
         code = ("import sys; from gpdlab import conical, fredholm; "
@@ -416,15 +429,33 @@ def test_mellin_scan_non_numeric_weight_exits_two(runner):
     assert isinstance(res.exception, SystemExit)
 
 
-def test_nystrom_verify_clockwise_vertices_exit_two(runner, tmp_path):
-    # reversed vertices describe the exterior, whose trace sinks with the level
+def clockwise_square(tmp_path) -> Path:
     doc = json.loads(Path(corpus("square.json")).read_text())
     doc["vertices"].reverse()
     path = tmp_path / "clockwise.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_nystrom_verify_clockwise_vertices_exit_two(runner, tmp_path):
+    # reversed vertices describe the exterior, whose trace sinks with the level
+    path = clockwise_square(tmp_path)
     res = runner.invoke(main, ["nystrom-verify", "--domain", str(path), "--levels", "2"])
     assert (res.exit_code, res.stdout) == (2, "")
-    assert res.stderr == "error: polygon vertices must be in counterclockwise order (signed area -1)\n"
+    assert res.stderr == (
+        f"error: {path}.vertices: polygon vertices must be in counterclockwise order (signed area -1)\n"
+    )
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_mellin_scan_clockwise_vertices_exit_two(runner, tmp_path):
+    # the exterior has reflex corners; the file is refused before any scan
+    path = clockwise_square(tmp_path)
+    res = runner.invoke(main, ["mellin-scan", "--domain", str(path)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == (
+        f"error: {path}.vertices: polygon vertices must be in counterclockwise order (signed area -1)\n"
+    )
     assert isinstance(res.exception, SystemExit)
 
 
@@ -447,10 +478,40 @@ def test_mellin_scan_non_finite_constants_exit_two(runner, option, value, stderr
 # stdout of `mellin-scan --domain src/gpdlab/corpus/<name>` run from the
 # repository root (the report echoes the path as given)
 MELLIN_SCAN_SHA256 = {
-    "square.json": "5581e93510350896035932da2a04501cdbd78a926144504ed1df21d635f6066d",
-    "pentagon.json": "d060e066e34ae2733338b753a3007ffc2b56b1905bb4f87f4541b710f140f5e6",
-    "lshape.json": "b2f4b18f84ca21a9b06101e1971514b8a43e09318529846178312f340a268f74",
+    "square.json": "37b2abf1357d2ea08ed5f1b87f8a7ccf4a2c67e1a80e15dc11990afc6786fe24",
+    "pentagon.json": "c30c8a34c7605213c6763455ae3906f3e3bc5efa9e7fabd6ab04ca4d658f072e",
+    "lshape.json": "16e689bb49d013db5cff2f98052c031246466d73c853747ef82876af58ec88ee",
 }
+
+
+def assert_reports_close(got, want, where="report"):
+    """Equal keys, strings, booleans and integers; floats within 1e-14 relative
+    (absolute below 1)."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_reports_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_reports_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-14 * max(abs(want), 1.0), (where, got, want)
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("name", MELLIN_SCAN_SHA256)
+def test_mellin_scan_corpus_output_matches_the_phase_matrix_engine(runner, monkeypatch, name):
+    # the pins below were re-taken when the trapezoid sum was factored;
+    # the reports may move only in the last bits of their floats
+    res = runner.invoke(main, ["mellin-scan", "--domain", corpus(name)])
+    assert (res.exit_code, res.stderr) == (0, "")
+    monkeypatch.setattr(mellin.LogLineSamples, "_trapezoid", reference.trapezoid_reference)
+    want = runner.invoke(main, ["mellin-scan", "--domain", corpus(name)])
+    assert (want.exit_code, want.stderr) == (0, "")
+    assert_reports_close(payload(res), payload(want))
 
 
 @pytest.mark.parametrize("name", MELLIN_SCAN_SHA256)

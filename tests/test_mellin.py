@@ -612,3 +612,119 @@ def test_scan_constants_must_be_finite(c, sigma_tol, message):
     # the verdict checks them before its ellipticity test, so c = 0 is no way round
     with pytest.raises(me.MellinError, match=message):
         me.fredholm_verdict(co.unit_square(), c=c, sigma_tol=sigma_tol)
+
+
+def _engine_cases():
+    bases = {**BUILT_IN_KERNELS, "midpoint-dip": midpoint_dip_kernel(0.125)}
+    for name, base in bases.items():
+        for weight in (0.0, 0.25, 0.5, 0.75):
+            for flip in ("plain", "reflect", "adjoint"):
+                kern = base if flip == "plain" else getattr(me, f"{flip}_kernel")(base, weight)
+                if -kern.decay.p0 < weight < kern.decay.p_inf:
+                    yield pytest.param(kern, weight, id=f"{name}-{flip}-{weight}")
+
+
+def assert_sums_match_the_phase_matrix(samples, lams, rtol=2e-15):
+    vals, errs = samples._trapezoid(lams)
+    want_vals, want_errs = reference.trapezoid_reference(samples, lams)
+    # rounding scales with the integral of |g|, which bounds every entry of
+    # the symbol; on a grid through lam = 0 the two are close
+    scale = max(np.abs(want_vals).max(), samples.step * np.abs(samples.g).sum(axis=0).max())
+    assert np.abs(vals - want_vals).max() <= rtol * scale
+    # the estimates are differences of two sums of that size
+    assert np.abs(errs - want_errs).max() <= 1e-15 * max(1.0, scale)
+
+
+@pytest.fixture(scope="module")
+def at_the_cap():
+    """A 2 x 2 wedge transform whose lams need the most intervals the window reaches."""
+    kern = me.wedge_double_layer_kernel(math.pi / 2)
+    u_minus, u_plus = me._log_window(kern, 0.5, tail_mass=me.DEFAULT_ABS_TOL * 1e-4)
+    n = 2 * math.ceil((u_plus + u_minus) / (2.0 * me._START_STEP))
+    while 2 * n <= me.MAX_INTERVALS:
+        n *= 2
+    # at 3/4 of the frequency n intervals resolve, n / 2 would not do
+    lams = 0.75 * math.pi * n / (2.0 * (u_plus + u_minus)) * np.linspace(-1.0, 1.0, 15)
+    fam = me.mellin_transform(kern, 0.5, lams)
+    assert len(fam._samples.u) - 1 == n
+    return fam, lams
+
+
+class TestFactoredTrapezoid:
+    @pytest.mark.parametrize("kern, weight", _engine_cases())
+    def test_scan_matches_the_phase_matrix_engine(self, kern, weight, monkeypatch):
+        fam = me.mellin_transform(kern, weight)
+        scan = me.invertibility_scan(fam, 0.5)
+        grid = fam.grid()
+        assert_sums_match_the_phase_matrix(fam._samples, grid)
+        monkeypatch.setattr(me.LogLineSamples, "_trapezoid", reference.trapezoid_reference)
+        want_fam = me.mellin_transform(kern, weight)
+        want = me.invertibility_scan(want_fam, 0.5)
+        assert np.array_equal(grid, want_fam.grid())
+        assert len(fam._samples.u) == len(want_fam._samples.u)
+        vals, want_vals = fam.value(grid), want_fam.value(grid)
+        assert np.abs(vals - want_vals).max() <= 2e-15 * np.abs(want_vals).max()
+        for field in ("grid_points", "refinements", "invertible", "argmin_lambda", "lambda_max"):
+            assert getattr(scan, field) == getattr(want, field)
+        # absolute: min_sigma itself is about 1e-13 at the forced zero
+        assert abs(scan.min_sigma - want.min_sigma) <= 1e-14
+
+    def test_single_lambda(self):
+        fam = me.mellin_transform(me.wedge_double_layer_kernel(2.2), 0.5, [3.0])
+        assert_sums_match_the_phase_matrix(fam._samples, np.array([3.0]))
+
+    @pytest.mark.parametrize("width, even_nodes", [(10.0, 41), (30.0, 121), (31.75, 128), (32.0, 129)])
+    def test_even_node_counts_around_a_multiple_of_the_fine_factors(self, width, even_nodes):
+        # 41 even nodes fill less than one coarse block; 129 leave 128 odd
+        # ones, a whole number of coarse blocks
+        samples = me.LogLineSamples(me.wedge_double_layer_kernel(0.4), 0.5,
+                                    -0.5 * width, 0.5 * width, me.DEFAULT_ABS_TOL)
+        lams = np.linspace(-12.0, 12.0, 7)  # 2 h |lam| <= pi at the starting step
+        for _ in range(2):
+            assert len(samples.u[::2]) % me._FINE == even_nodes % me._FINE
+            assert_sums_match_the_phase_matrix(samples, lams)
+            samples._refine()
+            even_nodes = 2 * even_nodes - 1
+
+    def test_refinement_up_to_the_interval_cap(self, at_the_cap):
+        fam, lams = at_the_cap
+        # several lam blocks at this node count
+        samples = fam._samples
+        assert len(lams) > me._PARTIAL_ENTRIES // samples._weighted.shape[1]
+        # over 156k even nodes the phase-matrix product itself rounds to
+        # about 5e-15 at lam = 0, where math.fsum gives the exact sum
+        assert_sums_match_the_phase_matrix(samples, lams, rtol=1e-14)
+        weighted = samples.g.copy()
+        weighted[[0, -1]] *= 0.5
+        exact = samples.step * math.fsum(weighted[:, 1].real)
+        vals, _ = samples._trapezoid(np.array([0.0]))
+        assert abs(vals[0, 1] - exact) <= 2e-15 * abs(exact)
+
+    def test_cap_raises_the_same_error(self, monkeypatch):
+        # a jump in the kernel caps the trapezoid rule at first order
+        def fn(ts):
+            return np.where(ts < 2.0, ts / (1.0 + ts * ts), 0.0)[..., None, None]
+
+        kern = me.MellinKernel("k", 1, fn, me.KernelDecay(1.0, 1.0, 1.0, 1.0), "jump",
+                               vectorized=True)
+        with pytest.raises(me.QuadratureError) as got:
+            me.mellin_transform(kern, 0.5, np.array([0.0, 1.0]))
+        monkeypatch.setattr(me.LogLineSamples, "_trapezoid", reference.trapezoid_reference)
+        with pytest.raises(me.QuadratureError) as want:
+            me.mellin_transform(kern, 0.5, np.array([0.0, 1.0]))
+        assert str(got.value) == str(want.value)
+        assert f"at {me.MAX_INTERVALS} log-line intervals" in str(got.value)
+
+    def test_sums_keep_one_copy_of_the_samples(self, at_the_cap):
+        # the fine-major weighted samples and one lam block of partial sums;
+        # the phase-matrix engine held two copies of the samples
+        fam, lams = at_the_cap
+        samples = fam._samples
+        samples._weighted = None
+        tracemalloc.start()
+        try:
+            samples.transform(lams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * samples.g.nbytes

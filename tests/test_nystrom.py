@@ -1,4 +1,3 @@
-import json
 import math
 from pathlib import Path
 
@@ -88,14 +87,13 @@ class TestMesh:
         assert mesh.vertex_distance.min() < (1.0 / 32) ** 3 * 0.5
         assert mesh.vertex_distance.min() > 0.0
 
-    def test_clockwise_vertices_rejected(self, tmp_path):
-        # a spec file reaches the mesh without passing through polygon_domain
-        doc = json.loads((Path(ny.__file__).parent / "corpus" / "square.json").read_text())
-        doc["vertices"].reverse()
-        path = tmp_path / "clockwise.json"
-        path.write_text(json.dumps(doc))
+    def test_clockwise_vertices_rejected(self):
+        # a domain built in code reaches the mesh without passing through
+        # polygon_domain or the spec-file parser
+        square = co.unit_square()
+        clockwise = co.LayerDomain(2, square.vertices[::-1], square.edges)
         with pytest.raises(ny.MeshError, match=r"counterclockwise order \(signed area -1\)"):
-            ny.polygon_mesh(sf.parse_domain(path), 4)
+            ny.polygon_mesh(clockwise, 4)
 
     def test_non_planar_rejected(self):
         with pytest.raises(ny.MeshError):

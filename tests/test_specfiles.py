@@ -141,6 +141,30 @@ class TestDomainFiles:
         with pytest.raises(sf.SchemaError, match="no_cracks"):
             sf.parse_domain(p)
 
+    def test_every_corpus_domain_parses(self):
+        manifest = json.loads(corpus_path("manifest.json").read_text())
+        names = [f["file"] for f in manifest["fixtures"] if f["kind"] == "domain"]
+        assert len(names) == 4
+        for name in names:
+            assert sf.parse_domain(corpus_path(name)).vertices
+
+    def test_clockwise_polygon_rejected(self):
+        doc = json.loads(corpus_path("square.json").read_text())
+        doc["vertices"].reverse()
+        with pytest.raises(sf.SchemaError) as exc:
+            sf.domain_from_dict(doc)
+        assert exc.value.path == "domain.vertices"
+        assert str(exc.value) == (
+            "domain.vertices: polygon vertices must be in counterclockwise order (signed area -1)"
+        )
+
+    def test_orientation_needs_every_vertex_coordinate(self):
+        # without coordinates the vertex list fixes no orientation
+        doc = json.loads(corpus_path("square.json").read_text())
+        doc["vertices"].reverse()
+        del doc["vertices"][0]["coords"]
+        assert len(sf.domain_from_dict(doc).vertices) == 4
+
     def test_domain_round_trip(self):
         d = sf.parse_domain(corpus_path("pentagon.json"))
         d2 = sf.domain_from_dict(sf.domain_to_dict(d))
