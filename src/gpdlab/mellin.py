@@ -311,6 +311,7 @@ MAX_INTERVALS = 2**19  # node cap of the sampled log line
 _START_STEP = 0.125  # coarsest log-line step; refinement halves it
 _PARTIAL_ENTRIES = 2**17  # coarse partial sums per lam block (2 MB)
 _FINE = 64  # fine phase factors per coarse one
+_MIDPOINT_CHUNK = 2**14  # midpoints per kernel call when the step is halved
 
 
 def _cis(x: np.ndarray) -> np.ndarray:
@@ -354,19 +355,30 @@ class LogLineSamples:
         return out
 
     def _refine(self):
+        """Halve h: the old samples move to the even rows, and the midpoints
+        are sampled in chunks straight into the odd ones, so the old and the
+        new array are the only two of the samples' size."""
         n = len(self.u) - 1
         if 2 * n > MAX_INTERVALS:
             raise QuadratureError(
                 f"kernel {self.kernel.name!r}: error estimate above {self.abs_tol:.1e} "
                 f"at {MAX_INTERVALS} log-line intervals"
             )
-        mid = 0.5 * (self.u[:-1] + self.u[1:])
-        u = np.empty(2 * n + 1)
-        u[::2], u[1::2] = self.u, mid
-        g = np.empty((2 * n + 1, self.g.shape[1]), dtype=np.complex128)
-        g[::2], g[1::2] = self.g, self._sample(mid)
-        self.u, self.g = u, g
         self._weighted = None
+        u = np.empty(2 * n + 1)
+        u[::2] = self.u
+        u[1::2] = 0.5 * (self.u[:-1] + self.u[1:])
+        g = np.empty((2 * n + 1, self.g.shape[1]), dtype=np.complex128)
+        g[::2] = self.g
+        self.u, self.g = u, g
+        try:
+            for s in range(1, 2 * n, 2 * _MIDPOINT_CHUNK):
+                stop = min(s + 2 * _MIDPOINT_CHUNK, 2 * n)
+                g[s:stop:2] = self._sample(u[s:stop:2])
+        except BaseException:
+            # a kernel that fails leaves the samples of the old step
+            self.u, self.g = u[::2].copy(), g[::2].copy()
+            raise
 
     def transform(self, lams):
         """Symbols at lams, shape (len(lams), k, k), and the per-lam error estimates.
@@ -378,9 +390,12 @@ class LogLineSamples:
         """
         lams = np.asarray(lams, dtype=float)
         top = float(np.max(np.abs(lams)))
-        if 2.0 * (self.hi - self.lo) * top > math.pi * MAX_INTERVALS:
+        reach = len(self.u) - 1  # refinement doubles the count up to MAX_INTERVALS
+        while 2 * reach <= MAX_INTERVALS:
+            reach *= 2
+        if 2.0 * (self.hi - self.lo) * top > math.pi * reach:
             raise QuadratureError(
-                f"lam = {top:g} needs more than {MAX_INTERVALS} log-line intervals"
+                f"lam = {top:g} needs more than the {reach} log-line intervals this window reaches"
             )
         while 2.0 * self.step * top > math.pi:
             self._refine()

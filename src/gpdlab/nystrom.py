@@ -22,15 +22,21 @@ Two independent discrete oracles:
   the whole matrix.  Each Gram eigenvalue is within sqrt(N eps)
   sigma_max of the singular value (about N eps (sigma_max /
   sigma_min)^2 / 2 relative).  Against a full SVD of the whole weighted
-  matrix the result agrees at levels 1-6 to 1.3e-11 relative on the
+  matrix the result agrees at levels 1-6 to 7.3e-12 relative on the
   square, a rectangle, the regular 3- to 8-gons, the L-shape, an
-  isosceles triangle, a kite and a four-fold pinwheel (3e-15 on the
-  square and the rectangle, 2e-14 on the L-shape): the blocks give
-  the exact singular values of the matrix that the representative rows
-  define (to 1e-12), and the whole assembled matrix is symmetric only
-  to rounding, because mirror-image nodes are placed from different
-  vertices (on a sharp isosceles triangle, apex 37 degrees, that
-  rounding moves sigma_min by 7e-10 relative at level 6);
+  isosceles and a sharp isosceles triangle, a kite and a four-fold
+  pinwheel (3e-15 on the square and the rectangle, 2e-14 on the
+  L-shape).  Each node is placed from the nearer vertex of its edge, so
+  mirror-image nodes have the same weights and vertex distances to the
+  last bit.  A level holds at most about two arrays of the size of the
+  representative rows: they are assembled in row blocks, each F_rho is
+  freed before the eigensolver copies its Gram matrix, and the rows are
+  freed before the last Gram matrix is formed (a complex block of C_k
+  also needs a conjugate copy for its Gram product: 2.2 rows' sizes on
+  a five-fold pinwheel).  Levels 1-8 in a fresh process (one BLAS
+  thread) peak at 193 MB on a seeded triangle and at 332 MB on the
+  L-shape (277 and 548 MB with whole-size assembly temporaries and the
+  rows kept to the end);
 * the half-line model operator c + Mellin convolution at a single cone,
   discretized on a log-uniform mesh whose window grows with the level,
   used for adversarial kernels whose symbol hits zero.  It keeps the
@@ -40,6 +46,7 @@ Two independent discrete oracles:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +60,8 @@ MIN_PANELS_PER_HALF_EDGE = 4
 # a rotation or reflection maps the vertices onto themselves when it moves
 # none of them farther than this fraction of the diameter
 ROTATION_TOL = 1e-12
+# entries per row block of the assembly's temporaries (128 kB each)
+_ROW_BLOCK_ENTRIES = 2**14
 
 
 class MeshError(ValueError):
@@ -104,7 +113,9 @@ def polygon_mesh(domain: LayerDomain, panels_per_half_edge: int) -> PolygonMesh:
 
     Each edge carries 2 ``panels_per_half_edge`` nodes placed symmetrically
     about its midpoint, so the polygon's symmetry group permutes the nodes
-    without fixing any of them.
+    without fixing any of them.  Each node is placed from the nearer
+    vertex of its edge, and its distance from that vertex is the exact
+    offset, not a difference of coordinates.
     """
     if panels_per_half_edge < MIN_PANELS_PER_HALF_EDGE:
         raise MeshError(
@@ -116,7 +127,7 @@ def polygon_mesh(domain: LayerDomain, panels_per_half_edge: int) -> PolygonMesh:
         raise MeshError(
             f"polygon vertices must be in counterclockwise order (signed area {area:g})"
         )
-    nodes, weights, normals, edge_of = [], [], [], []
+    nodes, weights, normals, edge_of, nearer, from_nearer = [], [], [], [], [], []
     n_edges = len(coords)
     grading = np.arange(panels_per_half_edge + 1) / panels_per_half_edge
     breaks = grading**GRADING_EXPONENT  # in [0, 1], clustered at 0
@@ -125,17 +136,22 @@ def polygon_mesh(domain: LayerDomain, panels_per_half_edge: int) -> PolygonMesh:
         length = float(np.linalg.norm(q - p))
         direction = (q - p) / length
         inward = np.array([-direction[1], direction[0]])  # interior on the left (ccw)
-        half = 0.5 * length
-        cuts = np.concatenate([breaks * half, length - breaks[::-1][1:] * half])
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        nodes.append(p + mids[:, None] * direction)
-        weights.append(np.diff(cuts))
-        normals.append(np.broadcast_to(inward, (len(mids), 2)))
-        edge_of.append(np.full(len(mids), e))
+        cuts = breaks * (0.5 * length)  # the half edge's panel ends, from its vertex
+        near = 0.5 * (cuts[:-1] + cuts[1:])
+        widths = np.diff(cuts)
+        # each half is placed from its own vertex, the second as the mirror
+        # image of the first, so mirror-image nodes agree to the last bit
+        nodes.append(np.concatenate([p + near[:, None] * direction, q - near[::-1, None] * direction]))
+        weights.append(np.concatenate([widths, widths[::-1]]))
+        normals.append(np.broadcast_to(inward, (2 * len(near), 2)))
+        edge_of.append(np.full(2 * len(near), e))
+        nearer.append(np.repeat([e, (e + 1) % n_edges], len(near)))
+        from_nearer.append(np.concatenate([near, near[::-1]]))
     nodes = np.concatenate(nodes)
-    dists = np.min(
-        np.linalg.norm(nodes[:, None, :] - coords[None, :, :], axis=2), axis=1
-    )
+    dists = np.linalg.norm(nodes[:, None, :] - coords[None, :, :], axis=2)
+    # a node's distance from the vertex it was placed from is exact
+    dists[np.arange(len(nodes)), np.concatenate(nearer)] = np.concatenate(from_nearer)
+    dists = dists.min(axis=1)
     k, c = _symmetry(coords)
     # a reflection mapping vertex i onto vertex c - i maps node j of edge e
     # onto node c (2 p) - 1 - (2 p e + j), p panels per half edge; the
@@ -188,31 +204,32 @@ def double_layer_matrix(mesh: PolygonMesh) -> np.ndarray:
     is (N / |G|, N).  The group maps these rows onto every other row; for
     the trivial group they are the whole matrix.  Same-edge blocks vanish
     exactly on straight edges (collinear points) and are set to zero,
-    whatever the order of the nodes.
+    whatever the order of the nodes.  The rows are filled in blocks of
+    about ``_ROW_BLOCK_ENTRIES`` entries, so the only array of the
+    output's size is the output.
     """
     order = mesh.orbit_order()
     x, normals, weights = mesh.nodes[order], mesh.normals[order], mesh.weights[order]
-    rows = x[: len(x) // mesh.symmetry_order]
-    d = np.subtract.outer(rows[:, 0], x[:, 0])
-    kmat = d * normals[:, 0]  # (x_i - x_j) . n_j, term by term
-    r2 = np.square(d, out=d)
-    # the second coordinate's difference is formed twice, so that no
-    # fourth array of this size is live at once
-    d = np.subtract.outer(rows[:, 1], x[:, 1])
-    d *= normals[:, 1]
-    kmat += d
-    np.subtract.outer(rows[:, 1], x[:, 1], out=d)
-    d *= d
-    r2 += d
-    np.fill_diagonal(r2, 1.0)
-    r2 *= 2.0 * math.pi
-    kmat /= r2
-    kmat *= weights
+    kmat = np.empty((len(x) // mesh.symmetry_order, len(x)))
+    step = max(1, _ROW_BLOCK_ENTRIES // len(x))
+    for s in range(0, len(kmat), step):
+        out = kmat[s : s + step]
+        rows = x[s : s + len(out)]
+        d = np.subtract.outer(rows[:, 0], x[:, 0])
+        np.multiply(d, normals[:, 0], out=out)  # (x_i - x_j) . n_j, term by term
+        r2 = np.square(d, out=d)
+        d = np.subtract.outer(rows[:, 1], x[:, 1])
+        out += d * normals[:, 1]
+        r2 += np.square(d, out=d)
+        np.fill_diagonal(r2[:, s:], 1.0)
+        r2 *= 2.0 * math.pi
+        out /= r2
+        out *= weights
     edge_of = mesh.edge_of[order]
     by_edge = np.argsort(edge_of, kind="stable")
     ends = np.flatnonzero(np.diff(edge_of[by_edge])) + 1
     for block in np.split(by_edge, ends):
-        kmat[np.ix_(block[block < len(rows)], block)] = 0.0
+        kmat[np.ix_(block[block < len(kmat)], block)] = 0.0
     return kmat
 
 
@@ -226,24 +243,36 @@ def weighted_sigma_min(a: np.ndarray, mesh: PolygonMesh) -> float:
     least over G's irreducible representations rho of
     sqrt(lambda_min(F_rho^H F_rho)), F_rho = sum_g rho(g) (x) B_g, where
     B_g holds the columns of the nodes g(t), t < N / |G|
-    (``_irreducible_grams``).  ``a`` is overwritten by M's rows.  Each
-    Gram eigenvalue is backward stable to about N eps sigma_max^2, so the
-    result is within sqrt(N eps) sigma_max of the singular value (relative
-    error about N eps (sigma_max / sigma_min)^2 / 2); a rounding-negative
-    lambda_min of a singular M reads as 0.
+    (``_irreducible_blocks``).  ``a`` is overwritten by M's rows.  No
+    reference to ``a`` is kept past the last F_rho, so rows that the
+    caller hands over (``nystrom_oracle`` keeps no name for them) are
+    freed before its Gram matrix is formed.  Each Gram eigenvalue is
+    backward stable to about N eps sigma_max^2, so the result is within
+    sqrt(N eps) sigma_max of the singular value (relative error about
+    N eps (sigma_max / sigma_min)^2 / 2); a rounding-negative lambda_min
+    of a singular M reads as 0.
     """
     b = len(a)
     d = np.sqrt(mesh.weights / mesh.vertex_distance)[mesh.orbit_order()]
     a *= d[:b, None]
     a /= d
-    blocks = a.reshape(b, mesh.rotation_order, 2 if mesh.reflection else 1, b)
-    lam = min(float(np.linalg.eigvalsh(gram)[0]) for gram in _irreducible_grams(blocks))
+    builders = _irreducible_blocks(a.reshape(b, mesh.rotation_order, 2 if mesh.reflection else 1, b))
+    del a
+    lam = math.inf
+    while builders:
+        # the last builder to go holds the last views of the rows
+        f = builders.pop(0)()
+        gram = f.conj().T @ f
+        del f  # F is not live while the eigensolver copies F^H F
+        lam = min(lam, float(np.linalg.eigvalsh(gram)[0]))
+        del gram  # nor is F^H F while the next F is formed
     return math.sqrt(max(lam, 0.0))
 
 
-def _irreducible_grams(blocks: np.ndarray):
-    """F^H F for F = F_rho and each irreducible representation rho, up to
-    conjugation; each F is freed before the eigensolver copies F^H F.
+def _irreducible_blocks(blocks: np.ndarray) -> list:
+    """Builders of F_rho, one per irreducible representation rho up to
+    conjugation, the real (b x b) blocks first; only the builders hold
+    ``blocks``.
 
     ``blocks[:, r, 0]`` is B for R^r, R the rotation by 2 pi / k, and,
     with a reflection S (t -> 2 N / |G| - 1 - t), ``blocks[:, r, 1, ::-1]``
@@ -252,33 +281,58 @@ def _irreducible_grams(blocks: np.ndarray):
     and k - j give conjugate blocks); j = 0 and k / 2 are real.  With one
     (the dihedral group D_k, whose representations are real), each real
     character extends to two, S -> +-1, and each other j gives the 2-d
-    representation R -> rotation by 2 pi j / k, S -> diag(1, -1).
+    representation R -> rotation by 2 pi j / k, S -> diag(1, -1).  For
+    the trivial group F is B itself, a view of the rows.
     """
     k = blocks.shape[1]
     rotations = blocks[:, :, 0]
     mirrored = blocks[:, :, 1, ::-1] if blocks.shape[2] == 2 else None
+    real, larger = [], []
     for j in range(k // 2 + 1):
         omega = np.exp(2j * math.pi * (j * np.arange(k) % k) / k)  # omega^(jr), r < k
-        if mirrored is None:
-            # the characters 0 and k / 2 are +-1, so F_0 and F_{k/2} are real
-            yield _gram(_combine(rotations, omega.real if 2 * j % k == 0 else omega))
-        elif 2 * j % k == 0:
-            z, w = _combine(rotations, omega.real), _combine(mirrored, omega.real)
-            yield _gram(z + w)
-            yield _gram(z - w)
+        if 2 * j % k == 0:
+            # the characters 0 and k / 2 are +-1, so their blocks are real
+            if mirrored is None:
+                real.append(functools.partial(_combine, rotations, omega.real))
+            else:
+                real.append(functools.partial(_signed_sum, rotations, mirrored, omega.real, np.add))
+                real.append(functools.partial(_signed_sum, rotations, mirrored, omega.real, np.subtract))
+        elif mirrored is None:
+            larger.append(functools.partial(_combine, rotations, omega))
         else:
-            c, s = _combine(rotations, omega.real), _combine(rotations, omega.imag)
-            cm, sm = _combine(mirrored, omega.real), _combine(mirrored, omega.imag)
-            yield _gram(np.block([[c + cm, sm - s], [s + sm, c - cm]]))
+            larger.append(functools.partial(_two_dimensional, rotations, mirrored, omega))
+    return real + larger
 
 
-def _combine(blocks: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """sum_r chi_r B_r over the blocks B_r = blocks[:, r]."""
-    return np.einsum("arc,r->ac", blocks, chi)
+def _combine(blocks: np.ndarray, chi: np.ndarray, out=None) -> np.ndarray:
+    """sum_r chi_r B_r over the blocks B_r = blocks[:, r]; B_0 itself when k = 1."""
+    if blocks.shape[1] == 1 and out is None:
+        return blocks[:, 0]
+    return np.einsum("arc,r->ac", blocks, chi, out=out)
 
 
-def _gram(f: np.ndarray) -> np.ndarray:
-    return f.conj().T @ f
+def _signed_sum(rotations, mirrored, chi, sign) -> np.ndarray:
+    """Z +- W for Z, W = sum_r chi_r B_r over the rotations and the reflections."""
+    return sign(_combine(rotations, chi), _combine(mirrored, chi))
+
+
+def _two_dimensional(rotations, mirrored, omega) -> np.ndarray:
+    """[[C + C', S' - S], [S + S', C - C']], C, S the sums with cos and sin
+    over the rotations, C', S' over the reflections, filled in place with
+    one (b x b) scratch array."""
+    b = len(rotations)
+    f = np.empty((2 * b, 2 * b))
+    scratch = np.empty((b, b))
+    top_left, top_right, bottom_left, bottom_right = f[:b, :b], f[:b, b:], f[b:, :b], f[b:, b:]
+    _combine(rotations, omega.real, out=top_left)
+    _combine(mirrored, omega.real, out=scratch)
+    np.subtract(top_left, scratch, out=bottom_right)
+    np.add(top_left, scratch, out=top_left)
+    _combine(rotations, omega.imag, out=bottom_left)
+    _combine(mirrored, omega.imag, out=scratch)
+    np.subtract(scratch, bottom_left, out=top_right)
+    np.add(bottom_left, scratch, out=bottom_left)
+    return f
 
 
 def gauss_row_sum_defect(mesh: PolygonMesh) -> float:
@@ -337,6 +391,14 @@ class SigmaTrace:
 MAX_NYSTROM_LEVELS = 8
 
 
+def _half_plus_k(mesh: PolygonMesh) -> np.ndarray:
+    """Orbit-representative rows of I/2 + K."""
+    a = double_layer_matrix(mesh)
+    i = np.arange(len(a))
+    a[i, i] += 0.5
+    return a
+
+
 def nystrom_oracle(domain: LayerDomain, levels: int, base_panels: int = 4) -> SigmaTrace:
     """sigma_min trace of I/2 + K on nested graded polygon meshes.
 
@@ -348,10 +410,9 @@ def nystrom_oracle(domain: LayerDomain, levels: int, base_panels: int = 4) -> Si
     rows = []
     for level in range(1, levels + 1):
         mesh = polygon_mesh(domain, base_panels * 2 ** (level - 1))
-        a = double_layer_matrix(mesh)
-        i = np.arange(len(a))
-        a[i, i] += 0.5
-        rows.append(TraceRow(level, len(mesh.nodes), weighted_sigma_min(a, mesh)))
+        # the rows are handed over: no name here holds them, so they are
+        # freed inside weighted_sigma_min before its last Gram matrix
+        rows.append(TraceRow(level, len(mesh.nodes), weighted_sigma_min(_half_plus_k(mesh), mesh)))
     return SigmaTrace(rows, mesh.rotation_order, mesh.symmetry_order)
 
 

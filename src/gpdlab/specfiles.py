@@ -40,6 +40,11 @@ def _load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except UnicodeDecodeError as exc:
+        # the whole file is decoded at once, so the offset is the file's
+        raise SchemaError(
+            str(path), f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at byte offset {exc.start}"
+        ) from None
 
 
 class _GcPause:

@@ -660,25 +660,29 @@ def _check_projection_reference(glued, i, piece, proj):
 
 def polygon_mesh_reference(domain, panels_per_half_edge: int) -> PolygonMesh:
     coords = _polygon_coords(domain)
-    nodes, weights, normals, edge_of = [], [], [], []
+    nodes, weights, normals, edge_of, dists = [], [], [], [], []
     n_edges = len(coords)
-    breaks = (np.arange(panels_per_half_edge + 1) / panels_per_half_edge) ** 3
+    m = panels_per_half_edge
+    breaks = (np.arange(m + 1) / m) ** 3
     for e in range(n_edges):
         p, q = coords[e], coords[(e + 1) % n_edges]
         length = float(np.linalg.norm(q - p))
         direction = (q - p) / length
         inward = np.array([-direction[1], direction[0]])
-        half = 0.5 * length
-        cuts = np.concatenate([breaks * half, length - breaks[::-1][1:] * half])
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        for s, w in zip(mids, np.diff(cuts)):
-            nodes.append(p + s * direction)
-            weights.append(w)
+        cuts = breaks * (0.5 * length)
+        for j in range(2 * m):
+            # the first half from p, the second its mirror image from q
+            i = j if j < m else 2 * m - 1 - j
+            s, vertex = 0.5 * (cuts[i] + cuts[i + 1]), (e if j < m else (e + 1) % n_edges)
+            node = p + s * direction if j < m else q - s * direction
+            nodes.append(node)
+            weights.append(cuts[i + 1] - cuts[i])
             normals.append(inward)
             edge_of.append(e)
-    nodes = np.array(nodes)
-    dists = np.min(np.linalg.norm(nodes[:, None, :] - coords[None, :, :], axis=2), axis=1)
-    return PolygonMesh(nodes, np.array(weights), np.array(normals), np.array(edge_of), dists)
+            dists.append(min(s if v == vertex else float(np.linalg.norm(node - coords[v]))
+                             for v in range(n_edges)))
+    return PolygonMesh(np.array(nodes), np.array(weights), np.array(normals), np.array(edge_of),
+                       np.array(dists))
 
 
 def double_layer_reference(mesh) -> np.ndarray:

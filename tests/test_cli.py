@@ -448,6 +448,17 @@ def test_nystrom_verify_clockwise_vertices_exit_two(runner, tmp_path):
     assert isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("command, option", [("mellin-scan", "--domain"), ("validate", "--groupoid")])
+def test_non_utf8_spec_file_names_the_file_and_the_byte(runner, tmp_path, command, option):
+    path = tmp_path / "latin1.json"
+    head = '{"format": "gpdlab", "name": "'.encode()
+    path.write_bytes(head + "carr\u00e9".encode("latin-1") + b'"}')
+    res = runner.invoke(main, [command, option, str(path)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"error: {path}: not UTF-8: byte 0xe9 at byte offset {len(head) + 4}\n"
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_mellin_scan_clockwise_vertices_exit_two(runner, tmp_path):
     # the exterior has reflex corners; the file is refused before any scan
     path = clockwise_square(tmp_path)

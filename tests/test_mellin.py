@@ -265,6 +265,53 @@ class TestTrapezoidEngine:
         with pytest.raises(me.QuadratureError):
             fam.value(1e6)
 
+    def test_frequency_past_the_reachable_count_names_lambda(self, monkeypatch):
+        # the wedge(pi / 2) window at a = 1/2 starts at 610 intervals, and
+        # doubling reaches 312320 < MAX_INTERVALS; lam = 8130 needs more than
+        # that, so the transform refuses it before any refinement
+        monkeypatch.setattr(me.LogLineSamples, "_refine", lambda self: pytest.fail("refined"))
+        with pytest.raises(me.QuadratureError,
+                           match=r"^lam = 8130 needs more than the 312320 log-line intervals"):
+            me.mellin_transform(me.wedge_double_layer_kernel(math.pi / 2), 0.5, [0.0, 8130.0])
+
+    def test_refinement_holds_the_old_and_the_new_samples(self):
+        # the midpoints are sampled in chunks into the new array, and the old
+        # array and the weighted copy go once copied (3.06 x before)
+        kern = me.wedge_double_layer_kernel(math.pi / 2)
+        u_minus, u_plus = me._log_window(kern, 0.5, tail_mass=me.DEFAULT_ABS_TOL * 1e-4)
+        tracemalloc.start()
+        try:
+            samples = me.LogLineSamples(kern, 0.5, -u_minus, u_plus, me.DEFAULT_ABS_TOL)
+            while 4 * (len(samples.u) - 1) <= me.MAX_INTERVALS:
+                samples._refine()
+            samples._trapezoid(np.array([0.0]))  # as after an estimate above abs_tol
+            old = samples.g.copy()
+            tracemalloc.reset_peak()
+            samples._refine()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(samples.u) - 1 == 312320
+        assert peak <= 2.0 * samples.g.nbytes + old.nbytes
+        assert np.array_equal(samples.g[::2], old)
+        assert np.array_equal(samples.g[1::2], reference.log_line_samples_reference(kern, 0.5, samples.u[1::2]))
+
+    def test_failed_refinement_keeps_the_old_samples(self):
+        calls = []
+
+        def fn(ts):
+            calls.append(len(ts))
+            if len(calls) > 1:
+                raise ZeroDivisionError("kernel failed")
+            return me.wedge_double_layer_kernel(2.0).fn(ts)
+
+        kern = me.MellinKernel("v", 2, fn, me.wedge_double_layer_kernel(2.0).decay, "flaky", vectorized=True)
+        samples = me.LogLineSamples(kern, 0.5, -5.0, 5.0, me.DEFAULT_ABS_TOL)
+        u, g = samples.u.copy(), samples.g.copy()
+        with pytest.raises(ZeroDivisionError):
+            samples._refine()
+        assert np.array_equal(samples.u, u) and np.array_equal(samples.g, g)
+
     def test_wide_window_transform_stays_small(self):
         # the midpoint dip: a log window 288 wide and 37k nodes for the default grid
         c, width, lam0 = 0.5, 5.0, 0.125

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +51,10 @@ SYMMETRIES = {
     "pinwheel": (pinwheel, 4, False),
     "random-triangle": (random_triangle, 1, False),
     "moved-square": (moved_square, 1, False),
+    # apex 36.9 degrees: mirror-image nodes placed from each edge's first
+    # vertex would agree only to rounding (see TestMirrorImages)
+    "sharp-isosceles": (lambda: co.polygon_domain([(0, 0), (2, 0), (1, 3)]), 1, True),
 }
-# A sharp isosceles triangle (apex 36.9 degrees).  Its mirror-image nodes
-# agree only to rounding, so near its corners the assembled kernel is
-# symmetric only to 3e-9 relative at level 6, and sigma_min differs from the
-# whole matrix's by 7e-10 there; it is checked against the matrix that its
-# representative rows define.
-SHARP_ISOSCELES = {"sharp-isosceles": (lambda: co.polygon_domain([(0, 0), (2, 0), (1, 3)]), 1, True)}
 
 
 def permuted(mesh, rng):
@@ -156,11 +154,11 @@ class TestRotationOrder:
             assert np.allclose(full[r * b:(r + 1) * b], np.roll(full[:b], r * b, axis=1),
                                rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", sorted(SYMMETRIES) + sorted(SHARP_ISOSCELES))
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
     def test_whole_matrix_commutes_with_the_group(self, name):
         # A[P i, P j] = A[i, j] for every symmetry P, reflections included,
         # and a brute-force search finds exactly |G| of them
-        domain = {**SYMMETRIES, **SHARP_ISOSCELES}[name][0]()
+        domain = SYMMETRIES[name][0]()
         mesh = ny.polygon_mesh(domain, 8)
         full = reference.double_layer_reference(mesh)
         perms = reference.polygon_symmetries_reference(domain, mesh)
@@ -206,10 +204,10 @@ class TestDoubleLayerMatrix:
         same = edge_of[: len(kmat), None] == edge_of[None, :]
         assert np.max(np.abs(kmat[same])) == 0.0
 
-    @pytest.mark.parametrize("name", sorted(SYMMETRIES) + sorted(SHARP_ISOSCELES))
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
     def test_matches_einsum_assembly(self, name):
         # the N / |G| representative rows, against the reference's rows
-        mesh = ny.polygon_mesh({**SYMMETRIES, **SHARP_ISOSCELES}[name][0](), 16)
+        mesh = ny.polygon_mesh(SYMMETRIES[name][0](), 16)
         for m in (mesh, permuted(mesh, np.random.default_rng(3))):
             kmat = ny.double_layer_matrix(m)
             assert kmat.shape == (len(m.nodes) // m.symmetry_order, len(m.nodes))
@@ -268,13 +266,11 @@ class TestGramSigmaMin:
         assert (trace.rotation_order, trace.symmetry_order) == (k, k * (2 if reflection else 1))
         assert all(abs(g - w) <= 1e-10 * w for g, w in zip(trace.sigmas(), want))
 
-    @pytest.mark.parametrize("name", sorted(SYMMETRIES) + sorted(SHARP_ISOSCELES))
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
     def test_matches_svd_of_the_group_matrix(self, name):
         # the blocks give exactly the singular values of the matrix that the
-        # representative rows define, even where the mesh's mirror images
-        # agree only to rounding (the sharp triangle reads 7e-10 against the
-        # whole assembled matrix at level 6)
-        domain = {**SYMMETRIES, **SHARP_ISOSCELES}[name][0]()
+        # representative rows define
+        domain = SYMMETRIES[name][0]()
         for level in range(1, 6):
             mesh = ny.polygon_mesh(domain, 4 * 2 ** (level - 1))
             a = ny.double_layer_matrix(mesh)
@@ -312,6 +308,48 @@ class TestGramSigmaMin:
         sigma = ny.weighted_sigma_min((u * s) @ v.T, mesh)
         assert math.isfinite(sigma) and sigma >= 0.0
         assert abs(sigma - s_min) <= math.sqrt(n * np.finfo(float).eps) * s[0]
+
+
+class TestMirrorImages:
+    def test_mirror_image_nodes_agree_to_the_last_bit(self):
+        # each node is placed from its nearer vertex, so the reflection of the
+        # sharp triangle maps weights and vertex distances onto themselves
+        domain = SYMMETRIES["sharp-isosceles"][0]()
+        mesh = ny.polygon_mesh(domain, 128)
+        for p in reference.polygon_symmetries_reference(domain, mesh):
+            assert np.array_equal(mesh.vertex_distance[p], mesh.vertex_distance)
+            assert np.array_equal(mesh.weights[p], mesh.weights)
+
+    @pytest.mark.parametrize("name", ["sharp-isosceles", "isosceles", "kite", "lshape"])
+    def test_whole_matrix_and_its_symmetric_part_agree(self, name):
+        # level 6: the sharp triangle read 7.1e-10 apart when the far half of
+        # each edge was placed from the edge's first vertex
+        domain = SYMMETRIES[name][0]()
+        mesh = ny.polygon_mesh(domain, 128)
+        full = 0.5 * np.eye(len(mesh.nodes)) + reference.double_layer_reference(mesh)
+        d = np.sqrt(mesh.weights / mesh.vertex_distance)
+        full = d[:, None] * full / d
+        order = mesh.orbit_order()
+        rows = full[np.ix_(order[: len(order) // mesh.symmetry_order], order)]
+        perms = reference.polygon_symmetries_reference(domain, mesh)
+        whole = np.linalg.svd(full, compute_uv=False)[-1]
+        symmetric = np.linalg.svd(reference.group_matrix_reference(rows, mesh, perms), compute_uv=False)[-1]
+        assert abs(whole - symmetric) <= 1e-12 * whole
+
+
+class TestMemory:
+    @pytest.mark.parametrize("name", ["random-triangle", "lshape", "square"])
+    def test_a_level_holds_two_arrays_of_the_rows_size(self, name):
+        # the representative rows (N / |G| x N) and one Gram-sized array;
+        # the eigensolver's own copy of the Gram matrix is not traced
+        tracemalloc.start()
+        try:
+            trace = ny.nystrom_oracle(SYMMETRIES[name][0](), levels=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = trace.rows[-1].dof
+        assert peak <= 2.1 * (n // trace.symmetry_order) * n * 8
 
 
 class TestModelOperator:

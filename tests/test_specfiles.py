@@ -404,6 +404,13 @@ class TestGcPause:
             sf._load_json(tmp_path / "bad.json")
         assert gc.isenabled() is gc_state
 
+    def test_load_json_not_utf8(self, gc_state, tmp_path):
+        # past the first read chunk, so the offset is the file's, not the chunk's
+        (tmp_path / "bad.json").write_bytes(b'{"a": "' + b"x" * 20000 + b'\xff"}')
+        with pytest.raises(sf.SchemaError, match=r"bad\.json: not UTF-8: byte 0xff at byte offset 20007$"):
+            sf._load_json(tmp_path / "bad.json")
+        assert gc.isenabled() is gc_state
+
     def test_load_json_missing_file(self, gc_state, tmp_path):
         with pytest.raises(sf.SchemaError, match="exist"):
             sf._load_json(tmp_path / "missing.json")
