@@ -109,7 +109,7 @@ class GluingAtlas:
         pair, src, dst = map(np.concatenate, zip(*edges))
         order = np.argsort(pair, kind="stable")
         self._pair, self._src, self._dst = pair[order], src[order], dst[order]
-        self._checked, self._classes, self._weak = False, None, None  # _weak: (witness,) once known
+        self._checked, self._classes = False, None
 
     def _matched_phis(self, need):
         """The edges (pair code, src, dst) of the phis of the pairs (i, j)
@@ -236,15 +236,6 @@ class GluingAtlas:
             self._classes = np.unique(label, return_inverse=True)
         return self._classes
 
-    def weak_witness(self):
-        """The first composable pair of quotient classes that no piece
-        carries, as canonical ids, or None; found once per checked atlas
-        (``glue`` records the one its class products give)."""
-        self.check()
-        if self._weak is None:
-            self._weak = (_class_products(self, *self.quotient_classes())[-1],)
-        return self._weak[0]
-
 
 @dataclass
 class GluingCheck:
@@ -293,7 +284,8 @@ def _class_products(atlas: GluingAtlas, canon, cls):
 
 def check_weak_gluing(atlas: GluingAtlas) -> GluingCheck:
     """Every composable pair of quotient classes is carried by one piece."""
-    witness = atlas.weak_witness()
+    atlas.check()
+    witness = _class_products(atlas, *atlas.quotient_classes())[-1]
     return GluingCheck(witness is None, witness=witness)
 
 
@@ -301,8 +293,7 @@ def check_strong_gluing(atlas: GluingAtlas) -> GluingCheck:
     """Each ambient unit has a chart containing all its piece-orbits.
 
     Returns the least admissible chart index per unit, with any
-    alternative indices listed.  When this check passes, the weak
-    condition is asserted as well.
+    alternative indices listed.
     """
     atlas.check()
     covers, units = atlas._covers, atlas._units
@@ -320,9 +311,6 @@ def check_strong_gluing(atlas: GluingAtlas) -> GluingCheck:
             reach = {atlas.x_units[y] for y in units[np.isin(orbit, orbit[units == k])].tolist()}
             return GluingCheck(False, witness=(x, int(np.argmax(covers[:, k])), tuple(sorted(reach, key=repr))))
         choice[x], alternatives[x] = ok[0], tuple(ok[1:])
-    weak = check_weak_gluing(atlas)
-    if not weak.ok:
-        raise AssertionError("strong gluing held but weak gluing failed; atlas machinery is broken")
     return GluingCheck(True, chart_choice=choice, alternatives=alternatives)
 
 
@@ -348,7 +336,6 @@ def glue(atlas: GluingAtlas) -> GluedGroupoid:
         canon, cls = atlas.quotient_classes()
         ids, union = _id_array(atlas._union.arrows)[canon], atlas._union
         c1, c2, lo, hi, miss, witness = _class_products(atlas, canon, cls)
-        atlas._weak = (witness,)
         if witness is not None:
             raise GluingError(f"weak gluing condition fails at composable pair {witness}")
         bad = np.flatnonzero((miss < len(atlas.pieces)) | (lo != hi))

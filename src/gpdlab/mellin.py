@@ -322,6 +322,14 @@ def _cis(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _second_differences(g: np.ndarray) -> np.ndarray:
+    """g[2:] - 2 g[1:-1] + g[:-2], with one temporary of the result's size."""
+    d = np.multiply(g[1:-1], 2.0)
+    np.subtract(g[2:], d, out=d)
+    d += g[:-2]
+    return d
+
+
 class LogLineSamples:
     """The conjugated kernel g(u) = k(e^u) e^(a u) sampled on a uniform grid of [lo, hi].
 
@@ -340,6 +348,10 @@ class LogLineSamples:
         self.hi = hi
         self.abs_tol = abs_tol
         intervals = 2 * math.ceil((hi - lo) / (2.0 * _START_STEP))
+        # refinement doubles the count while it stays within MAX_INTERVALS
+        self.max_intervals = intervals
+        while 2 * self.max_intervals <= MAX_INTERVALS:
+            self.max_intervals *= 2
         self.u = np.linspace(lo, hi, intervals + 1)
         self.g = self._sample(self.u)
         self._weighted = None
@@ -359,10 +371,10 @@ class LogLineSamples:
         are sampled in chunks straight into the odd ones, so the old and the
         new array are the only two of the samples' size."""
         n = len(self.u) - 1
-        if 2 * n > MAX_INTERVALS:
+        if n >= self.max_intervals:
             raise QuadratureError(
                 f"kernel {self.kernel.name!r}: error estimate above {self.abs_tol:.1e} "
-                f"at {MAX_INTERVALS} log-line intervals"
+                f"at {self.max_intervals} log-line intervals"
             )
         self._weighted = None
         u = np.empty(2 * n + 1)
@@ -390,12 +402,10 @@ class LogLineSamples:
         """
         lams = np.asarray(lams, dtype=float)
         top = float(np.max(np.abs(lams)))
-        reach = len(self.u) - 1  # refinement doubles the count up to MAX_INTERVALS
-        while 2 * reach <= MAX_INTERVALS:
-            reach *= 2
-        if 2.0 * (self.hi - self.lo) * top > math.pi * reach:
+        if 2.0 * (self.hi - self.lo) * top > math.pi * self.max_intervals:
             raise QuadratureError(
-                f"lam = {top:g} needs more than the {reach} log-line intervals this window reaches"
+                f"lam = {top:g} needs more than the {self.max_intervals} log-line intervals "
+                "this window reaches"
             )
         while 2.0 * self.step * top > math.pi:
             self._refine()
@@ -472,9 +482,7 @@ class LogLineSamples:
 
     def tail_coefficient(self) -> float:
         """C2 >= ||entrywise integral |g''| du||_2, from second differences on the nodes."""
-        return self._upper_norm(
-            lambda u, g, h: np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]).sum(axis=0) / h
-        )
+        return self._upper_norm(lambda u, g, h: np.abs(_second_differences(g)).sum(axis=0) / h)
 
     def lipschitz(self) -> float:
         """L >= ||entrywise integral |u| |g(u)| du||_2, which bounds ||d symbol / d lam||_2."""

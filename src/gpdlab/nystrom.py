@@ -10,33 +10,31 @@ Two independent discrete oracles:
   the cyclic group C_k of the rotations by 2 pi / k that map vertex i
   onto vertex i + n / k, or the dihedral group D_k when a reflection
   also maps vertex i onto vertex c - i.  G permutes the mesh nodes
-  without fixing any, and the weighted matrix M commutes with it, so
-  only the rows of one node per orbit (N / |G| of them) are assembled.
-  With B_g the columns of the nodes g(t) in those rows, M splits into
-  one block F_rho = sum_g rho(g) (x) B_g per irreducible representation
-  rho (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29,
-  1992), and sigma_min is the least of sqrt(lambda_min(F_rho^H F_rho)).
-  For C_k the representations are the characters, complex but for
-  j = 0 and k / 2; for D_k they are real, of dimension 1 or 2, so every
-  block is real and has at most 2 N / |G| rows; the trivial group gives
-  the whole matrix.  Each Gram eigenvalue is within sqrt(N eps)
-  sigma_max of the singular value (about N eps (sigma_max /
-  sigma_min)^2 / 2 relative).  Against a full SVD of the whole weighted
-  matrix the result agrees at levels 1-6 to 7.3e-12 relative on the
-  square, a rectangle, the regular 3- to 8-gons, the L-shape, an
-  isosceles and a sharp isosceles triangle, a kite and a four-fold
-  pinwheel (3e-15 on the square and the rectangle, 2e-14 on the
-  L-shape).  Each node is placed from the nearer vertex of its edge, so
-  mirror-image nodes have the same weights and vertex distances to the
-  last bit.  A level holds at most about two arrays of the size of the
-  representative rows: they are assembled in row blocks, each F_rho is
-  freed before the eigensolver copies its Gram matrix, and the rows are
-  freed before the last Gram matrix is formed (a complex block of C_k
-  also needs a conjugate copy for its Gram product: 2.2 rows' sizes on
-  a five-fold pinwheel).  Levels 1-8 in a fresh process (one BLAS
-  thread) peak at 193 MB on a seeded triangle and at 332 MB on the
-  L-shape (277 and 548 MB with whole-size assembly temporaries and the
-  rows kept to the end);
+  without fixing any, and the mesh lists them in orbit order, so the
+  first N / |G| nodes are one per orbit and the weighted matrix M, which
+  commutes with G, is assembled from their rows alone.  With B_g the
+  columns of the nodes g(t) in those rows, M splits into one block
+  F_rho = sum_g rho(g) (x) B_g per irreducible representation rho
+  (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992),
+  read from one table of the matrices rho(g), and sigma_min is the least
+  of sqrt(lambda_min(F_rho^H F_rho)).  For C_k the representations are
+  the characters, complex but for j = 0 and k / 2; for D_k they are
+  real, of dimension 1 or 2, so every block is real and has at most
+  2 N / |G| rows; the trivial group gives the whole matrix.  Each Gram
+  eigenvalue is within sqrt(N eps) sigma_max of the singular value
+  (about N eps (sigma_max / sigma_min)^2 / 2 relative).  Against a full
+  SVD of the whole weighted matrix the result agrees at levels 1-6 to
+  7.3e-12 relative on the square, a rectangle, the regular 3- to
+  8-gons, the L-shape, an isosceles and a sharp isosceles triangle, a
+  kite and a four-fold pinwheel (3e-15 on the square and the rectangle,
+  2e-14 on the L-shape).  Each node is placed from the nearer vertex of
+  its edge, so mirror-image nodes have the same weights and vertex
+  distances to the last bit.  A level holds at most about two arrays of
+  the size of the representative rows: they are assembled in row
+  blocks, each F_rho is freed before the eigensolver copies its Gram
+  matrix, and the rows are freed before the last Gram matrix is formed
+  (a complex block of C_k also needs a conjugate copy for its Gram
+  product: 2.2 rows' sizes on a five-fold pinwheel);
 * the half-line model operator c + Mellin convolution at a single cone,
   discretized on a log-uniform mesh whose window grows with the level,
   used for adversarial kernels whose symbol hits zero.  It keeps the
@@ -57,6 +55,7 @@ from .mellin import MellinKernel
 
 GRADING_EXPONENT = 3
 MIN_PANELS_PER_HALF_EDGE = 4
+BASE_PANELS = 4  # panels per half edge at level 1; each level doubles them
 # a rotation or reflection maps the vertices onto themselves when it moves
 # none of them farther than this fraction of the diameter
 ROTATION_TOL = 1e-12
@@ -75,24 +74,17 @@ class PolygonMesh:
     normals: np.ndarray  # inward normals at nodes
     edge_of: np.ndarray  # edge index per node
     vertex_distance: np.ndarray  # distance to the vertex set
-    # The symmetry group G, acting freely on the node indices.  In the
-    # orbit coordinate t = (i - orbit_start) mod N, the rotation by
-    # 2 pi / k maps node t onto node t + N / k, and, when ``reflection``
-    # holds, a reflection maps node t onto node 2 N / |G| - 1 - t.  The
-    # nodes t < N / |G| are one per orbit.
+    # The symmetry group G, acting freely on the nodes, which are listed in
+    # orbit order: the rotation by 2 pi / k maps node t onto node t + N / k,
+    # and, when ``reflection`` holds, a reflection maps node t onto node
+    # 2 N / |G| - 1 - t.  The nodes t < N / |G| are one per orbit.
     rotation_order: int = 1
     reflection: bool = False
-    orbit_start: int = 0
 
     @property
     def symmetry_order(self) -> int:
         """|G|: k rotations, and as many reflections when there are any."""
         return self.rotation_order * (2 if self.reflection else 1)
-
-    def orbit_order(self) -> np.ndarray:
-        """Node indices in orbit coordinates: entry t is node orbit_start + t."""
-        n = len(self.nodes)
-        return (self.orbit_start + np.arange(n)) % n
 
 
 def _polygon_coords(domain: LayerDomain):
@@ -115,7 +107,10 @@ def polygon_mesh(domain: LayerDomain, panels_per_half_edge: int) -> PolygonMesh:
     about its midpoint, so the polygon's symmetry group permutes the nodes
     without fixing any of them.  Each node is placed from the nearer
     vertex of its edge, and its distance from that vertex is the exact
-    offset, not a difference of coordinates.
+    offset, not a difference of coordinates.  The node list starts where
+    it is in orbit order (see ``PolygonMesh``): at the first node of edge
+    0, or, when a reflection maps vertex i onto vertex c - i, at node c p,
+    p panels per half edge.
     """
     if panels_per_half_edge < MIN_PANELS_PER_HALF_EDGE:
         raise MeshError(
@@ -154,18 +149,15 @@ def polygon_mesh(domain: LayerDomain, panels_per_half_edge: int) -> PolygonMesh:
     dists = dists.min(axis=1)
     k, c = _symmetry(coords)
     # a reflection mapping vertex i onto vertex c - i maps node j of edge e
-    # onto node c (2 p) - 1 - (2 p e + j), p panels per half edge; the
-    # orbit coordinate from node c p turns it into t -> -1 - t, which the
-    # rotation by 2 pi / k moves to t -> 2 N / |G| - 1 - t
+    # onto node c (2 p) - 1 - (2 p e + j), p panels per half edge; listing
+    # the nodes from node c p turns it into t -> -1 - t, which the rotation
+    # by 2 pi / k moves to t -> 2 N / |G| - 1 - t
+    start = 0 if c is None else c * panels_per_half_edge
     return PolygonMesh(
-        nodes=nodes,
-        weights=np.concatenate(weights),
-        normals=np.concatenate(normals),
-        edge_of=np.concatenate(edge_of),
-        vertex_distance=dists,
+        *(np.roll(a, -start, axis=0) for a in (nodes, np.concatenate(weights), np.concatenate(normals),
+                                                np.concatenate(edge_of), dists)),
         rotation_order=k,
         reflection=c is not None,
-        orbit_start=0 if c is None else c * panels_per_half_edge % len(nodes),
     )
 
 
@@ -198,18 +190,17 @@ def double_layer_matrix(mesh: PolygonMesh) -> np.ndarray:
     """Orbit-representative rows of the Nystrom double-layer matrix with
     inward normals.
 
-    Rows and columns follow the orbit coordinate (``mesh.orbit_order()``):
-    the rows are the N / |G| nodes t < N / |G|, one per orbit of the
-    mesh's symmetry group, and the columns are all N nodes, so the shape
-    is (N / |G|, N).  The group maps these rows onto every other row; for
+    Rows and columns follow the mesh's node order: the rows are the
+    N / |G| nodes t < N / |G|, one per orbit of the mesh's symmetry
+    group, and the columns are all N nodes, so the shape is
+    (N / |G|, N).  The group maps these rows onto every other row; for
     the trivial group they are the whole matrix.  Same-edge blocks vanish
     exactly on straight edges (collinear points) and are set to zero,
     whatever the order of the nodes.  The rows are filled in blocks of
     about ``_ROW_BLOCK_ENTRIES`` entries, so the only array of the
     output's size is the output.
     """
-    order = mesh.orbit_order()
-    x, normals, weights = mesh.nodes[order], mesh.normals[order], mesh.weights[order]
+    x, normals, weights = mesh.nodes, mesh.normals, mesh.weights
     kmat = np.empty((len(x) // mesh.symmetry_order, len(x)))
     step = max(1, _ROW_BLOCK_ENTRIES // len(x))
     for s in range(0, len(kmat), step):
@@ -225,9 +216,8 @@ def double_layer_matrix(mesh: PolygonMesh) -> np.ndarray:
         r2 *= 2.0 * math.pi
         out /= r2
         out *= weights
-    edge_of = mesh.edge_of[order]
-    by_edge = np.argsort(edge_of, kind="stable")
-    ends = np.flatnonzero(np.diff(edge_of[by_edge])) + 1
+    by_edge = np.argsort(mesh.edge_of, kind="stable")
+    ends = np.flatnonzero(np.diff(mesh.edge_of[by_edge])) + 1
     for block in np.split(by_edge, ends):
         kmat[np.ix_(block[block < len(kmat)], block)] = 0.0
     return kmat
@@ -242,22 +232,26 @@ def weighted_sigma_min(a: np.ndarray, mesh: PolygonMesh) -> float:
     D = diag(sqrt(density)), the result is sigma_min of M = D a D^-1: the
     least over G's irreducible representations rho of
     sqrt(lambda_min(F_rho^H F_rho)), F_rho = sum_g rho(g) (x) B_g, where
-    B_g holds the columns of the nodes g(t), t < N / |G|
-    (``_irreducible_blocks``).  ``a`` is overwritten by M's rows.  No
-    reference to ``a`` is kept past the last F_rho, so rows that the
-    caller hands over (``nystrom_oracle`` keeps no name for them) are
-    freed before its Gram matrix is formed.  Each Gram eigenvalue is
-    backward stable to about N eps sigma_max^2, so the result is within
-    sqrt(N eps) sigma_max of the singular value (relative error about
-    N eps (sigma_max / sigma_min)^2 / 2); a rounding-negative lambda_min
-    of a singular M reads as 0.
+    B_g holds the columns of the nodes g(t), t < N / |G| (``_block``).
+    ``a`` is overwritten by M's rows.  No reference to ``a`` is kept past
+    the last F_rho, so rows that the caller hands over (``nystrom_oracle``
+    keeps no name for them) are freed before its Gram matrix is formed.
+    Each Gram eigenvalue is backward stable to about N eps sigma_max^2,
+    so the result is within sqrt(N eps) sigma_max of the singular value
+    (relative error about N eps (sigma_max / sigma_min)^2 / 2); a
+    rounding-negative lambda_min of a singular M reads as 0.
     """
-    b = len(a)
-    d = np.sqrt(mesh.weights / mesh.vertex_distance)[mesh.orbit_order()]
+    b, k = len(a), mesh.rotation_order
+    d = np.sqrt(mesh.weights / mesh.vertex_distance)
     a *= d[:b, None]
     a /= d
-    builders = _irreducible_blocks(a.reshape(b, mesh.rotation_order, 2 if mesh.reflection else 1, b))
-    del a
+    blocks = a.reshape(b, k, 2 if mesh.reflection else 1, b)
+    # B for R^r S, S the reflection t -> 2 N / |G| - 1 - t, is block (r, 1)
+    # with its columns reversed
+    rotations, mirrored = blocks[:, :, 0], blocks[:, :, 1, ::-1] if mesh.reflection else None
+    builders = [functools.partial(_block, rotations, mirrored, rho)
+                for rho in _representations(k, mesh.reflection)]
+    del a, d, blocks, rotations, mirrored
     lam = math.inf
     while builders:
         # the last builder to go holds the last views of the rows
@@ -269,69 +263,55 @@ def weighted_sigma_min(a: np.ndarray, mesh: PolygonMesh) -> float:
     return math.sqrt(max(lam, 0.0))
 
 
-def _irreducible_blocks(blocks: np.ndarray) -> list:
-    """Builders of F_rho, one per irreducible representation rho up to
-    conjugation, the real (b x b) blocks first; only the builders hold
-    ``blocks``.
+def _representations(k: int, reflection: bool) -> list:
+    """(rho(R^r), rho(R^r S)) for r < k, arrays of shape (k, d, d), one pair
+    per irreducible representation rho of C_k or D_k up to conjugation,
+    the real 1-d ones first; rho(R^r S) is None for C_k.
 
-    ``blocks[:, r, 0]`` is B for R^r, R the rotation by 2 pi / k, and,
-    with a reflection S (t -> 2 N / |G| - 1 - t), ``blocks[:, r, 1, ::-1]``
-    is B for R^r S.  Without a reflection (the cyclic group C_k) the
-    representations are the characters R^r -> omega^(jr), j <= k / 2 (j
-    and k - j give conjugate blocks); j = 0 and k / 2 are real.  With one
-    (the dihedral group D_k, whose representations are real), each real
-    character extends to two, S -> +-1, and each other j gives the 2-d
-    representation R -> rotation by 2 pi j / k, S -> diag(1, -1).  For
-    the trivial group F is B itself, a view of the rows.
+    R is the rotation by 2 pi / k and S a reflection.  The 1-d
+    representations of C_k are the characters R^r -> omega^(jr),
+    j <= k / 2 (j and k - j are conjugate), real (+-1) for j = 0 and
+    k / 2 only.  D_k extends each real character two ways, S -> +-1, and
+    each other j gives the 2-d representation R -> rotation by
+    2 pi j / k, S -> diag(1, -1), so all of its representations are real.
     """
-    k = blocks.shape[1]
-    rotations = blocks[:, :, 0]
-    mirrored = blocks[:, :, 1, ::-1] if blocks.shape[2] == 2 else None
+    r = np.arange(k)
     real, larger = [], []
     for j in range(k // 2 + 1):
-        omega = np.exp(2j * math.pi * (j * np.arange(k) % k) / k)  # omega^(jr), r < k
+        omega = np.exp(2j * math.pi * (j * r % k) / k)  # omega^(jr)
         if 2 * j % k == 0:
-            # the characters 0 and k / 2 are +-1, so their blocks are real
-            if mirrored is None:
-                real.append(functools.partial(_combine, rotations, omega.real))
-            else:
-                real.append(functools.partial(_signed_sum, rotations, mirrored, omega.real, np.add))
-                real.append(functools.partial(_signed_sum, rotations, mirrored, omega.real, np.subtract))
-        elif mirrored is None:
-            larger.append(functools.partial(_combine, rotations, omega))
+            chi = np.where(j * r % k, -1.0, 1.0)[:, None, None]
+            real += [(chi, chi), (chi, -chi)] if reflection else [(chi, None)]
+        elif not reflection:
+            larger.append((omega[:, None, None], None))
         else:
-            larger.append(functools.partial(_two_dimensional, rotations, mirrored, omega))
+            c, s = omega.real, omega.imag
+            larger.append((np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0),
+                           np.moveaxis(np.array([[c, s], [s, -c]]), -1, 0)))
     return real + larger
 
 
-def _combine(blocks: np.ndarray, chi: np.ndarray, out=None) -> np.ndarray:
-    """sum_r chi_r B_r over the blocks B_r = blocks[:, r]; B_0 itself when k = 1."""
-    if blocks.shape[1] == 1 and out is None:
-        return blocks[:, 0]
-    return np.einsum("arc,r->ac", blocks, chi, out=out)
+def _block(rotations: np.ndarray, mirrored, rho: tuple) -> np.ndarray:
+    """F_rho = sum_g rho(g) (x) B_g, one (b x b) sub-block at a time.
 
-
-def _signed_sum(rotations, mirrored, chi, sign) -> np.ndarray:
-    """Z +- W for Z, W = sum_r chi_r B_r over the rotations and the reflections."""
-    return sign(_combine(rotations, chi), _combine(mirrored, chi))
-
-
-def _two_dimensional(rotations, mirrored, omega) -> np.ndarray:
-    """[[C + C', S' - S], [S + S', C - C']], C, S the sums with cos and sin
-    over the rotations, C', S' over the reflections, filled in place with
-    one (b x b) scratch array."""
-    b = len(rotations)
-    f = np.empty((2 * b, 2 * b))
-    scratch = np.empty((b, b))
-    top_left, top_right, bottom_left, bottom_right = f[:b, :b], f[:b, b:], f[b:, :b], f[b:, b:]
-    _combine(rotations, omega.real, out=top_left)
-    _combine(mirrored, omega.real, out=scratch)
-    np.subtract(top_left, scratch, out=bottom_right)
-    np.add(top_left, scratch, out=top_left)
-    _combine(rotations, omega.imag, out=bottom_left)
-    _combine(mirrored, omega.imag, out=scratch)
-    np.subtract(scratch, bottom_left, out=top_right)
-    np.add(bottom_left, scratch, out=bottom_left)
+    ``rotations[:, r]`` is B for R^r and ``mirrored[:, r]`` B for R^r S
+    (None for C_k); ``rho`` is a pair from ``_representations``.  Sub-block
+    (i, j) is sum_r rho(R^r)[i, j] B_(R^r) + rho(R^r S)[i, j] B_(R^r S).
+    For the trivial group F is B itself, a view of the rows.
+    """
+    at_rotations, at_reflections = rho
+    b, d = len(rotations), at_rotations.shape[1]
+    if mirrored is None and len(at_rotations) == 1:
+        return rotations[:, 0]
+    f = np.empty((d * b, d * b), dtype=at_rotations.dtype)
+    # a negated weight negates an einsum exactly, and (-x) + y is y - x, so
+    # a sign in rho costs no rounding
+    for i in range(d):
+        for j in range(d):
+            out = f[i * b : (i + 1) * b, j * b : (j + 1) * b]
+            np.einsum("arc,r->ac", rotations, at_rotations[:, i, j], out=out)
+            if mirrored is not None:
+                out += np.einsum("arc,r->ac", mirrored, at_reflections[:, i, j])
     return f
 
 
@@ -343,8 +323,7 @@ def gauss_row_sum_defect(mesh: PolygonMesh) -> float:
     every other edge the same row sums.
     """
     sums = double_layer_matrix(mesh).sum(axis=1)
-    reps = mesh.orbit_order()[: len(sums)]
-    edge_of, vertex_distance = mesh.edge_of[reps], mesh.vertex_distance[reps]
+    edge_of, vertex_distance = mesh.edge_of[: len(sums)], mesh.vertex_distance[: len(sums)]
     worst = 0.0
     for e in np.unique(edge_of):
         sel = np.flatnonzero(edge_of == e)
@@ -399,7 +378,7 @@ def _half_plus_k(mesh: PolygonMesh) -> np.ndarray:
     return a
 
 
-def nystrom_oracle(domain: LayerDomain, levels: int, base_panels: int = 4) -> SigmaTrace:
+def nystrom_oracle(domain: LayerDomain, levels: int) -> SigmaTrace:
     """sigma_min trace of I/2 + K on nested graded polygon meshes.
 
     Stabilization of the two finest levels corroborates a positive
@@ -409,7 +388,7 @@ def nystrom_oracle(domain: LayerDomain, levels: int, base_panels: int = 4) -> Si
         raise MeshError(f"levels must be between 1 and {MAX_NYSTROM_LEVELS}")
     rows = []
     for level in range(1, levels + 1):
-        mesh = polygon_mesh(domain, base_panels * 2 ** (level - 1))
+        mesh = polygon_mesh(domain, BASE_PANELS * 2 ** (level - 1))
         # the rows are handed over: no name here holds them, so they are
         # freed inside weighted_sigma_min before its last Gram matrix
         rows.append(TraceRow(level, len(mesh.nodes), weighted_sigma_min(_half_plus_k(mesh), mesh)))

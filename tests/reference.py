@@ -746,12 +746,11 @@ def polygon_symmetries_reference(domain, mesh, tol=1e-11) -> list:
 
 def group_matrix_reference(rows: np.ndarray, mesh, perms) -> np.ndarray:
     """The matrix A with A[P[i], P[j]] = A[i, j] for every P whose
-    orbit-representative rows (in ``mesh.orbit_order()`` coordinates) are ``rows``."""
-    order = mesh.orbit_order()
-    reps = order[: len(rows)]
-    full = np.full((len(order), len(order)), np.nan)
+    orbit-representative rows (the first nodes of the mesh) are ``rows``."""
+    n = len(mesh.nodes)
+    full = np.full((n, n), np.nan)
     for p in perms:
-        full[np.ix_(p[reps], p[order])] = rows
+        full[np.ix_(p[: len(rows)], p)] = rows
     assert not np.isnan(full).any()
     return full
 

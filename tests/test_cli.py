@@ -402,7 +402,7 @@ def test_glue_runs_the_class_products_once(runner, monkeypatch):
     monkeypatch.chdir(Path(corpus("atlas_three_piece.json")).parent)
     res = runner.invoke(main, ["glue", "--atlas", "atlas_three_piece.json"])
     assert res.exit_code == 0
-    assert len(runs) == 1  # the strong check's weak self-check reads the witness glue found
+    assert len(runs) == 1  # glue's own; the strong check does not form the class products
     assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == GLUE_THREE_PIECE_SHA256
 
 

@@ -1,6 +1,8 @@
-"""Every module-level import in ``gpdlab`` is read in its module.
+"""Every module-level import in ``gpdlab`` is read in its module, and every
+module-level private name is read somewhere in the package.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the import check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -10,7 +12,8 @@ import pytest
 
 import gpdlab
 
-MODULES = sorted(p for p in Path(gpdlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(gpdlab.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(path: Path) -> list:
@@ -24,6 +27,40 @@ def unused_imports(path: Path) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def private_definitions(tree: ast.Module) -> dict:
+    """Module-level ``_name`` functions, classes and constants -> line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                defined.update((n.id, node.lineno) for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name: line for name, line in defined.items() if name.startswith("_") and not name.startswith("__")}
+
+
+def package_reads() -> set:
+    """Every name the package reads: loaded names, attributes and imported names."""
+    read = set()
+    for path in SOURCES:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    return read
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    defined = private_definitions(ast.parse(path.read_text(encoding="utf-8")))
+    read = package_reads()
+    assert sorted((line, name) for name, line in defined.items() if name not in read) == []

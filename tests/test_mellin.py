@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpdlab import conical as co
 from gpdlab import mellin as me
+from gpdlab import specfiles as sf
 
 import reference
 
@@ -422,6 +424,14 @@ class TestScan:
         fam = me.mellin_transform(me.wedge_double_layer_kernel(0.4), 0.5, np.array([0.0]))
         assert fam.tail_c2 >= wedge_c2_by_quadrature(0.4)
 
+    @pytest.mark.parametrize("name", ["square", "pentagon", "lshape"])
+    def test_tail_constant_is_the_whole_array_second_difference(self, name):
+        domain = sf.parse_domain(Path(me.__file__).parent / "corpus" / f"{name}.json")
+        for v in domain.vertices:
+            samples = me.mellin_transform(me.vertex_kernel(domain, v.id), 0.5, np.array([0.0]))._samples
+            want = samples._upper_norm(lambda u, g, h: np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]).sum(axis=0) / h)
+            assert samples.tail_coefficient() == want
+
     def test_tail_constant_bounds_an_oscillating_kernel(self):
         # |g''| >= Re(-g'' e^(-i lam0 u)) integrates to lam0^2 c for the dip
         lam0, c = 37.3, 0.5
@@ -760,7 +770,8 @@ class TestFactoredTrapezoid:
         with pytest.raises(me.QuadratureError) as want:
             me.mellin_transform(kern, 0.5, np.array([0.0, 1.0]))
         assert str(got.value) == str(want.value)
-        assert f"at {me.MAX_INTERVALS} log-line intervals" in str(got.value)
+        # the window starts at 648 intervals, so doubling stops at 648 * 2^9
+        assert "at 331776 log-line intervals" in str(got.value)
 
     def test_sums_keep_one_copy_of_the_samples(self, at_the_cap):
         # the fine-major weighted samples and one lam block of partial sums;
@@ -775,3 +786,15 @@ class TestFactoredTrapezoid:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * samples.g.nbytes
+
+    def test_tail_coefficient_keeps_one_difference_array(self, at_the_cap):
+        # the second differences are formed in one complex array and their
+        # moduli in one real one; the whole-array expression peaked at 2.0 x
+        samples = at_the_cap[0]._samples
+        tracemalloc.start()
+        try:
+            samples.tail_coefficient()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * samples.g.nbytes

@@ -108,10 +108,9 @@ class TestMesh:
 
 
 def whole_matrix(mesh):
-    """The whole reference matrix and its orbit-representative rows, in orbit coordinates."""
-    order = mesh.orbit_order()
+    """The whole reference matrix and its orbit-representative rows."""
     full = reference.double_layer_reference(mesh)
-    return full, full[np.ix_(order[: len(order) // mesh.symmetry_order], order)]
+    return full, full[: len(full) // mesh.symmetry_order]
 
 
 class TestRotationOrder:
@@ -131,17 +130,18 @@ class TestRotationOrder:
     @pytest.mark.parametrize("start", range(3))
     def test_isosceles_from_each_vertex(self, start):
         # the reflection maps vertex i onto vertex c - i with c = 1, 2, 0: the
-        # representatives begin at node c p, p panels per half edge
+        # node list begins at node c p of the layout, p panels per half edge
         corners = [(0, 0), (2, 0), (1, 3)]
         domain = co.polygon_domain(corners[start:] + corners[:start])
-        mesh = ny.polygon_mesh(domain, 4)
+        mesh, want = ny.polygon_mesh(domain, 4), reference.polygon_mesh_reference(domain, 4)
         assert (mesh.rotation_order, mesh.reflection) == (1, True)
-        assert mesh.orbit_start == [4, 8, 0][start]
+        for field in ("nodes", "weights", "normals", "edge_of", "vertex_distance"):
+            assert np.array_equal(getattr(mesh, field), np.roll(getattr(want, field), -[4, 8, 0][start], axis=0))
 
     def test_hand_built_mesh_is_one_block(self):
         mesh = ny.polygon_mesh(co.unit_square(), 4)
         got = permuted(mesh, np.random.default_rng(0))
-        assert (got.rotation_order, got.reflection, got.symmetry_order, got.orbit_start) == (1, False, 1, 0)
+        assert (got.rotation_order, got.reflection, got.symmetry_order) == (1, False, 1)
 
     @pytest.mark.parametrize("name", ["square", "pentagon", "regular6", "rectangle"])
     def test_whole_matrix_is_block_circulant(self, name):
@@ -195,13 +195,56 @@ class TestRotationOrder:
         assert all(r == c for r, c in shapes)
 
 
+def characters(k, reflection):
+    """The character of each entry of ``_representations``, over R^r then R^r S, and whether it is complex."""
+    out = []
+    for at_rotations, at_reflections in ny._representations(k, reflection):
+        elements = at_rotations if at_reflections is None else np.concatenate([at_rotations, at_reflections])
+        out.append((np.trace(elements, axis1=1, axis2=2), np.iscomplexobj(at_rotations)))
+    return out
+
+
+class TestRepresentations:
+    @pytest.mark.parametrize("reflection", [False, True])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_group_laws(self, k, reflection):
+        for at_rotations, at_reflections in ny._representations(k, reflection):
+            d = at_rotations.shape[1]
+            assert at_rotations.shape == (k, d, d)
+            rotation = at_rotations[1 % k]
+            for r in range(k + 1):
+                want = np.eye(d) if r == k else at_rotations[r]
+                assert np.allclose(np.linalg.matrix_power(rotation, r), want, rtol=0.0, atol=1e-14)
+            if d == 1 and not np.iscomplexobj(at_rotations):
+                assert set(at_rotations.ravel().tolist()) <= {-1.0, 1.0}  # exact signs
+            if at_reflections is None:
+                assert not reflection
+                continue
+            assert reflection and at_reflections.shape == (k, d, d)
+            s = at_reflections[0]
+            assert np.allclose(s @ s, np.eye(d), rtol=0.0, atol=1e-14)
+            assert np.allclose(s @ rotation @ s, np.linalg.inv(rotation), rtol=0.0, atol=1e-14)
+            assert np.allclose(at_reflections, at_rotations @ s, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("reflection", [False, True])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_irreducible_distinct_and_complete(self, k, reflection):
+        order = k * (2 if reflection else 1)
+        chars = characters(k, reflection)
+        # a complex entry stands for itself and its conjugate
+        listed = [chi for chi, complex_ in chars for chi in ([chi, chi.conj()] if complex_ else [chi])]
+        for a, chi in enumerate(listed):
+            for b, psi in enumerate(listed):
+                assert abs(np.vdot(psi, chi) - (order if a == b else 0.0)) <= 1e-12
+        assert sum(chi[0].real ** 2 for chi in listed) == pytest.approx(order, abs=1e-12)
+
+
 class TestDoubleLayerMatrix:
     def test_same_edge_blocks_vanish(self):
         mesh = ny.polygon_mesh(co.unit_square(), 8)
         kmat = ny.double_layer_matrix(mesh)
         assert kmat.shape == (len(mesh.nodes) // 8, len(mesh.nodes))
-        edge_of = mesh.edge_of[mesh.orbit_order()]
-        same = edge_of[: len(kmat), None] == edge_of[None, :]
+        same = mesh.edge_of[: len(kmat), None] == mesh.edge_of[None, :]
         assert np.max(np.abs(kmat[same])) == 0.0
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIES))
@@ -275,7 +318,7 @@ class TestGramSigmaMin:
             mesh = ny.polygon_mesh(domain, 4 * 2 ** (level - 1))
             a = ny.double_layer_matrix(mesh)
             a[np.arange(len(a)), np.arange(len(a))] += 0.5
-            d = np.sqrt(mesh.weights / mesh.vertex_distance)[mesh.orbit_order()]
+            d = np.sqrt(mesh.weights / mesh.vertex_distance)
             rows = a * d[: len(a), None] / d
             perms = reference.polygon_symmetries_reference(domain, mesh)
             want = np.linalg.svd(reference.group_matrix_reference(rows, mesh, perms), compute_uv=False)[-1]
@@ -329,8 +372,7 @@ class TestMirrorImages:
         full = 0.5 * np.eye(len(mesh.nodes)) + reference.double_layer_reference(mesh)
         d = np.sqrt(mesh.weights / mesh.vertex_distance)
         full = d[:, None] * full / d
-        order = mesh.orbit_order()
-        rows = full[np.ix_(order[: len(order) // mesh.symmetry_order], order)]
+        rows = full[: len(full) // mesh.symmetry_order]
         perms = reference.polygon_symmetries_reference(domain, mesh)
         whole = np.linalg.svd(full, compute_uv=False)[-1]
         symmetric = np.linalg.svd(reference.group_matrix_reference(rows, mesh, perms), compute_uv=False)[-1]
