@@ -27,10 +27,16 @@ from .gluing import GluedGroupoid, GluingAtlas, GluingPiece, glue
 from .fredholm import FredholmStructure, make_structure
 
 TWO_PI = 2.0 * math.pi
+# radians by which a vertex's declared opening may differ from its coordinates'
+OPENING_TOL = 1e-9
 
 
 class DomainError(ValueError):
-    pass
+    """A violated domain constraint; ``field`` names the domain-file field at fault, if any."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,14 @@ class Vertex:
 
 @dataclass(frozen=True)
 class LayerDomain:
-    """A bounded domain with finitely many cone points and no cracks."""
+    """A bounded domain with finitely many cone points and no cracks.
+
+    A planar domain whose every vertex has coordinates is the polygon
+    through them, checked here once for every route that reads it: the
+    list must run counterclockwise (a clockwise one describes the
+    exterior), and each vertex's declared opening, which the symbol
+    scans read, must match its coordinates, which the mesh reads.
+    """
 
     dimension: int
     vertices: tuple
@@ -95,8 +108,9 @@ class LayerDomain:
         ids = [v.id for v in self.vertices]
         if len(set(ids)) != len(ids):
             raise DomainError("vertex ids must be distinct")
-        coords = [v.coords for v in self.vertices if v.coords is not None]
-        if len(set(coords)) != len(coords):
+        coords = [v.coords for v in self.vertices]
+        known = [x for x in coords if x is not None]
+        if len(set(known)) != len(known):
             raise DomainError("vertex coordinates must be distinct (disjoint neighborhoods)")
         for v in self.vertices:
             if self.dimension == 2 and not isinstance(v.base, RayBase):
@@ -105,6 +119,23 @@ class LayerDomain:
                 raise DomainError(f"vertex {v.id!r}: named bases required for dimension >= 3")
             if v.base.components < 1:
                 raise DomainError(f"vertex {v.id!r}: base needs at least one boundary component")
+        if self.dimension == 2 and coords and None not in coords:
+            self._check_polygon(coords)
+
+    def _check_polygon(self, coords: list):
+        area = signed_area(coords)
+        if not area > 0.0:
+            raise DomainError(
+                f"polygon vertices must be in counterclockwise order (signed area {area:g})",
+                field="vertices",
+            )
+        for i, (v, rays) in enumerate(zip(self.vertices, _rays(coords))):
+            declared, opening = v.base.opening(), RayBase(rays).opening()
+            if not abs(declared - opening) <= OPENING_TOL:
+                raise DomainError(
+                    f"vertex {v.id!r} has opening {declared!r}, but its coordinates give {opening!r}",
+                    field=f"vertices[{i}].base",
+                )
 
     def vertex(self, vid) -> Vertex:
         for v in self.vertices:
@@ -125,13 +156,21 @@ def signed_area(coords) -> float:
     return 0.5 * sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(xy, xy[1:] + xy[:1]))
 
 
+def _rays(coords: list) -> list:
+    """(to_next, to_prev) per vertex of a closed vertex list: the angles of
+    the directions from the vertex toward its two neighbours."""
+    return [(math.atan2(q[1] - p[1], q[0] - p[0]), math.atan2(r[1] - p[1], r[0] - p[0]))
+            for p, q, r in zip(coords, coords[1:] + coords[:1], coords[-1:] + coords[:-1])]
+
+
 def polygon_domain(coords, ids=None) -> LayerDomain:
     """Planar polygon from an ordered (counterclockwise) vertex list.
 
     Every corner is taken as a cone point; the two boundary rays at a
     vertex point toward its neighbours, and the interior angle is the
-    counterclockwise opening between them.  A clockwise list would
-    describe the exterior, so a non-positive signed area is rejected.
+    counterclockwise opening between them.  A vertex between collinear
+    neighbours is no corner and is rejected; ``LayerDomain`` rejects a
+    clockwise list, which would describe the exterior.
     """
     coords = [tuple(map(float, c)) for c in coords]
     n = len(coords)
@@ -140,23 +179,11 @@ def polygon_domain(coords, ids=None) -> LayerDomain:
     if ids is None:
         ids = [f"v{i}" for i in range(n)]
     verts = []
-    for i in range(n):
-        x = coords[i]
-        prev_pt = coords[(i - 1) % n]
-        next_pt = coords[(i + 1) % n]
-        to_next = math.atan2(next_pt[1] - x[1], next_pt[0] - x[0])
-        to_prev = math.atan2(prev_pt[1] - x[1], prev_pt[0] - x[0])
-        opening = (to_prev - to_next) % TWO_PI
+    for i, rays in enumerate(_rays(coords)):
+        opening = RayBase(rays).opening()
         if opening < 1e-12 or abs(opening - math.pi) < 1e-12:
             raise DomainError(f"vertex {ids[i]!r} is degenerate (collinear neighbours)")
-        verts.append(
-            Vertex(ids[i], RayBase((to_next, to_prev), interior_angle=opening), coords=x)
-        )
-    area = signed_area(coords)
-    if not area > 0.0:
-        raise DomainError(
-            f"polygon vertices must be in counterclockwise order (signed area {area:g})"
-        )
+        verts.append(Vertex(ids[i], RayBase(rays, interior_angle=opening), coords=coords[i]))
     edges = tuple((ids[i], ids[(i + 1) % n]) for i in range(n))
     return LayerDomain(2, tuple(verts), edges)
 

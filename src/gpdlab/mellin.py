@@ -6,9 +6,10 @@ convolution on the half-line; its symbol on the weight line a is
     symbol(lam) = integral_0^inf k(t) t^(a - 1 - i lam) dt,
 
 computed after the substitution t = e^u as the Fourier transform of the
-conjugated kernel g(u) = k(e^u) e^(a u).  g is sampled once on a uniform
-grid of a log window sized from the declared decay, and every lam is a
-trapezoid sum over those samples; the rule converges exponentially for
+conjugated kernel g(u) = k(e^u) e^(a u), which ``conjugated_kernel``
+samples for the log-line sums and for the model operator alike.  g is
+sampled once on a uniform grid of a log window sized from the declared
+decay, and every lam is a trapezoid sum over those samples; the rule converges exponentially for
 kernels analytic in a strip around the line.  A node's phase factors
 into a coarse and a fine one, so a block of lams costs one product of
 the fine phases with the samples and one batched product of the partial
@@ -267,18 +268,18 @@ def reflect_kernel(kernel: MellinKernel, weight: float) -> MellinKernel:
 def adjoint_kernel(kernel: MellinKernel, weight: float) -> MellinKernel:
     """Adjoint kernel on the weight line: conj(k(1/t))^T t^(-2a).
 
-    Its symbol is the conjugate transpose of the original symbol.  On
-    the Haar-unitary line a = 0 the weight factor drops and this is
-    plain conjugate-transpose-reflect.
+    It is the conjugate transpose of the reflected kernel, whose decay it
+    has, and its symbol is the conjugate transpose of the original
+    symbol.  On the Haar-unitary line a = 0 the weight factor drops and
+    this is plain conjugate-transpose-reflect.
     """
+    reflected = reflect_kernel(kernel, weight)
 
     def fn(ts):
-        flipped = np.conj(kernel.values(1.0 / ts)).swapaxes(-1, -2)
-        return flipped * np.power(ts, -2.0 * weight)[..., None, None]
+        return np.conj(reflected.values(ts)).swapaxes(-1, -2)
 
     return MellinKernel(
-        kernel.vertex, kernel.size, fn, _flipped_decay(kernel.decay, weight),
-        f"adjoint({kernel.name})", vectorized=True,
+        kernel.vertex, kernel.size, fn, reflected.decay, f"adjoint({kernel.name})", vectorized=True,
     )
 
 
@@ -330,6 +331,14 @@ def _second_differences(g: np.ndarray) -> np.ndarray:
     return d
 
 
+def conjugated_kernel(kernel: MellinKernel, weight: float, u) -> np.ndarray:
+    """g(u) = k(e^u) e^(a u), shape u.shape + (k, k), from one ``values`` call weighted in place."""
+    u = np.asarray(u, dtype=float)
+    out = kernel.values(np.exp(u))
+    out *= np.exp(weight * u)[..., None, None]
+    return out
+
+
 class LogLineSamples:
     """The conjugated kernel g(u) = k(e^u) e^(a u) sampled on a uniform grid of [lo, hi].
 
@@ -362,9 +371,7 @@ class LogLineSamples:
 
     def _sample(self, u: np.ndarray) -> np.ndarray:
         """(len(u), k*k) samples of g, one ``kernel.values`` call for all of u."""
-        out = self.kernel.values(np.exp(u)).reshape(len(u), -1)
-        out *= np.exp(self.weight * u)[:, None]
-        return out
+        return conjugated_kernel(self.kernel, self.weight, u).reshape(len(u), -1)
 
     def _refine(self):
         """Halve h: the old samples move to the even rows, and the midpoints
@@ -580,26 +587,14 @@ def mellin_transform_direct(kernel: MellinKernel, weight: float, lam: float) -> 
     k = kernel.size
     out = np.empty((k, k), dtype=np.complex128)
 
-    for i in range(k):
-        for j in range(k):
+    def integrand(t, i, j):
+        ph = -lam * math.log(t)
+        return kernel(t)[i, j] * t ** (weight - 1.0) * complex(math.cos(ph), math.sin(ph))
 
-            def fre(t, i=i, j=j):
-                w = t ** (weight - 1.0)
-                ph = -lam * math.log(t)
-                val = kernel(t)[i, j] * w * complex(math.cos(ph), math.sin(ph))
-                return val.real
-
-            def fim(t, i=i, j=j):
-                w = t ** (weight - 1.0)
-                ph = -lam * math.log(t)
-                val = kernel(t)[i, j] * w * complex(math.cos(ph), math.sin(ph))
-                return val.imag
-
-            re1, _ = quad(fre, 0.0, 1.0, limit=400, epsabs=1e-11, epsrel=1e-11)
-            re2, _ = quad(fre, 1.0, np.inf, limit=400, epsabs=1e-11, epsrel=1e-11)
-            im1, _ = quad(fim, 0.0, 1.0, limit=400, epsabs=1e-11, epsrel=1e-11)
-            im2, _ = quad(fim, 1.0, np.inf, limit=400, epsabs=1e-11, epsrel=1e-11)
-            out[i, j] = complex(re1 + re2, im1 + im2)
+    for i, j in np.ndindex(k, k):
+        near, far = (quad(integrand, lo, hi, args=(i, j), complex_func=True, limit=400,
+                          epsabs=1e-11, epsrel=1e-11)[0] for lo, hi in ((0.0, 1.0), (1.0, np.inf)))
+        out[i, j] = near + far
     return out
 
 
@@ -634,11 +629,13 @@ class ScanResult:
         return {**vars(self), "vertex": repr(self.vertex)}
 
 
+MAX_REFINEMENTS = 2000  # bisection midpoints a scan may add
+
+
 def invertibility_scan(
     family: MellinSymbolFamily,
     c: complex,
     sigma_tol: float = 1e-3,
-    max_refinements: int = 2000,
     lambda_cap: float = 1e5,
 ) -> ScanResult:
     """Certified minimum singular value of c I + symbol(lam) along the line.
@@ -650,7 +647,7 @@ def invertibility_scan(
     tail)), with tail = |c| - C2 / min(|a|, |b|)^2 where a b > 0.  The
     intervals whose bound is at most sigma_tol are bisected, all at once
     per round, until a sample is at most sigma_tol (a witness), the failing
-    intervals are narrower than sigma_tol / L, or max_refinements points
+    intervals are narrower than sigma_tol / L, or MAX_REFINEMENTS points
     were added.  min_sigma_lower, the smallest bound less the quadrature
     error, decides the verdict; it and min_sigma, the smallest sample,
     are both capped by tail_floor.
@@ -686,9 +683,9 @@ def invertibility_scan(
         lip = 0.5 * (sig[:-1] + sig[1:] - family.lipschitz * (b - a))
         bounds = np.minimum(np.minimum(sig[:-1], sig[1:]), np.maximum(lip, tail))
         split = (bounds <= sigma_tol) & (family.lipschitz * (b - a) > sigma_tol)
-        if sig.min() <= sigma_tol or not split.any() or refinements >= max_refinements:
+        if sig.min() <= sigma_tol or not split.any() or refinements >= MAX_REFINEMENTS:
             break
-        mids = (0.5 * (a + b))[split][: max_refinements - refinements]
+        mids = (0.5 * (a + b))[split][: MAX_REFINEMENTS - refinements]
         at = np.searchsorted(lams, mids)
         lams, sig = np.insert(lams, at, mids), np.insert(sig, at, sigma_min(mids))
         refinements += len(mids)
@@ -728,9 +725,6 @@ class FredholmVerdict:
     is_fredholm: bool
     witness: Optional[object] = None
     note: str = ""
-
-    def per_vertex_min(self) -> dict:
-        return {v: (s.min_sigma if s else None) for v, s in self.scans.items()}
 
     def as_dict(self) -> dict:
         return {
@@ -783,27 +777,19 @@ def fredholm_verdict(
 
     _check_scan_constants(c, sigma_tol)
     elliptic = abs(c) != 0.0
-    scans: dict = {}
-    witness = None
-    if not elliptic:
-        scans = {v.id: None for v in domain.vertices}
-        return FredholmVerdict(
-            domain_vertices=tuple(v.id for v in domain.vertices),
-            elliptic=False,
-            weight=weight_value,
-            constant=complex(c),
-            scans=scans,
-            is_fredholm=False,
-            note="inelliptic constant term; scans skipped",
-        )
 
     def scan(kern: MellinKernel) -> ScanResult:
         fam = mellin_transform(kern, weight_value, lambda_max=lambda_max)
         return invertibility_scan(fam, c, sigma_tol=sigma_tol)
 
+    scans: dict = {}
+    witness = None
     # a built-in kernel is fixed by the exact opening angle of its vertex
     cache: dict = {}
     for v in domain.vertices:
+        if not elliptic:
+            scans[v.id] = None
+            continue
         kern = kernels.get(v.id)
         if kern is not None:
             result = scan(kern)
@@ -817,16 +803,15 @@ def fredholm_verdict(
         if not result.invertible and witness is None:
             witness = v.id
 
-    ok = elliptic and all(s.invertible for s in scans.values())
     return FredholmVerdict(
         domain_vertices=tuple(v.id for v in domain.vertices),
         elliptic=elliptic,
         weight=weight_value,
         constant=complex(c),
         scans=scans,
-        is_fredholm=ok,
+        is_fredholm=elliptic and all(s.invertible for s in scans.values()),
         witness=witness,
-        note="symbol scan on the critical weight line",
+        note="symbol scan on the critical weight line" if elliptic else "inelliptic constant term; scans skipped",
     )
 
 

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conical import LayerDomain, signed_area
-from .mellin import MellinKernel
+from .conical import LayerDomain
+from .mellin import MellinKernel, conjugated_kernel
 
 GRADING_EXPONENT = 3
 MIN_PANELS_PER_HALF_EDGE = 4
@@ -95,8 +95,6 @@ def _polygon_coords(domain: LayerDomain):
         if v.coords is None:
             raise MeshError(f"vertex {v.id!r} has no coordinates")
         coords.append(np.asarray(v.coords, dtype=float))
-    if len(coords) < 3:
-        raise MeshError("a polygon needs at least three vertices")
     return np.array(coords)
 
 
@@ -117,11 +115,6 @@ def polygon_mesh(domain: LayerDomain, panels_per_half_edge: int) -> PolygonMesh:
             f"mesh too coarse: need at least {2 * MIN_PANELS_PER_HALF_EDGE} points per edge"
         )
     coords = _polygon_coords(domain)
-    area = signed_area(coords)
-    if not area > 0.0:
-        raise MeshError(
-            f"polygon vertices must be in counterclockwise order (signed area {area:g})"
-        )
     nodes, weights, normals, edge_of, nearer, from_nearer = [], [], [], [], [], []
     n_edges = len(coords)
     grading = np.arange(panels_per_half_edge + 1) / panels_per_half_edge
@@ -423,8 +416,7 @@ def model_operator_trace(
         window = window0 * growth ** (level - 1)
         n = max(8, int(round(window / step)))
         diffs = (np.arange(-(n - 1), n)) * step
-        # the conjugated kernel g(u) = k(e^u) e^(a u), shape (2n-1, k, k)
-        gvals = kernel.values(np.exp(diffs)) * np.exp(weight * diffs)[:, None, None]
+        gvals = conjugated_kernel(kernel, weight, diffs)  # shape (2n-1, k, k)
         idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) + (n - 1)
         big = np.zeros((n * k, n * k), dtype=np.complex128)
         for p in range(k):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import AlgebraElement
-from .conical import LayerDomain, NamedBase, RayBase, Vertex, signed_area
+from .conical import DomainError, LayerDomain, NamedBase, RayBase, Vertex
 from .gluing import GluingAtlas, GluingPiece
 from .groupoid import FiniteGroupoid, _id_array, validate
 
@@ -357,15 +357,9 @@ def domain_from_dict(doc, where: str = "domain") -> LayerDomain:
         _expect(isinstance(e, list) and len(e) == 2, here, "must be a pair of vertex ids")
         edges.append((e[0], e[1]))
     try:
-        domain = LayerDomain(n, tuple(vertices), tuple(edges))
-    except ValueError as exc:
-        raise SchemaError(where, str(exc)) from None
-    if n == 2 and all(v.coords is not None for v in vertices):
-        # a clockwise list describes the exterior, with reflex openings
-        area = signed_area([v.coords for v in vertices])
-        _expect(area > 0.0, f"{where}.vertices",
-                f"polygon vertices must be in counterclockwise order (signed area {area:g})")
-    return domain
+        return LayerDomain(n, tuple(vertices), tuple(edges))
+    except DomainError as exc:
+        raise SchemaError(f"{where}.{exc.field}" if exc.field else where, str(exc)) from None
 
 
 def domain_to_dict(d: LayerDomain) -> dict:

@@ -470,6 +470,40 @@ def test_mellin_scan_clockwise_vertices_exit_two(runner, tmp_path):
     assert isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("args", [["mellin-scan"], ["nystrom-verify", "--levels", "3"]],
+                         ids=["mellin-scan", "nystrom-verify"])
+def test_openings_that_disagree_with_the_coordinates_exit_two(runner, tmp_path, args):
+    # the scan reads the declared openings, the mesh the coordinates: both
+    # subcommands refuse the file before either reads it
+    doc = json.loads(Path(corpus("square.json")).read_text())
+    for spec in doc["vertices"]:
+        spec["base"]["interior_angle"] = 4.0
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, [*args, "--domain", str(path)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == (
+        f"error: {path}.vertices[0].base: vertex 'v0' has opening 4.0, "
+        "but its coordinates give 1.5707963267948966\n"
+    )
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_mellin_scan_zero_constant_report(runner):
+    # c = 0 is not elliptic: no vertex is scanned and the verdict fails
+    res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--c", "0"])
+    assert (res.exit_code, res.stderr) == (1, "")
+    assert payload(res)["results"] == {
+        "elliptic": False,
+        "weight": 0.5,
+        "constant": [0.0, 0.0],
+        "scans": {f"'v{i}'": None for i in range(4)},
+        "is_fredholm": False,
+        "witness": None,
+        "note": "inelliptic constant term; scans skipped",
+    }
+
+
 @pytest.mark.parametrize("option, value, stderr", [
     ("--sigma-tol", "nan", "error: sigma_tol must be finite and positive, got nan\n"),
     ("--sigma-tol", "inf", "error: sigma_tol must be finite and positive, got inf\n"),

@@ -47,8 +47,9 @@ class TestDomains:
 
     def test_clockwise_polygon_rejected(self):
         # a clockwise list would describe the exterior: openings of 3 pi / 2
-        with pytest.raises(co.DomainError, match=r"counterclockwise order \(signed area -1\)"):
+        with pytest.raises(co.DomainError, match=r"counterclockwise order \(signed area -1\)") as exc:
             co.polygon_domain([(0, 0), (0, 1), (1, 1), (1, 0)])
+        assert exc.value.field == "vertices"
         with pytest.raises(co.DomainError, match=r"counterclockwise order \(signed area 0\)"):
             co.polygon_domain([(0, 0), (1, 1), (1, 0), (0, 1)])  # a bow tie
 
@@ -61,6 +62,40 @@ class TestDomains:
         v = co.Vertex("art", co.RayBase((0.0, math.pi), interior_angle=math.pi))
         d = co.LayerDomain(2, (v,))
         assert d.vertex("art").base.opening() == pytest.approx(math.pi)
+
+    def test_opening_must_match_the_coordinates(self):
+        # the scans read the declared opening, the mesh the coordinates
+        square = co.unit_square()
+        wide = co.Vertex("v2", co.RayBase(square.vertices[2].base.angles, interior_angle=4.0),
+                         coords=square.vertices[2].coords)
+        vertices = square.vertices[:2] + (wide,) + square.vertices[3:]
+        with pytest.raises(co.DomainError) as exc:
+            co.LayerDomain(2, vertices, square.edges)
+        assert exc.value.field == "vertices[2].base"
+        assert str(exc.value) == "vertex 'v2' has opening 4.0, but its coordinates give 1.5707963267948966"
+
+    def test_opening_tolerance(self):
+        square = co.unit_square()
+        v = square.vertices[0]
+
+        def with_opening(delta):
+            moved = co.Vertex("v0", co.RayBase(v.base.angles, v.base.opening() + delta), coords=v.coords)
+            return co.LayerDomain(2, (moved,) + square.vertices[1:], square.edges)
+
+        with_opening(0.5 * co.OPENING_TOL)
+        with pytest.raises(co.DomainError, match="has opening"):
+            with_opening(2.0 * co.OPENING_TOL)
+
+    def test_undeclared_opening_is_the_rays_sweep(self):
+        # without interior_angle the opening is the sweep of the two rays,
+        # which must match the coordinates as a declared one does
+        square = co.unit_square()
+        swept = tuple(co.Vertex(v.id, co.RayBase(v.base.angles), v.coords) for v in square.vertices)
+        assert co.LayerDomain(2, swept, square.edges).component_counts() == (2, 2, 2, 2)
+        turned = (co.Vertex("v0", co.RayBase((0.0, 1.0)), swept[0].coords),) + swept[1:]
+        with pytest.raises(co.DomainError) as exc:
+            co.LayerDomain(2, turned, square.edges)
+        assert exc.value.field == "vertices[0].base"
 
 
 class TestDesingularization:

@@ -1,8 +1,11 @@
-"""Every module-level import in ``gpdlab`` is read in its module, and every
-module-level private name is read somewhere in the package.
+"""Every module-level import in ``gpdlab`` is read in its module, every
+module-level private name is read somewhere in the package, and every
+method or property of a ``gpdlab`` class is read somewhere in the
+package, the tests or the benchmark.
 
 ``__init__.py`` is exempt from the import check: its imports are the
-package's re-exports.
+package's re-exports.  Dunder methods are exempt from the method check:
+Python calls them.
 """
 
 import ast
@@ -14,6 +17,8 @@ import gpdlab
 
 SOURCES = sorted(Path(gpdlab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parent.parent
+READERS = SOURCES + sorted(ROOT.glob("tests/**/*.py")) + sorted(ROOT.glob("perfbench/**/*.py"))
 
 
 def unused_imports(path: Path) -> list:
@@ -64,3 +69,41 @@ def test_no_unread_private_names(path):
     defined = private_definitions(ast.parse(path.read_text(encoding="utf-8")))
     read = package_reads()
     assert sorted((line, name) for name, line in defined.items() if name not in read) == []
+
+
+def methods(tree: ast.Module) -> dict:
+    """``Class.method`` -> line for the functions defined in a class body, dunders left out."""
+    defined = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        node.name.startswith("__") and node.name.endswith("__")):
+                    defined[f"{cls.name}.{node.name}"] = node.lineno
+    return defined
+
+
+def attribute_reads(paths) -> set:
+    """Attributes and names loaded, and each part of a dotted string constant
+    (a benchmark names what it wraps as ``"GluingAtlas.check"``)."""
+    read = set()
+    for path in paths:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) and "." in n.value:
+                parts = n.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    read.update(parts)
+    return read
+
+
+def test_every_method_is_read():
+    assert ROOT.joinpath("perfbench").is_dir()
+    read = attribute_reads(READERS)
+    unread = [(path.name, line, name) for path in SOURCES
+              for name, line in methods(ast.parse(path.read_text(encoding="utf-8"))).items()
+              if name.split(".")[1] not in read]
+    assert sorted(unread) == []

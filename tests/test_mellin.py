@@ -645,6 +645,28 @@ class TestKernelValues:
         assert seen == [float] * len(SAMPLE_TS)
         assert vals.tobytes() == base.values(SAMPLE_TS).tobytes()
 
+    @pytest.mark.parametrize("weight", [0.0, 0.5, 0.75])
+    @pytest.mark.parametrize("name", ["wedge-2.2", "sech", "symmetric-dilation"])
+    def test_adjoint_is_the_conjugate_transpose_of_the_reflection(self, name, weight):
+        base = BUILT_IN_KERNELS[name]
+        adj, flipped = me.adjoint_kernel(base, weight), me.reflect_kernel(base, weight)
+        assert adj.decay == flipped.decay
+        want = np.conj(flipped.values(SAMPLE_TS)).swapaxes(-1, -2)
+        assert adj.values(SAMPLE_TS).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5])
+    @pytest.mark.parametrize("name", ["wedge-2.2", "sech", "forced-zero"])
+    def test_conjugated_kernel_is_the_weighted_sample(self, name, weight):
+        kern = BUILT_IN_KERNELS[name]
+        u = np.linspace(-30.0, 30.0, 1202).reshape(2, 601)
+        g = me.conjugated_kernel(kern, weight, u)
+        want = kern.values(np.exp(u)) * np.exp(weight * u)[..., None, None]
+        assert g.shape == u.shape + (kern.size, kern.size)
+        assert g.tobytes() == want.tobytes()
+        samples = me.LogLineSamples(kern, weight, -5.0, 5.0, me.DEFAULT_ABS_TOL)
+        assert samples.g.tobytes() == me.conjugated_kernel(kern, weight, samples.u).tobytes()
+        assert samples._sample(u[0]).tobytes() == g[0].reshape(len(u[0]), -1).tobytes()
+
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0, 1.0])
 def test_weight_outside_the_open_decay_interval_is_not_integrable(weight):

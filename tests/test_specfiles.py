@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 from importlib import resources
 from pathlib import Path
@@ -146,7 +147,12 @@ class TestDomainFiles:
         names = [f["file"] for f in manifest["fixtures"] if f["kind"] == "domain"]
         assert len(names) == 4
         for name in names:
-            assert sf.parse_domain(corpus_path(name)).vertices
+            d = sf.parse_domain(corpus_path(name))
+            assert d.vertices
+            if d.dimension == 2:
+                # the declared openings are the coordinates' exactly
+                rays = co._rays([v.coords for v in d.vertices])
+                assert [v.base.opening() for v in d.vertices] == [co.RayBase(r).opening() for r in rays]
 
     def test_clockwise_polygon_rejected(self):
         doc = json.loads(corpus_path("square.json").read_text())
@@ -157,6 +163,36 @@ class TestDomainFiles:
         assert str(exc.value) == (
             "domain.vertices: polygon vertices must be in counterclockwise order (signed area -1)"
         )
+
+    def test_opening_that_disagrees_with_the_coordinates_rejected(self):
+        doc = json.loads(corpus_path("square.json").read_text())
+        for spec in doc["vertices"]:
+            spec["base"]["interior_angle"] = 4.0
+        with pytest.raises(sf.SchemaError) as exc:
+            sf.domain_from_dict(doc)
+        assert exc.value.path == "domain.vertices[0].base"
+        assert str(exc.value) == (
+            "domain.vertices[0].base: vertex 'v0' has opening 4.0, but its coordinates give "
+            "1.5707963267948966"
+        )
+        doc = json.loads(corpus_path("lshape.json").read_text())
+        del doc["vertices"][3]["base"]["interior_angle"]
+        doc["vertices"][3]["base"]["angles"].reverse()  # the sweep is now pi / 2, not 3 pi / 2
+        with pytest.raises(sf.SchemaError) as exc:
+            sf.domain_from_dict(doc)
+        assert exc.value.path == "domain.vertices[3].base"
+
+    def test_artificial_vertex_with_coordinates_parses(self):
+        # a smooth point between collinear neighbours opens by pi
+        doc = json.loads(corpus_path("square.json").read_text())
+        doc["vertices"].insert(1, {
+            "id": "art", "coords": [0.5, 0.0],
+            "base": {"type": "rays", "angles": [0.0, 3.141592653589793],
+                     "interior_angle": 3.141592653589793},
+        })
+        d = sf.domain_from_dict(doc)
+        assert d.vertex("art").base.opening() == math.pi
+        assert len(d.vertices) == 5
 
     def test_orientation_needs_every_vertex_coordinate(self):
         # without coordinates the vertex list fixes no orientation
