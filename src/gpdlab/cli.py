@@ -246,7 +246,9 @@ def layer_report_cmd(domain_path, out):
 @click.option("--domain", "domain_path", required=True, type=click.Path())
 @click.option("--c", "constant", type=float, default=0.5, show_default=True)
 @click.option("--weight", default="auto", show_default=True)
-@click.option("--lambda-max", type=float, default=mellin.DEFAULT_LAMBDA_MAX, show_default=True)
+@click.option("--lambda-max", type=float, default=mellin.DEFAULT_LAMBDA_MAX, show_default=True,
+              help="Reach of the planned lambda grid; the log-line step resolves it before C2 "
+                   "is taken, and the scan sums only the planned points inside its tail cutoff.")
 @click.option("--sigma-tol", type=float, default=1e-3, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def mellin_scan_cmd(domain_path, constant, weight, lambda_max, sigma_tol, out):

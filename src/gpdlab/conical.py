@@ -46,7 +46,8 @@ class RayBase:
     For a polygon vertex the two rays point toward the adjacent
     vertices.  ``interior_angle`` is the opening swept inside the domain
     from the first ray to the second; when omitted it defaults to the
-    counterclockwise sweep angles[0] -> angles[1].
+    counterclockwise sweep angles[0] -> angles[1], and a two-ray base in
+    a ``LayerDomain`` must declare that sweep to within OPENING_TOL.
     """
 
     angles: tuple
@@ -91,8 +92,11 @@ class LayerDomain:
     A planar domain whose every vertex has coordinates is the polygon
     through them, checked here once for every route that reads it: the
     list must run counterclockwise (a clockwise one describes the
-    exterior), and each vertex's declared opening, which the symbol
-    scans read, must match its coordinates, which the mesh reads.
+    exterior), each vertex's declared opening, which the symbol scans
+    read, must match its coordinates, which the mesh reads, and edges,
+    if listed, must be the vertex cycle.  A two-ray base that declares
+    its opening must sweep it counterclockwise from its first ray to its
+    second, and every edge must join declared vertices.
     """
 
     dimension: int
@@ -119,8 +123,18 @@ class LayerDomain:
                 raise DomainError(f"vertex {v.id!r}: named bases required for dimension >= 3")
             if v.base.components < 1:
                 raise DomainError(f"vertex {v.id!r}: base needs at least one boundary component")
-        if self.dimension == 2 and coords and None not in coords:
+        polygon = self.dimension == 2 and coords and None not in coords
+        if polygon:
             self._check_polygon(coords)
+        for i, v in enumerate(self.vertices):
+            if isinstance(v.base, RayBase) and v.base.interior_angle is not None and v.k == 2:
+                declared, sweep = v.base.interior_angle, RayBase(v.base.angles).opening()
+                if not abs(declared - sweep) <= OPENING_TOL:
+                    raise DomainError(
+                        f"vertex {v.id!r} has opening {declared!r}, but its angles sweep {sweep!r}",
+                        field=f"vertices[{i}].base.angles",
+                    )
+        self._check_edges(ids, polygon)
 
     def _check_polygon(self, coords: list):
         area = signed_area(coords)
@@ -136,6 +150,26 @@ class LayerDomain:
                     f"vertex {v.id!r} has opening {declared!r}, but its coordinates give {opening!r}",
                     field=f"vertices[{i}].base",
                 )
+
+    def _check_edges(self, ids: list, polygon: bool):
+        known = set(ids)
+        for i, edge in enumerate(self.edges):
+            for end in edge:
+                if end not in known:
+                    raise DomainError(f"edge names unknown vertex {end!r}", field=f"edges[{i}]")
+        if not (polygon and self.edges):
+            return
+        cycle = list(zip(ids, ids[1:] + ids[:1]))
+        for i, (edge, want) in enumerate(zip(self.edges, cycle)):
+            if tuple(edge) != want:
+                raise DomainError(
+                    f"edge {list(edge)!r} is not {list(want)!r}, edge {i} of the vertex cycle",
+                    field=f"edges[{i}]",
+                )
+        if len(self.edges) != len(cycle):
+            raise DomainError(
+                f"the vertex cycle has {len(cycle)} edges, not {len(self.edges)}", field="edges"
+            )
 
     def vertex(self, vid) -> Vertex:
         for v in self.vertices:

@@ -20,9 +20,13 @@ numpy call on the whole array of t, any other kernel node by node.  The
 convention (weight in the exponent, sign of the dual variable) is fixed
 here once and shared by every oracle in the package.  Scans certify the
 whole line with two bounds from the same samples: a Lipschitz bound
-between neighbouring grid points and an integration-by-parts bound at
-large |lam|; the grid is bisected only where neither bound clears the
-tolerance.
+between neighbouring grid points and an integration-by-parts bound
+C2 / lam^2 at large |lam|; the grid is bisected only where neither bound
+clears the tolerance.  A default family only plans its grid,
+``default_grid(lambda_max)``: the samples' step resolves the whole plan
+before C2 is taken, and a scan sums only the planned lams inside the
+cutoff past which the tail bound certifies the line (9 of 205 for a
+square corner at c = 1/2).
 """
 
 from __future__ import annotations
@@ -399,16 +403,8 @@ class LogLineSamples:
             self.u, self.g = u[::2].copy(), g[::2].copy()
             raise
 
-    def transform(self, lams):
-        """Symbols at lams, shape (len(lams), k, k), and the per-lam error estimates.
-
-        h is halved until 2 h |lam| <= pi for every lam (T_2h then
-        resolves each frequency) and |T_h - T_2h| <= abs_tol in every
-        entry.  For an exponentially convergent rule that difference is
-        the error of T_2h and so bounds the error of T_h.
-        """
-        lams = np.asarray(lams, dtype=float)
-        top = float(np.max(np.abs(lams)))
+    def resolve(self, top: float):
+        """Halve h until 2 h top <= pi: T_2h then resolves every |lam| <= top."""
         if 2.0 * (self.hi - self.lo) * top > math.pi * self.max_intervals:
             raise QuadratureError(
                 f"lam = {top:g} needs more than the {self.max_intervals} log-line intervals "
@@ -416,6 +412,16 @@ class LogLineSamples:
             )
         while 2.0 * self.step * top > math.pi:
             self._refine()
+
+    def transform(self, lams):
+        """Symbols at lams, shape (len(lams), k, k), and the per-lam error estimates.
+
+        h is halved until it resolves every lam and |T_h - T_2h| <= abs_tol
+        in every entry.  For an exponentially convergent rule that
+        difference is the error of T_2h and so bounds the error of T_h.
+        """
+        lams = np.asarray(lams, dtype=float)
+        self.resolve(float(np.max(np.abs(lams))))
         while True:
             vals, errs = self._trapezoid(lams)
             if errs.max() <= self.abs_tol:
@@ -499,14 +505,18 @@ class LogLineSamples:
 class MellinSymbolFamily:
     """Sampled symbol lam -> k x k matrix along one weight line.
 
-    Every value, on the initial grid or added later by a scan, is a
-    trapezoid sum over the same log-line samples.  From those samples the
-    family also carries a Lipschitz constant L of lam -> symbol(lam) and
-    a decreasing tail bound ||symbol(lam)|| <= C2 / lam^2 from two
-    integrations by parts of the conjugated kernel.
+    ``plan`` is the grid a scan may evaluate (by default the ``lambdas``
+    evaluated at construction); ``grid()`` holds the lams evaluated so
+    far, on the plan or added later by a scan.  Every value is a
+    trapezoid sum over the same log-line samples, whose step resolves the
+    whole plan before anything is evaluated.  From the samples at that
+    step the family also carries a Lipschitz constant L of lam ->
+    symbol(lam) and a decreasing tail bound ||symbol(lam)|| <= C2 / lam^2
+    from two integrations by parts of the conjugated kernel.
     """
 
-    def __init__(self, kernel: MellinKernel, weight: float, lambdas, samples: LogLineSamples):
+    def __init__(self, kernel: MellinKernel, weight: float, lambdas, samples: LogLineSamples,
+                 plan=None):
         self.kernel = kernel
         self.vertex = kernel.vertex
         self.size = kernel.size
@@ -514,6 +524,9 @@ class MellinSymbolFamily:
         self._samples = samples
         self.max_quad_error = 0.0
         self._values: dict = {}
+        self.plan = np.unique(np.asarray(lambdas if plan is None else plan, dtype=float))
+        if self.plan.size:
+            samples.resolve(float(np.abs(self.plan).max()))
         self._add(lambdas)
         self.tail_c2 = samples.tail_coefficient()
         self.lipschitz = samples.lipschitz()
@@ -535,12 +548,18 @@ class MellinSymbolFamily:
         out = np.stack([self._values[l] for l in lams])
         return out if np.ndim(lam) else out[0]
 
+    def evaluate_plan(self, lam_max: float):
+        """Evaluate the planned lams with |lam| <= lam_max."""
+        self.value(self.plan[np.abs(self.plan) <= lam_max])
+
     def grid(self) -> np.ndarray:
+        """The lams evaluated so far, ascending."""
         return np.array(sorted(self._values), dtype=float)
 
     @property
     def lambda_max(self) -> float:
-        return float(max(abs(lam) for lam in self._values))
+        """The largest |lam| planned or evaluated."""
+        return float(max([np.abs(self.plan).max(initial=0.0), *map(abs, self._values)]))
 
     def tail_bound(self, lam: float) -> float:
         if lam <= 0:
@@ -559,20 +578,26 @@ def mellin_transform(
 
     The conjugated kernel is sampled once on a uniform grid of a log
     window sized from the declared decay (mass outside below
-    abs_tol * 1e-4), and every lam is a trapezoid sum over the samples,
-    the whole grid at once: the fine phases of each lam against the
-    samples, then the coarse phases against the partial sums.  The step
-    h is halved until, in every entry, the estimate |T_h - T_2h| stays
-    within abs_tol and 2 h |lam| <= pi; past MAX_INTERVALS intervals the
-    transform raises QuadratureError.  The tail constant C2 comes from
-    second differences on the same nodes.
+    abs_tol * 1e-4), and every lam is a trapezoid sum over the samples:
+    the fine phases of each lam against the samples, then the coarse
+    phases against the partial sums.  The step h is first halved until
+    2 h |lam| <= pi on the whole plan, and the tail constant C2 and the
+    Lipschitz constant come from second differences and moments on the
+    nodes of that step.  Explicit ``lambdas`` are the plan and are
+    evaluated at once; with ``lambdas=None`` the plan is
+    ``default_grid(lambda_max)`` and nothing is evaluated yet:
+    ``invertibility_scan`` evaluates the part of it that the tail bound
+    leaves uncertified, so ``lambda_max`` sets the resolution the tail
+    certificate trusts, not the points summed.  Each evaluation halves h
+    further until, in every entry, the estimate |T_h - T_2h| stays
+    within abs_tol; past MAX_INTERVALS intervals the transform raises
+    QuadratureError.
     """
     check_line_integrability(kernel, weight)
-    if lambdas is None:
-        lambdas = default_grid(lambda_max)
+    plan = default_grid(lambda_max) if lambdas is None else None
     u_minus, u_plus = _log_window(kernel, weight, tail_mass=abs_tol * 1e-4)
     samples = LogLineSamples(kernel, weight, -u_minus, u_plus, abs_tol)
-    return MellinSymbolFamily(kernel, weight, lambdas, samples)
+    return MellinSymbolFamily(kernel, weight, () if lambdas is None else lambdas, samples, plan)
 
 
 def mellin_transform_direct(kernel: MellinKernel, weight: float, lam: float) -> np.ndarray:
@@ -640,24 +665,41 @@ def invertibility_scan(
 ) -> ScanResult:
     """Certified minimum singular value of c I + symbol(lam) along the line.
 
-    The grid is extended until the tail bound drops below |c| / 2, so that
-    sigma_min >= tail_floor = |c| - C2 / lam_max^2 beyond it.  sigma_min
-    is 1-Lipschitz in the operator norm (Weyl), so on a grid interval
-    [a, b] it is at least min(s_a, s_b, max((s_a + s_b - L (b - a)) / 2,
-    tail)), with tail = |c| - C2 / min(|a|, |b|)^2 where a b > 0.  The
-    intervals whose bound is at most sigma_tol are bisected, all at once
-    per round, until a sample is at most sigma_tol (a witness), the failing
-    intervals are narrower than sigma_tol / L, or MAX_REFINEMENTS points
-    were added.  min_sigma_lower, the smallest bound less the quadrature
-    error, decides the verdict; it and min_sigma, the smallest sample,
-    are both capped by tail_floor.
+    The scan evaluates the family's plan on [-lam_max, lam_max] only;
+    beyond it sigma_min >= tail_floor = |c| - C2 / lam_max^2, and the
+    points already evaluated stay on the grid.  lam_max starts at the
+    first planned |lam| where the tail bound is below |c| / 2, or at the
+    largest |lam| already evaluated if that is further; past the plan it
+    doubles up to lambda_cap.  While tail_floor is below the smallest
+    sample and the plan reaches further, lam_max moves out to the first
+    planned |lam| whose floor clears that sample, so the tail cap binds
+    on min_sigma only at the plan's end.  sigma_min is 1-Lipschitz in the operator norm (Weyl), so on a grid
+    interval [a, b] it is at least min(s_a, s_b, max((s_a + s_b - L (b
+    - a)) / 2, tail)), with tail = |c| - C2 / min(|a|, |b|)^2 where a b
+    > 0.  The intervals whose bound is at most sigma_tol are bisected,
+    all at once per round, until a sample is at most sigma_tol (a
+    witness), the failing intervals are narrower than sigma_tol / L, or
+    MAX_REFINEMENTS points were added.  min_sigma_lower, the smallest
+    bound less the quadrature error, decides the verdict; it and
+    min_sigma, the smallest sample, are both capped by tail_floor.
     """
     _check_scan_constants(c, sigma_tol)
     if abs(c) == 0.0:
         raise MellinError("scan requires a nonzero constant term")
-    lam_max = family.lambda_max
+    planned = np.unique(np.abs(family.plan))
+    planned = planned[planned > 0.0]
+    tails = family.tail_c2 / (planned * planned)  # tail bounds at the planned |lam|
+
+    def reach(ok: np.ndarray) -> float:
+        """The first planned |lam| where ok holds, else the plan's last."""
+        return float(planned[np.argmax(ok)] if ok.any() else planned[-1])
+
+    lam_max = float(np.abs(family.grid()).max(initial=0.0))
+    if planned.size:
+        lam_max = max(lam_max, reach(tails < abs(c) / 2.0))
     if lam_max <= 0:
         raise MellinError("scan grid must contain a nonzero lambda")
+    family.evaluate_plan(lam_max)
     while family.tail_bound(lam_max) >= abs(c) / 2.0:
         lam_max *= 2.0
         if lam_max > lambda_cap:
@@ -674,6 +716,11 @@ def invertibility_scan(
 
     lams = family.grid()
     sig = sigma_min(lams)
+    while planned.size and lam_max < planned[-1] and abs(c) - family.tail_bound(lam_max) < sig.min():
+        lam_max = reach(abs(c) - tails >= sig.min())
+        family.evaluate_plan(lam_max)
+        lams = family.grid()
+        sig = sigma_min(lams)
     refinements = 0
     while True:
         a, b = lams[:-1], lams[1:]

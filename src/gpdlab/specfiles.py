@@ -354,7 +354,8 @@ def domain_from_dict(doc, where: str = "domain") -> LayerDomain:
     edges = []
     for i, e in enumerate(doc.get("edges", [])):
         here = f"{where}.edges[{i}]"
-        _expect(isinstance(e, list) and len(e) == 2, here, "must be a pair of vertex ids")
+        _expect(isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e), here,
+                "must be a pair of vertex ids")
         edges.append((e[0], e[1]))
     try:
         return LayerDomain(n, tuple(vertices), tuple(edges))

@@ -186,7 +186,7 @@ class TestLayerAndMellinCommands:
             for key in ("min_sigma_lower", "lipschitz", "max_quad_error", "tail_c2"):
                 assert key in scan
             assert scan["min_sigma_lower"] <= scan["min_sigma"]
-            assert (scan["grid_points"], scan["refinements"]) == (205, 0)
+            assert (scan["grid_points"], scan["refinements"]) == (9, 0)
 
     def test_nystrom_csv(self, runner, tmp_path):
         out = tmp_path / "trace.csv"
@@ -489,6 +489,36 @@ def test_openings_that_disagree_with_the_coordinates_exit_two(runner, tmp_path, 
     assert isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("args", [["mellin-scan"], ["nystrom-verify", "--levels", "2"]],
+                         ids=["mellin-scan", "nystrom-verify"])
+@pytest.mark.parametrize("edges, stderr", [
+    ([["v0", "nope"]], "edges[0]: edge names unknown vertex 'nope'"),
+    ([["v0", "v2"], ["v2", "v1"], ["v1", "v3"], ["v3", "v0"]],
+     "edges[0]: edge ['v0', 'v2'] is not ['v0', 'v1'], edge 0 of the vertex cycle"),
+], ids=["unknown-id", "other-cycle"])
+def test_edges_that_are_not_the_vertex_cycle_exit_two(runner, tmp_path, args, edges, stderr):
+    # both deciders take the boundary from the vertex order
+    doc = json.loads(Path(corpus("square.json")).read_text())
+    doc["edges"] = edges
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, [*args, "--domain", str(path)])
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {path}.{stderr}\n")
+
+
+def test_angles_that_disagree_with_the_opening_exit_two(runner, tmp_path):
+    doc = json.loads(Path(corpus("square.json")).read_text())
+    doc["vertices"][0]["base"]["angles"] = [0.0, 1.0]
+    path = tmp_path / "angles.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["mellin-scan", "--domain", str(path)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == (
+        f"error: {path}.vertices[0].base.angles: vertex 'v0' has opening 1.5707963267948966, "
+        "but its angles sweep 1.0\n"
+    )
+
+
 def test_mellin_scan_zero_constant_report(runner):
     # c = 0 is not elliptic: no vertex is scanned and the verdict fails
     res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--c", "0"])
@@ -523,9 +553,9 @@ def test_mellin_scan_non_finite_constants_exit_two(runner, option, value, stderr
 # stdout of `mellin-scan --domain src/gpdlab/corpus/<name>` run from the
 # repository root (the report echoes the path as given)
 MELLIN_SCAN_SHA256 = {
-    "square.json": "37b2abf1357d2ea08ed5f1b87f8a7ccf4a2c67e1a80e15dc11990afc6786fe24",
-    "pentagon.json": "c30c8a34c7605213c6763455ae3906f3e3bc5efa9e7fabd6ab04ca4d658f072e",
-    "lshape.json": "16e689bb49d013db5cff2f98052c031246466d73c853747ef82876af58ec88ee",
+    "square.json": "624a4b88ab2dc2fb176fad5a41813953fe83ed33320c0fc00f4323de81a65734",
+    "pentagon.json": "b6f21841dad7d667b07288dd5ba6ee8a6b5d35142452216e4a076317c3ca63e6",
+    "lshape.json": "f5350693aab8133ece2ab72294720762bffa2dba26081f71def5a447ba28354d",
 }
 
 

@@ -86,6 +86,25 @@ class TestDomains:
         with pytest.raises(co.DomainError, match="has opening"):
             with_opening(2.0 * co.OPENING_TOL)
 
+    def test_declared_opening_must_be_the_rays_sweep(self):
+        # an artificial vertex declares pi; its rays may sweep pi within
+        # the tolerance, coordinates or not
+        def art(second_ray):
+            return co.LayerDomain(2, (co.Vertex("art", co.RayBase((0.0, second_ray), math.pi)),))
+
+        art(math.pi + 0.5 * co.OPENING_TOL)
+        with pytest.raises(co.DomainError) as exc:
+            art(math.pi + 2.0 * co.OPENING_TOL)
+        assert exc.value.field == "vertices[0].base.angles"
+
+    def test_polygon_edges_are_the_vertex_cycle(self):
+        square = co.unit_square()
+        assert square.edges == (("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v0"))
+        co.LayerDomain(2, square.vertices)  # edges may be left out
+        with pytest.raises(co.DomainError) as exc:
+            co.LayerDomain(2, square.vertices, square.edges[1:] + square.edges[:1])
+        assert exc.value.field == "edges[0]"
+
     def test_undeclared_opening_is_the_rays_sweep(self):
         # without interior_angle the opening is the sweep of the two rays,
         # which must match the coordinates as a declared one does

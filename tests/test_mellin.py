@@ -377,7 +377,7 @@ class TestScan:
             (me.wedge_double_layer_kernel(math.pi / 2), 0.14644660940692633, 0.0),
             (me.wedge_double_layer_kernel(3 * math.pi / 5), 0.20610737385396355, 0.0),
             (me.wedge_double_layer_kernel(3 * math.pi / 2), 0.14644660940692633, 0.0),
-            (me.wedge_double_layer_kernel(math.pi), 0.5, -200.0),
+            (me.wedge_double_layer_kernel(math.pi), 0.5, -0.25),
         ],
         ids=["sech", "symmetric-dilation", "wedge-0.4", "wedge-right", "wedge-3pi/5",
              "wedge-3pi/2", "flat-wedge"],
@@ -447,7 +447,7 @@ class TestVerdict:
         golden = 0.5 - math.sqrt(2) / 4
         for s in v.scans.values():
             assert s.min_sigma == pytest.approx(golden, abs=1e-8)
-            assert (s.grid_points, s.refinements) == (205, 0)
+            assert (s.grid_points, s.refinements) == (9, 0)
 
     def test_zero_constant_not_elliptic(self):
         v = me.fredholm_verdict(co.unit_square(), c=0.0)
@@ -537,6 +537,96 @@ def test_scan_of_a_zero_only_grid_refuses():
     fam = me.mellin_transform(me.sech_test_kernel(), 0.5, np.array([0.0]))
     with pytest.raises(me.MellinError, match="nonzero lambda"):
         me.invertibility_scan(fam, 0.5)
+
+
+def vectorized_dip_kernel(lam0, weight, c=0.5, width=5.0):
+    """``midpoint_dip_kernel`` as one numpy expression over an array of t,
+    so a sweep over many scans does not call a scalar kernel per node."""
+    scale = c / (math.pi * width)
+
+    def fn(ts):
+        u = np.log(ts)
+        return (-scale / np.cosh(u / width) * np.exp(1j * lam0 * u) * ts ** -weight)[..., None, None]
+
+    decay = me.KernelDecay(1.0 / width - weight, 2 * scale, 1.0 / width + weight, 2 * scale)
+    return me.MellinKernel("dip", 1, fn, decay, f"dip({lam0})", vectorized=True)
+
+
+def _planned_grid_cases():
+    for weight in (0.25, 0.5, 0.75):
+        kernels = {
+            **{f"wedge-{alpha:.4g}": me.wedge_double_layer_kernel(alpha)
+               for alpha in (0.4, 1.0, math.pi / 2, 3 * math.pi / 5, 2.2, math.pi, 4.0,
+                             3 * math.pi / 2, 5.5)},
+            "sech": me.sech_test_kernel(),
+            "symmetric-dilation": me.symmetric_dilation_kernel(),
+            "forced-zero": me.forced_zero_kernel(0.5),
+            **{f"dip-{lam0}": vectorized_dip_kernel(lam0, weight) for lam0 in (0.125, 37.3, -120.7)},
+        }
+        for name, kern in kernels.items():
+            for c in (0.5, 0.3 + 0.1j, 1.25):
+                yield pytest.param(kern, weight, c, id=f"{name}-{weight}-{c}")
+
+
+class TestPlannedGrid:
+    """A default family plans ``default_grid()`` and the scan evaluates only
+    the part the tail bound leaves uncertified; the oracle is the same
+    grid passed explicitly, which evaluates all of it."""
+
+    @pytest.mark.parametrize("kern, weight, c", _planned_grid_cases())
+    def test_scan_equals_the_full_grid_scan(self, kern, weight, c):
+        fam = me.mellin_transform(kern, weight)
+        assert fam.grid().size == 0
+        got = me.invertibility_scan(fam, c)
+        full = me.mellin_transform(kern, weight, me.default_grid())
+        want = me.invertibility_scan(full, c)
+        for field in ("invertible", "refinements", "min_sigma", "tail_c2", "lipschitz"):
+            assert getattr(got, field) == getattr(want, field), field
+        if got.argmin_lambda != want.argmin_lambda:
+            # a tie: the full grid's samples at both places are equal
+            at = full.value(np.array([got.argmin_lambda, want.argmin_lambda]))
+            s = np.linalg.svd(c * np.eye(full.size) + at, compute_uv=False)[:, -1]
+            assert s[0] == s[1]
+        assert set(fam.grid()) <= set(full.grid())
+        assert got.grid_points <= want.grid_points
+        assert got.min_sigma_lower == pytest.approx(want.min_sigma_lower, abs=1e-14)
+
+    def test_square_corner_sums_at_most_eleven_points(self, monkeypatch):
+        summed = []
+        transform = me.LogLineSamples.transform
+
+        def counted(self, lams):
+            summed.extend(lams)
+            return transform(self, lams)
+
+        monkeypatch.setattr(me.LogLineSamples, "transform", counted)
+        fam = me.mellin_transform(me.wedge_double_layer_kernel(math.pi / 2), 0.5)
+        assert summed == []
+        res = me.invertibility_scan(fam, 0.5)
+        assert res.grid_points == len(summed) <= 11
+        assert res.lambda_max < me.DEFAULT_LAMBDA_MAX
+
+    def test_constants_come_from_the_step_that_resolves_the_plan(self):
+        # an aliased start step would under-read C2 for a dip far out
+        fam = me.mellin_transform(midpoint_dip_kernel(-120.7), 0.5)
+        assert 2.0 * fam._samples.step * me.DEFAULT_LAMBDA_MAX <= math.pi
+        assert fam.tail_c2 >= 120.7 ** 2 * 0.5
+        assert fam.lambda_max == me.DEFAULT_LAMBDA_MAX
+
+    def test_evaluated_points_stay_on_the_grid(self):
+        fam = me.mellin_transform(me.wedge_double_layer_kernel(0.4), 0.5)
+        first = me.invertibility_scan(fam, 0.3 + 0.1j)
+        grid = set(fam.grid())
+        again = me.invertibility_scan(fam, 1.25)
+        assert grid <= set(fam.grid())
+        assert again.lambda_max >= first.lambda_max
+        assert again.grid_points >= len(grid)
+
+    def test_explicit_grid_scans_all_of_it(self):
+        lams = me.default_grid(50.0)
+        fam = me.mellin_transform(me.wedge_double_layer_kernel(math.pi / 2), 0.5, lams)
+        res = me.invertibility_scan(fam, 0.5)
+        assert (res.grid_points, res.lambda_max) == (len(lams), 50.0)
 
 
 BUILT_IN_KERNELS = {

@@ -190,6 +190,7 @@ class TestDomainFiles:
             "base": {"type": "rays", "angles": [0.0, 3.141592653589793],
                      "interior_angle": 3.141592653589793},
         })
+        doc["edges"][0:1] = [["v0", "art"], ["art", "v1"]]
         d = sf.domain_from_dict(doc)
         assert d.vertex("art").base.opening() == math.pi
         assert len(d.vertices) == 5
@@ -200,6 +201,46 @@ class TestDomainFiles:
         doc["vertices"].reverse()
         del doc["vertices"][0]["coords"]
         assert len(sf.domain_from_dict(doc).vertices) == 4
+
+    @pytest.mark.parametrize("edges, where, message", [
+        ([["v0", "nope"]], "edges[0]", "edge names unknown vertex 'nope'"),
+        ([["v0", "v2"], ["v2", "v1"], ["v1", "v3"], ["v3", "v0"]], "edges[0]",
+         "edge ['v0', 'v2'] is not ['v0', 'v1'], edge 0 of the vertex cycle"),
+        ([["v0", "v1"], ["v1", "v2"], ["v2", "v3"]], "edges", "the vertex cycle has 4 edges, not 3"),
+        ([["v0", 1]], "edges[0]", "must be a pair of vertex ids"),
+    ], ids=["unknown-id", "other-cycle", "short-cycle", "non-string-id"])
+    def test_edges_must_be_the_vertex_cycle(self, edges, where, message):
+        doc = json.loads(corpus_path("square.json").read_text())
+        doc["edges"] = edges
+        with pytest.raises(sf.SchemaError) as exc:
+            sf.domain_from_dict(doc)
+        assert str(exc.value) == f"domain.{where}: {message}"
+
+    def test_edges_without_coordinates_need_known_ids_only(self):
+        doc = json.loads(corpus_path("square.json").read_text())
+        del doc["vertices"][0]["coords"]
+        doc["edges"] = [["v2", "v0"]]
+        assert sf.domain_from_dict(doc).edges == (("v2", "v0"),)
+        doc = json.loads(corpus_path("cone3d.json").read_text())
+        doc["edges"] = [["p0", "q"]]
+        with pytest.raises(sf.SchemaError) as exc:
+            sf.domain_from_dict(doc)
+        assert str(exc.value) == "domain.edges[0]: edge names unknown vertex 'q'"
+
+    def test_angles_must_sweep_the_declared_opening(self):
+        doc = json.loads(corpus_path("square.json").read_text())
+        doc["vertices"][0]["base"]["angles"] = [0.0, 1.0]
+        with pytest.raises(sf.SchemaError) as exc:
+            sf.domain_from_dict(doc)
+        assert str(exc.value) == (
+            "domain.vertices[0].base.angles: vertex 'v0' has opening 1.5707963267948966, "
+            "but its angles sweep 1.0"
+        )
+        # without coordinates the base is checked all the same
+        for spec in doc["vertices"]:
+            del spec["coords"]
+        with pytest.raises(sf.SchemaError, match=r"vertices\[0\]\.base\.angles"):
+            sf.domain_from_dict(doc)
 
     def test_domain_round_trip(self):
         d = sf.parse_domain(corpus_path("pentagon.json"))
