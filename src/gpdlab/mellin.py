@@ -14,16 +14,19 @@ kernels analytic in a strip around the line.  A node's phase factors
 into a coarse and a fine one, so a block of lams costs one product of
 the fine phases with the samples and one batched product of the partial
 sums with the coarse phases.  Kernels are sampled only
-through ``MellinKernel.values``, one call per grid or refinement step:
-a kernel declared ``vectorized`` (every built-in one) is evaluated by one
-numpy call on the whole array of t, any other kernel node by node.  The
-convention (weight in the exponent, sign of the dual variable) is fixed
-here once and shared by every oracle in the package.  Scans certify the
+through ``MellinKernel.values``: one call on all nodes of the step that
+resolves the plan, then one per chunk of midpoints at each later
+halving.  A kernel declared ``vectorized`` (every built-in one) is
+evaluated by one numpy call on the whole array of t, any other kernel
+node by node.  The convention (weight in the exponent, sign of the dual
+variable) is fixed here once and shared by every oracle in the package.  Scans certify the
 whole line with two bounds from the same samples: a Lipschitz bound
 between neighbouring grid points and an integration-by-parts bound
 C2 / lam^2 at large |lam|; the grid is bisected only where neither bound
-clears the tolerance.  A default family only plans its grid,
-``default_grid(lambda_max)``: the samples' step resolves the whole plan
+clears the tolerance.  Both constants sum over the nodes by a
+contraction (``einsum``, a matrix-vector product).  A default family
+only plans its grid, ``default_grid(lambda_max)``: the samples' step
+resolves the whole plan
 before C2 is taken, and a scan sums only the planned lams inside the
 cutoff past which the tail bound certifies the line (9 of 205 for a
 square corner at c = 1/2).
@@ -343,18 +346,34 @@ def conjugated_kernel(kernel: MellinKernel, weight: float, u) -> np.ndarray:
     return out
 
 
+def _halved(u: np.ndarray) -> np.ndarray:
+    """The nodes u with their midpoints in between: the grid of half the step."""
+    out = np.empty(2 * len(u) - 1)
+    out[::2] = u
+    out[1::2] = 0.5 * (u[:-1] + u[1:])
+    return out
+
+
 class LogLineSamples:
     """The conjugated kernel g(u) = k(e^u) e^(a u) sampled on a uniform grid of [lo, hi].
 
     The number of intervals is even, so the even-indexed nodes form the
     grid of step 2h and the trapezoid sums T_h and T_2h come from the same
-    samples.  Halving h keeps the old samples and evaluates the kernel
-    only at the midpoints.  The sums read one copy of the samples,
-    weighted and laid out fine-major for the factored phase product; it
-    is built at the first sum after each halving.
+    samples.  The grid starts at step ``_START_STEP`` (rounded to an even
+    count) and is halved until 2 h ``top`` <= pi, as ``resolve(top)``
+    would; the halvings touch only the nodes, so they are the nodes a
+    chain of refinements reaches, and the kernel is then sampled once on
+    all of them; a ``top`` past the window's reach raises
+    ``QuadratureError`` before the kernel is called.  Past that step
+    (``resolve`` of a larger lam, or an error estimate above
+    ``abs_tol``), halving h keeps the old samples and evaluates the
+    kernel only at the midpoints.  The sums read one copy of the
+    samples, weighted and laid out fine-major for the factored phase
+    product; it is built at the first sum after each halving.
     """
 
-    def __init__(self, kernel: MellinKernel, weight: float, lo: float, hi: float, abs_tol: float):
+    def __init__(self, kernel: MellinKernel, weight: float, lo: float, hi: float, abs_tol: float,
+                 top: float = 0.0):
         self.kernel = kernel
         self.weight = weight
         self.lo = lo
@@ -365,7 +384,10 @@ class LogLineSamples:
         self.max_intervals = intervals
         while 2 * self.max_intervals <= MAX_INTERVALS:
             self.max_intervals *= 2
+        self._check_reach(top)
         self.u = np.linspace(lo, hi, intervals + 1)
+        while 2.0 * self.step * top > math.pi:
+            self.u = _halved(self.u)
         self.g = self._sample(self.u)
         self._weighted = None
 
@@ -388,9 +410,7 @@ class LogLineSamples:
                 f"at {self.max_intervals} log-line intervals"
             )
         self._weighted = None
-        u = np.empty(2 * n + 1)
-        u[::2] = self.u
-        u[1::2] = 0.5 * (self.u[:-1] + self.u[1:])
+        u = _halved(self.u)
         g = np.empty((2 * n + 1, self.g.shape[1]), dtype=np.complex128)
         g[::2] = self.g
         self.u, self.g = u, g
@@ -403,13 +423,16 @@ class LogLineSamples:
             self.u, self.g = u[::2].copy(), g[::2].copy()
             raise
 
-    def resolve(self, top: float):
-        """Halve h until 2 h top <= pi: T_2h then resolves every |lam| <= top."""
+    def _check_reach(self, top: float):
         if 2.0 * (self.hi - self.lo) * top > math.pi * self.max_intervals:
             raise QuadratureError(
                 f"lam = {top:g} needs more than the {self.max_intervals} log-line intervals "
                 "this window reaches"
             )
+
+    def resolve(self, top: float):
+        """Halve h until 2 h top <= pi: T_2h then resolves every |lam| <= top."""
+        self._check_reach(top)
         while 2.0 * self.step * top > math.pi:
             self._refine()
 
@@ -494,12 +517,21 @@ class LogLineSamples:
         return float(np.linalg.norm((fine + np.abs(fine - coarse)).reshape(k, k), 2))
 
     def tail_coefficient(self) -> float:
-        """C2 >= ||entrywise integral |g''| du||_2, from second differences on the nodes."""
-        return self._upper_norm(lambda u, g, h: np.abs(_second_differences(g)).sum(axis=0) / h)
+        """C2 >= ||entrywise integral |g''| du||_2, from second differences on the nodes.
+
+        The moduli are summed over the nodes by ``einsum('ij->j')``, which
+        is faster than a strided ``sum(axis=0)`` over k^2 columns and,
+        unlike a product with a vector of ones, allocates nothing of the
+        samples' length.
+        """
+        return self._upper_norm(lambda u, g, h: np.einsum("ij->j", np.abs(_second_differences(g))) / h)
 
     def lipschitz(self) -> float:
-        """L >= ||entrywise integral |u| |g(u)| du||_2, which bounds ||d symbol / d lam||_2."""
-        return self._upper_norm(lambda u, g, h: h * (np.abs(u)[:, None] * np.abs(g)).sum(axis=0))
+        """L >= ||entrywise integral |u| |g(u)| du||_2, which bounds ||d symbol / d lam||_2.
+
+        The sum over the nodes is the product |u| @ |g|.
+        """
+        return self._upper_norm(lambda u, g, h: h * (np.abs(u) @ np.abs(g)))
 
 
 class MellinSymbolFamily:
@@ -508,8 +540,9 @@ class MellinSymbolFamily:
     ``plan`` is the grid a scan may evaluate (by default the ``lambdas``
     evaluated at construction); ``grid()`` holds the lams evaluated so
     far, on the plan or added later by a scan.  Every value is a
-    trapezoid sum over the same log-line samples, whose step resolves the
-    whole plan before anything is evaluated.  From the samples at that
+    trapezoid sum over the same log-line samples, which arrive at the step
+    that resolves the whole plan (``mellin_transform`` takes them there in
+    one pass), before anything is evaluated.  From the samples at that
     step the family also carries a Lipschitz constant L of lam ->
     symbol(lam) and a decreasing tail bound ||symbol(lam)|| <= C2 / lam^2
     from two integrations by parts of the conjugated kernel.
@@ -525,8 +558,6 @@ class MellinSymbolFamily:
         self.max_quad_error = 0.0
         self._values: dict = {}
         self.plan = np.unique(np.asarray(lambdas if plan is None else plan, dtype=float))
-        if self.plan.size:
-            samples.resolve(float(np.abs(self.plan).max()))
         self._add(lambdas)
         self.tail_c2 = samples.tail_coefficient()
         self.lipschitz = samples.lipschitz()
@@ -580,23 +611,25 @@ def mellin_transform(
     window sized from the declared decay (mass outside below
     abs_tol * 1e-4), and every lam is a trapezoid sum over the samples:
     the fine phases of each lam against the samples, then the coarse
-    phases against the partial sums.  The step h is first halved until
-    2 h |lam| <= pi on the whole plan, and the tail constant C2 and the
-    Lipschitz constant come from second differences and moments on the
-    nodes of that step.  Explicit ``lambdas`` are the plan and are
-    evaluated at once; with ``lambdas=None`` the plan is
-    ``default_grid(lambda_max)`` and nothing is evaluated yet:
-    ``invertibility_scan`` evaluates the part of it that the tail bound
-    leaves uncertified, so ``lambda_max`` sets the resolution the tail
-    certificate trusts, not the points summed.  Each evaluation halves h
+    phases against the partial sums.  The samples are taken in one pass
+    at the step h that halving reaches when 2 h |lam| <= pi on the whole
+    plan, and the tail constant C2 and the Lipschitz constant come from
+    second differences and moments on the nodes of that step.  Explicit
+    ``lambdas`` are the plan and are evaluated at once; with
+    ``lambdas=None`` the plan is ``default_grid(lambda_max)`` and nothing
+    is evaluated yet: ``invertibility_scan`` evaluates the part of it
+    that the tail bound leaves uncertified, so ``lambda_max`` sets the
+    resolution the tail certificate trusts, not the points summed.  Each
+    evaluation halves h
     further until, in every entry, the estimate |T_h - T_2h| stays
     within abs_tol; past MAX_INTERVALS intervals the transform raises
     QuadratureError.
     """
     check_line_integrability(kernel, weight)
     plan = default_grid(lambda_max) if lambdas is None else None
+    top = np.abs(np.asarray(lambdas if plan is None else plan, dtype=float)).max(initial=0.0)
     u_minus, u_plus = _log_window(kernel, weight, tail_mass=abs_tol * 1e-4)
-    samples = LogLineSamples(kernel, weight, -u_minus, u_plus, abs_tol)
+    samples = LogLineSamples(kernel, weight, -u_minus, u_plus, abs_tol, float(top))
     return MellinSymbolFamily(kernel, weight, () if lambdas is None else lambdas, samples, plan)
 
 

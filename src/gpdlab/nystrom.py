@@ -20,8 +20,18 @@ Two independent discrete oracles:
   of sqrt(lambda_min(F_rho^H F_rho)).  For C_k the representations are
   the characters, complex but for j = 0 and k / 2; for D_k they are
   real, of dimension 1 or 2, so every block is real and has at most
-  2 N / |G| rows; the trivial group gives the whole matrix.  Each Gram
-  eigenvalue is within sqrt(N eps) sigma_max of the singular value
+  2 N / |G| rows; the trivial group gives the whole matrix.  Only the
+  least eigenvalue over all blocks is wanted, so one block is
+  eigen-solved first, and each later Gram matrix G is eigen-solved only
+  when a Cholesky factorization of G - (tau + delta) I fails, tau the
+  least eigenvalue so far and delta = 8 n eps trace(G), n = rows of G:
+  delta covers the backward error of Cholesky and of the eigensolver,
+  so a block that factors could not lower the minimum, and the result
+  is bit for bit the one every block's eigenvalue gives.  The first
+  block is the one that held the minimum at the previous level
+  (``nystrom_oracle``; table order at level 1): at levels 2-6 the
+  square, the pentagon and the L-shape then eigen-solve one block.  Each
+  Gram eigenvalue is within sqrt(N eps) sigma_max of the singular value
   (about N eps (sigma_max / sigma_min)^2 / 2 relative).  Against a full
   SVD of the whole weighted matrix the result agrees at levels 1-6 to
   7.3e-12 relative on the square, a rectangle, the regular 3- to
@@ -29,12 +39,18 @@ Two independent discrete oracles:
   kite and a four-fold pinwheel (3e-15 on the square and the rectangle,
   2e-14 on the L-shape).  Each node is placed from the nearer vertex of
   its edge, so mirror-image nodes have the same weights and vertex
-  distances to the last bit.  A level holds at most about two arrays of
-  the size of the representative rows: they are assembled in row
-  blocks, each F_rho is freed before the eigensolver copies its Gram
-  matrix, and the rows are freed before the last Gram matrix is formed
-  (a complex block of C_k also needs a conjugate copy for its Gram
-  product: 2.2 rows' sizes on a five-fold pinwheel);
+  distances to the last bit.  A level holds about two arrays of the
+  size of the representative rows: they are assembled in row
+  blocks, each F_rho is freed before its Gram matrix is eigen-solved or
+  factored, the Cholesky factor is dropped at once, the rows are freed
+  before the last Gram matrix is formed, and the Gram matrix of a
+  complex block of C_k is filled one row block at a time, with no
+  conjugate copy of F (1.85 rows' sizes on a five-fold pinwheel, 2.2
+  with one).  The block solved first is built while the rows are
+  alive, so when it is a group's largest (the 2-d block of D_3 or D_4,
+  or a complex block of C_4) the level holds the rows, its F and its
+  Gram matrix: 2.08 rows' sizes on the square, 2.4 on the equilateral
+  triangle;
 * the half-line model operator c + Mellin convolution at a single cone,
   discretized on a log-uniform mesh whose window grows with the level,
   used for adversarial kernels whose symbol hits zero.  It keeps the
@@ -226,6 +242,14 @@ def weighted_sigma_min(a: np.ndarray, mesh: PolygonMesh) -> float:
     least over G's irreducible representations rho of
     sqrt(lambda_min(F_rho^H F_rho)), F_rho = sum_g rho(g) (x) B_g, where
     B_g holds the columns of the nodes g(t), t < N / |G| (``_block``).
+    The blocks are taken in table order (``_representations``).  The
+    first is eigen-solved; every later Gram matrix G first goes through
+    ``_certified_above``, a Cholesky factorization of G - (tau + delta) I
+    with tau the least eigenvalue so far and delta = 8 n eps trace(G),
+    and is eigen-solved only when that fails.  delta covers the backward
+    error of the factorization and of ``eigvalsh``, so a skipped block
+    could not have lowered the minimum: the result is the one every
+    block's eigenvalue would give, bit for bit.
     ``a`` is overwritten by M's rows.  No reference to ``a`` is kept past
     the last F_rho, so rows that the caller hands over (``nystrom_oracle``
     keeps no name for them) are freed before its Gram matrix is formed.
@@ -234,6 +258,14 @@ def weighted_sigma_min(a: np.ndarray, mesh: PolygonMesh) -> float:
     (relative error about N eps (sigma_max / sigma_min)^2 / 2); a
     rounding-negative lambda_min of a singular M reads as 0.
     """
+    return _sigma_min_and_block(a, mesh)[0]
+
+
+def _sigma_min_and_block(a: np.ndarray, mesh: PolygonMesh, first: int = 0) -> tuple:
+    """(``weighted_sigma_min(a, mesh)``, the index in ``_representations``
+    of the block that holds it).  Block ``first`` is eigen-solved first,
+    then the others in table order, so when it holds the minimum every
+    other block can be certified above it."""
     b, k = len(a), mesh.rotation_order
     d = np.sqrt(mesh.weights / mesh.vertex_distance)
     a *= d[:b, None]
@@ -245,15 +277,57 @@ def weighted_sigma_min(a: np.ndarray, mesh: PolygonMesh) -> float:
     builders = [functools.partial(_block, rotations, mirrored, rho)
                 for rho in _representations(k, mesh.reflection)]
     del a, d, blocks, rotations, mirrored
-    lam = math.inf
-    while builders:
-        # the last builder to go holds the last views of the rows
-        f = builders.pop(0)()
-        gram = f.conj().T @ f
-        del f  # F is not live while the eigensolver copies F^H F
-        lam = min(lam, float(np.linalg.eigvalsh(gram)[0]))
-        del gram  # nor is F^H F while the next F is formed
-    return math.sqrt(max(lam, 0.0))
+    order = [first, *(i for i in range(len(builders)) if i != first)]
+    builders = [builders[i] for i in order]
+    lam, winner = math.inf, first
+    for i in order:
+        # the last builder to go holds the last views of the rows, and F is
+        # not live past its Gram product
+        gram = _gram(builders.pop(0)())
+        if lam == math.inf or not _certified_above(gram, lam):
+            block = float(np.linalg.eigvalsh(gram)[0])
+            if block < lam:
+                lam, winner = block, i
+        del gram  # F^H F is not live while the next F is formed
+    return math.sqrt(max(lam, 0.0)), winner
+
+
+def _gram(f: np.ndarray) -> np.ndarray:
+    """F^H F.  For a complex F it is filled one row block at a time from
+    the conjugate of F's columns for those rows, so no conjugate copy of
+    the whole of F is formed."""
+    if not np.iscomplexobj(f):
+        return f.T @ f
+    gram = np.empty((f.shape[1], f.shape[1]), dtype=f.dtype)
+    step = max(1, _ROW_BLOCK_ENTRIES // len(f))
+    for s in range(0, len(gram), step):
+        np.matmul(f[:, s : s + step].conj().T, f, out=gram[s : s + step])
+    return gram
+
+
+def _certified_above(gram: np.ndarray, tau: float) -> bool:
+    """Whether ``eigvalsh(gram)`` is certified to have no eigenvalue below tau.
+
+    The Hermitian n x n G is shifted to G - (tau + delta) I on its
+    diagonal, delta = 8 n eps trace(G), and factored by
+    ``np.linalg.cholesky``.  A factorization that completes is exact for
+    the shifted matrix plus E with ||E||_2 <= (n + 2) eps trace(G) (the
+    backward error (n + 1) eps |R^H| |R| of Cholesky, whose 2-norm is at
+    most the trace, plus the rounding of the shift), so lambda_min(G) >=
+    tau + (7 n - 2) eps trace(G); the least eigenvalue that ``eigvalsh``
+    computes is within a small multiple of n eps ||G||_2 <= n eps trace(G)
+    of lambda_min(G), so it is not below tau.  The factor is dropped at
+    once, and G's diagonal is written back exactly either way.
+    """
+    diag = gram.diagonal().copy()
+    np.fill_diagonal(gram, diag - (tau + 8 * len(gram) * np.finfo(float).eps * float(diag.real.sum())))
+    try:
+        np.linalg.cholesky(gram)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(gram, diag)
 
 
 def _representations(k: int, reflection: bool) -> list:
@@ -379,12 +453,14 @@ def nystrom_oracle(domain: LayerDomain, levels: int) -> SigmaTrace:
     """
     if levels < 1 or levels > MAX_NYSTROM_LEVELS:
         raise MeshError(f"levels must be between 1 and {MAX_NYSTROM_LEVELS}")
-    rows = []
+    rows, winner = [], 0
     for level in range(1, levels + 1):
         mesh = polygon_mesh(domain, BASE_PANELS * 2 ** (level - 1))
         # the rows are handed over: no name here holds them, so they are
-        # freed inside weighted_sigma_min before its last Gram matrix
-        rows.append(TraceRow(level, len(mesh.nodes), weighted_sigma_min(_half_plus_k(mesh), mesh)))
+        # freed inside _sigma_min_and_block before its last Gram matrix; the
+        # block that held sigma_min at the last level is eigen-solved first
+        sigma, winner = _sigma_min_and_block(_half_plus_k(mesh), mesh, winner)
+        rows.append(TraceRow(level, len(mesh.nodes), sigma))
     return SigmaTrace(rows, mesh.rotation_order, mesh.symmetry_order)
 
 

@@ -55,7 +55,11 @@ Gram eigenvalues of the rotation group's Fourier blocks.
 ``weighted_sigma_min_reference`` is ``gpdlab.weighted_sigma_min`` as it was
 over the rotation group alone (block row of the first N / k nodes, one
 Fourier block per character); for the trivial group the full-group code
-must give its sigma_min bit for bit.  ``polygon_symmetries_reference``
+must give its sigma_min bit for bit.  ``weighted_sigma_min_every_block_reference``
+eigen-solves every block of the full group, in table order, as
+``gpdlab.weighted_sigma_min`` did before it certified blocks above the
+running minimum by Cholesky; the pruned loop must give its sigma_min bit
+for bit.  ``polygon_symmetries_reference``
 finds the polygon's symmetries by brute force over the orthogonal maps of
 its vertex set and matches each mapped node to the nearest node, and
 ``group_matrix_reference`` rebuilds the whole matrix from the
@@ -105,7 +109,7 @@ from gpdlab.groupoid import (
 )
 from gpdlab.iso import is_pair_groupoid
 from gpdlab.mellin import KernelDecay, MellinError, MellinKernel, _cis
-from gpdlab.nystrom import PolygonMesh, _polygon_coords
+from gpdlab.nystrom import PolygonMesh, _block, _gram, _polygon_coords, _representations
 from gpdlab.specfiles import SchemaError
 
 
@@ -717,6 +721,16 @@ def weighted_sigma_min_reference(a: np.ndarray, mesh) -> float:
         omega = np.exp(2j * math.pi * (j * np.arange(k) % k) / k)
         f = np.einsum("arc,r->ac", blocks, omega.real if 2 * j % k == 0 else omega)
         lam = min(lam, float(np.linalg.eigvalsh(f.conj().T @ f)[0]))
+    return math.sqrt(max(lam, 0.0))
+
+
+def weighted_sigma_min_every_block_reference(a: np.ndarray, mesh) -> float:
+    b, k = len(a), mesh.rotation_order
+    d = np.sqrt(mesh.weights / mesh.vertex_distance)
+    blocks = (a * d[:b, None] / d).reshape(b, k, 2 if mesh.reflection else 1, b)
+    mirrored = blocks[:, :, 1, ::-1] if mesh.reflection else None
+    lam = min(float(np.linalg.eigvalsh(_gram(_block(blocks[:, :, 0], mirrored, rho)))[0])
+              for rho in _representations(k, mesh.reflection))
     return math.sqrt(max(lam, 0.0))
 
 

@@ -429,8 +429,22 @@ class TestScan:
         domain = sf.parse_domain(Path(me.__file__).parent / "corpus" / f"{name}.json")
         for v in domain.vertices:
             samples = me.mellin_transform(me.vertex_kernel(domain, v.id), 0.5, np.array([0.0]))._samples
-            want = samples._upper_norm(lambda u, g, h: np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]).sum(axis=0) / h)
+            want = samples._upper_norm(lambda u, g, h: np.einsum("ij->j", np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2])) / h)
             assert samples.tail_coefficient() == want
+            # the strided sum over the nodes that the contraction replaced
+            old = samples._upper_norm(lambda u, g, h: np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]).sum(axis=0) / h)
+            assert abs(want - old) <= 1e-14 * old
+
+    @pytest.mark.parametrize("name", ["square", "pentagon", "lshape"])
+    def test_lipschitz_constant_is_the_whole_array_moment(self, name):
+        domain = sf.parse_domain(Path(me.__file__).parent / "corpus" / f"{name}.json")
+        for v in domain.vertices:
+            samples = me.mellin_transform(me.vertex_kernel(domain, v.id), 0.5, np.array([0.0]))._samples
+            want = samples._upper_norm(lambda u, g, h: h * (np.abs(u) @ np.abs(g)))
+            assert samples.lipschitz() == want
+            # the strided sum over the nodes that the product replaced
+            old = samples._upper_norm(lambda u, g, h: h * (np.abs(u)[:, None] * np.abs(g)).sum(axis=0))
+            assert abs(want - old) <= 1e-14 * old
 
     def test_tail_constant_bounds_an_oscillating_kernel(self):
         # |g''| >= Re(-g'' e^(-i lam0 u)) integrates to lam0^2 c for the dip
@@ -910,3 +924,65 @@ class TestFactoredTrapezoid:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * samples.g.nbytes
+
+
+def _halving_chain(kern, weight, top):
+    """Log-line samples as a chain of refinements reaches them: sampled at the
+    start step, then halved, midpoints only, until 2 h top <= pi."""
+    u_minus, u_plus = me._log_window(kern, weight, tail_mass=me.DEFAULT_ABS_TOL * 1e-4)
+    samples = me.LogLineSamples(kern, weight, -u_minus, u_plus, me.DEFAULT_ABS_TOL)
+    samples.resolve(top)
+    return samples
+
+
+def _one_pass_cases():
+    yield from _engine_cases()
+    for lam0 in (0.125, 37.3, -120.7):
+        yield pytest.param(midpoint_dip_kernel(lam0), 0.5, id=f"dip-{lam0}")
+        yield pytest.param(vectorized_dip_kernel(lam0, 0.5), 0.5, id=f"vectorized-dip-{lam0}")
+
+
+class TestOnePassSampling:
+    """A transform samples its log line once, at the step its plan needs."""
+
+    @pytest.mark.parametrize("kern, weight", _one_pass_cases())
+    def test_samples_equal_the_halving_chain(self, kern, weight):
+        samples = me.mellin_transform(kern, weight)._samples
+        want = _halving_chain(kern, weight, me.DEFAULT_LAMBDA_MAX)
+        assert samples.u.tobytes() == want.u.tobytes()
+        assert samples.g.tobytes() == want.g.tobytes()
+
+    def test_one_kernel_call_for_the_plan(self):
+        calls = []
+        base = me.wedge_double_layer_kernel(math.pi / 2)
+
+        def fn(ts):
+            calls.append(len(ts))
+            return base.fn(ts)
+
+        kern = me.MellinKernel("k", 2, fn, base.decay, "counted", vectorized=True)
+        fam = me.mellin_transform(kern, 0.5)
+        assert calls == [len(fam._samples.u)]
+        assert 2.0 * fam._samples.step * me.DEFAULT_LAMBDA_MAX <= math.pi
+        assert 4.0 * fam._samples.step * me.DEFAULT_LAMBDA_MAX > math.pi
+
+    def test_frequency_past_the_reach_raises_before_any_kernel_call(self):
+        base = me.wedge_double_layer_kernel(math.pi / 2)
+
+        def fn(ts):
+            pytest.fail("kernel sampled")
+
+        kern = me.MellinKernel("k", 2, fn, base.decay, "untouched", vectorized=True)
+        with pytest.raises(me.QuadratureError,
+                           match=r"^lam = 8130 needs more than the 312320 log-line intervals this window reaches$"):
+            me.mellin_transform(kern, 0.5, [0.0, 8130.0])
+
+    def test_refinement_past_the_plan_keeps_the_samples(self):
+        # a lam beyond the plan halves the step as before: the old samples
+        # stay, and the midpoints equal a chain's
+        fam = me.mellin_transform(me.sech_test_kernel(), 0.5, np.array([0.0, 1.0, 100.0]))
+        old = fam._samples.g.copy()
+        fam.value(200.0)
+        assert np.array_equal(fam._samples.g[::2], old)
+        want = _halving_chain(me.sech_test_kernel(), 0.5, 200.0)
+        assert fam._samples.g.tobytes() == want.g.tobytes()

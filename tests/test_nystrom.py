@@ -33,9 +33,10 @@ def moved_square():
     return co.polygon_domain([(0, 0), (1, 0), (1, 1 + 1e-9), (0, 1)])
 
 
-def pinwheel():
-    """Eight vertices, each pair the previous one turned by pi / 2: four rotations, no reflection."""
-    return co.polygon_domain([(z.real, z.imag) for r in range(4) for z in (1j**r, 1j**r * (0.6 + 0.3j))])
+def pinwheel(k=4):
+    """2k vertices, each pair the previous one turned by 2 pi / k: k rotations, no reflection."""
+    turns = [np.exp(2j * math.pi * r / k) for r in range(k)] if k != 4 else [1j**r for r in range(4)]
+    return co.polygon_domain([(z.real, z.imag) for w in turns for z in (w, w * (0.6 + 0.3j))])
 
 
 # shape -> (rotation order, reflection): sigma_min is read from one block per
@@ -182,7 +183,8 @@ class TestRotationOrder:
         make, k, reflection = SYMMETRIES[name]
         mesh = ny.polygon_mesh(make(), 16)
         a = ny.double_layer_matrix(mesh)
-        shapes, eigvalsh = [], np.linalg.eigvalsh
+        blocks, shapes, gram, eigvalsh = [], [], ny._gram, np.linalg.eigvalsh
+        monkeypatch.setattr(ny, "_gram", lambda f: blocks.append(f.shape) or gram(f))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: shapes.append(g.shape) or eigvalsh(g))
         ny.weighted_sigma_min(a, mesh)
         b = len(mesh.nodes) // mesh.symmetry_order
@@ -190,8 +192,10 @@ class TestRotationOrder:
         # 2 or 4 of dimension 1 and (k - 1) // 2 of dimension 2; C_k has k // 2 + 1
         one = 2 if k % 2 else 4
         want = ([b] * one + [2 * b] * ((k - 1) // 2)) if reflection else [b] * (k // 2 + 1)
-        assert sorted(rows for rows, _ in shapes) == want
-        assert all(r == c for r, c in shapes)
+        assert sorted(rows for rows, _ in blocks) == want
+        assert all(r == c for r, c in blocks)
+        # the eigensolver sees some of those blocks' Gram matrices, the first always
+        assert shapes and set(shapes) <= set(blocks)
 
 
 def characters(k, reflection):
@@ -352,6 +356,72 @@ class TestGramSigmaMin:
         assert abs(sigma - s_min) <= math.sqrt(n * np.finfo(float).eps) * s[0]
 
 
+def eigvalsh_calls_per_level(domain, levels, monkeypatch):
+    """nystrom_oracle(domain, levels) and the number of eigvalsh calls at each level."""
+    counts, mesh, eigvalsh = [], ny.polygon_mesh, np.linalg.eigvalsh
+    monkeypatch.setattr(ny, "polygon_mesh", lambda *args: counts.append(0) or mesh(*args))
+
+    def counted(g):
+        counts[-1] += 1
+        return eigvalsh(g)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return ny.nystrom_oracle(domain, levels), counts
+
+
+class TestBlockPruning:
+    """Blocks certified above the running minimum are not eigen-solved; the
+    oracle is the loop that eigen-solves every block."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES) + ["pinwheel5", "corpus-square", "corpus-pentagon"])
+    def test_equals_every_block_solved_bit_for_bit(self, name):
+        if name.startswith("corpus-"):
+            domain = sf.parse_domain(Path(ny.__file__).parent / "corpus" / f"{name[7:]}.json")
+        else:
+            domain = pinwheel(5) if name == "pinwheel5" else SYMMETRIES[name][0]()
+        want = []
+        for level in range(1, 7):
+            mesh = ny.polygon_mesh(domain, ny.BASE_PANELS * 2 ** (level - 1))
+            want.append(reference.weighted_sigma_min_every_block_reference(ny._half_plus_k(mesh), mesh))
+            a = ny._half_plus_k(mesh)
+            assert ny.weighted_sigma_min(a, mesh) == want[-1]
+        assert ny.nystrom_oracle(domain, 6).sigmas() == want
+
+    @pytest.mark.parametrize("name, counts", [
+        ("square", [4, 1, 1, 1, 1, 1]),
+        ("lshape", [1, 1, 1, 1, 1, 1]),
+        ("random-triangle", [1, 1, 1, 1, 1, 1]),
+    ])
+    def test_eigensolver_calls_per_level(self, name, counts, monkeypatch):
+        # from level 2 the block that held the minimum is solved first, and
+        # every other block of the square and the L-shape is certified above it
+        trace, got = eigvalsh_calls_per_level(SYMMETRIES[name][0](), 6, monkeypatch)
+        assert got == counts
+        assert len(trace.rows) == 6
+
+    def test_certificate_skips_only_blocks_clearly_above(self):
+        n, rng = 64, np.random.default_rng(9)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        eps = np.finfo(float).eps
+        for lam_min, certified in ((2.0, True), (1.0 + 1e-9, True), (1.0, False), (0.5, False)):
+            lams = np.linspace(lam_min, 10.0, n)
+            gram = (q * lams) @ q.T
+            gram = 0.5 * (gram + gram.T)
+            delta = 8 * n * eps * np.trace(gram)
+            kept = gram.copy()
+            assert ny._certified_above(gram, 1.0) is certified
+            assert gram.tobytes() == kept.tobytes()  # the diagonal is written back exactly
+            # inside delta above tau: still eigen-solved
+            assert not ny._certified_above(gram, lam_min - 0.5 * delta)
+
+    def test_complex_gram_equals_the_conjugate_product(self):
+        rng = np.random.default_rng(4)
+        f = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+        got = ny._gram(f)
+        want = f.conj().T @ f
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestMirrorImages:
     def test_mirror_image_nodes_agree_to_the_last_bit(self):
         # each node is placed from its nearer vertex, so the reflection of the
@@ -379,13 +449,16 @@ class TestMirrorImages:
 
 
 class TestMemory:
-    @pytest.mark.parametrize("name", ["random-triangle", "lshape", "square"])
+    @pytest.mark.parametrize("name", ["random-triangle", "lshape", "square", "pinwheel5"])
     def test_a_level_holds_two_arrays_of_the_rows_size(self, name):
         # the representative rows (N / |G| x N) and one Gram-sized array;
-        # the eigensolver's own copy of the Gram matrix is not traced
+        # the eigensolver's own copy of the Gram matrix is not traced.  The
+        # five-fold pinwheel's complex blocks take their Gram matrices
+        # without a conjugate copy of F (2.21 x with one)
+        domain = pinwheel(5) if name == "pinwheel5" else SYMMETRIES[name][0]()
         tracemalloc.start()
         try:
-            trace = ny.nystrom_oracle(SYMMETRIES[name][0](), levels=6)
+            trace = ny.nystrom_oracle(domain, levels=6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
