@@ -469,16 +469,21 @@ def is_invariant(g: FiniteGroupoid, a) -> bool:
 # groups presented by multiplication tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity, as OrbitPartition is
 class GroupTable:
     """A finite group as an explicit multiplication table.
 
-    ``table[i][j]`` is the index of ``elements[i] * elements[j]``.
+    ``table[i, j]`` is the index of ``elements[i] * elements[j]`` in a read-only
+    (n, n) int64 array; ``inverses`` and ``element_orders`` are cached read-only
+    arrays over the same indices.  :meth:`from_table` and :meth:`from_mul` check the group laws.
     """
 
     elements: tuple
-    table: tuple
+    table: np.ndarray
     identity: int
+
+    def __post_init__(self):  # a view, so a caller's own array stays writeable
+        object.__setattr__(self, "table", _read_only(np.asarray(self.table, np.int64).view()))
 
     @classmethod
     def from_mul(cls, elements, mul: Callable[[Any, Any], Any]) -> "GroupTable":
@@ -489,19 +494,22 @@ class GroupTable:
     @classmethod
     def from_table(cls, elements, table) -> "GroupTable":
         """The group whose ``table[i][j]`` is the index of elements[i] * elements[j]."""
-        elements, table = tuple(elements), tuple(map(tuple, table))
+        elements = tuple(elements)
         n = len(elements)
-        flat = np.fromiter((x for row in table for x in row), np.int64)
-        if len(flat) != n * n or _non_groups(np.array([n]), np.zeros(n * n, np.int64),
-                                             *np.divmod(np.arange(n * n), n), flat)[0]:
+        try:
+            table = np.array(table, np.int64)
+        except ValueError:  # ragged rows
+            table = np.zeros(0, np.int64)
+        if table.shape != (n, n) or _non_groups(np.array([n]), np.zeros(n * n, np.int64),
+                                                 *np.divmod(np.arange(n * n), n), table.ravel())[0]:
             raise GroupoidError("multiplication table is not a group")
-        return cls(elements, table, int(np.argmax(flat[::n + 1] == np.arange(n))))  # the idempotent
+        return cls(elements, table, int(np.argmax(table.diagonal() == np.arange(n))))  # the idempotent
 
     @classmethod
     def cyclic(cls, m: int) -> "GroupTable":
         if m < 1:
             raise GroupoidError("cyclic group order must be >= 1")
-        return cls.from_mul(range(m), lambda a, b: (a + b) % m)
+        return cls(tuple(range(m)), np.add.outer(np.arange(m), np.arange(m)) % m, 0)
 
     @classmethod
     def trivial(cls) -> "GroupTable":
@@ -510,8 +518,8 @@ class GroupTable:
     @classmethod
     def product(cls, a: "GroupTable", b: "GroupTable") -> "GroupTable":
         n, size = b.order, a.order * b.order  # (x, y) has index x * n + y
-        return cls.from_table(itertools.product(a.elements, b.elements), [
-            [a.table[i // n][j // n] * n + b.table[i % n][j % n] for j in range(size)] for i in range(size)])
+        table = (a.table[:, None, :, None] * n + b.table[None, :, None, :]).reshape(size, size)
+        return cls(tuple(itertools.product(a.elements, b.elements)), table, a.identity * n + b.identity)
 
     @classmethod
     def symmetric(cls, n: int) -> "GroupTable":
@@ -523,26 +531,33 @@ class GroupTable:
         return len(self.elements)
 
     def mul(self, a, b):
-        i = self.elements.index(a)
-        j = self.elements.index(b)
-        return self.elements[self.table[i][j]]
+        return self.elements[self.table[self.elements.index(a), self.elements.index(b)]]
+
+    inverses = cached_property(lambda t: _read_only(np.argmax(t.table == t.identity, axis=1)))
+
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        """Per element x, the least k >= 1 with x^k the identity."""
+        x = np.arange(self.order)
+        orders, power = np.zeros(self.order, np.int64), x
+        for k in range(1, self.order + 1):  # every order divides the group's
+            orders[(orders == 0) & (power == self.identity)] = k
+            power = self.table[power, x]
+        return _read_only(orders)
 
     def inverse_index(self, i: int) -> int:
-        return self.table[i].index(self.identity)
-
-    def element_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != self.identity:
-            cur = self.table[cur][i]
-            k += 1
-        return k
+        return int(self.inverses[i])
 
     def order_profile(self) -> tuple:
-        return tuple(sorted(self.element_order(i) for i in range(self.order)))
+        return tuple(sorted(self.element_orders.tolist()))
 
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[a][b] == self.table[b][a] for a in range(n) for b in range(n))
+        return bool((self.table == self.table.T).all())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _non_groups(n, o, a, b, val) -> np.ndarray:
@@ -589,26 +604,28 @@ def find_group_isomorphism(a: GroupTable, b: GroupTable):
     if a.order_profile() != b.order_profile():
         return None
     n = a.order
-    orders_a = [a.element_order(i) for i in range(n)]
-    orders_b = [b.element_order(i) for i in range(n)]
+    orders_a, orders_b = a.element_orders.tolist(), b.element_orders.tolist()
+    ta, tb = a.table.tolist(), b.table.tolist()  # lists: reading the arrays per entry is 4x slower
     mapping = [-1] * n
     used = [False] * n
     mapping[a.identity] = b.identity
     used[b.identity] = True
 
+    def consistent():  # where x, y and xy are all mapped, xy maps to the product of their images
+        known = [i for i in range(n) if mapping[i] != -1]
+        return all(mapping[ta[i][j]] in (-1, tb[mapping[i]][mapping[j]]) for i in known for j in known)
+
     def extend(i):
         if i == n:
             return True
-        if i == a.identity:
-            return extend(i + 1)
-        if mapping[i] != -1:
+        if mapping[i] != -1:  # the identity, mapped first
             return extend(i + 1)
         for j in range(n):
             if used[j] or orders_b[j] != orders_a[i]:
                 continue
             mapping[i] = j
             used[j] = True
-            if _consistent(a, b, mapping) and extend(i + 1):
+            if consistent() and extend(i + 1):
                 return True
             mapping[i] = -1
             used[j] = False
@@ -617,20 +634,6 @@ def find_group_isomorphism(a: GroupTable, b: GroupTable):
     if extend(0):
         return tuple(mapping)
     return None
-
-
-def _consistent(a: GroupTable, b: GroupTable, mapping) -> bool:
-    n = a.order
-    for i in range(n):
-        if mapping[i] == -1:
-            continue
-        for j in range(n):
-            if mapping[j] == -1:
-                continue
-            k = a.table[i][j]
-            if mapping[k] != -1 and b.table[mapping[i]][mapping[j]] != mapping[k]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +677,7 @@ class OrbitPartition:
             raise GroupoidError("multiplication table is not a group")
         n, (_, a, b, val) = self.orders, self._tables
         arrows, ident = self.groupoid.arrows, a[(a == b) & (val == a)]  # each group's one idempotent
-        return tuple(GroupTable(tuple(arrows[x] for x in self.loops[lo:lo + k]),
-                                tuple(map(tuple, val[t:t + k * k].reshape(k, k).tolist())), int(e))
+        return tuple(GroupTable(tuple(arrows[x] for x in self.loops[lo:lo + k]), val[t:t + k * k].reshape(k, k), int(e))
                      for lo, k, t, e in zip(self.loop_start, n, np.cumsum(n * n) - n * n, ident))
 
     def orbit_of(self, x) -> int:
@@ -720,7 +722,7 @@ def isotropy_table(g: FiniteGroupoid, x) -> GroupTable:
     loops = np.flatnonzero((g.dom_i == i) & (g.rng_i == i))
     prod = g._mul_idx(loops[:, None], loops[None, :])  # -1 where undefined
     table = np.where(np.isin(prod, loops), np.searchsorted(loops, prod), -1)
-    return GroupTable.from_table([g.arrows[a] for a in loops], table.tolist())
+    return GroupTable.from_table([g.arrows[a] for a in loops], table)
 
 
 def orbits_and_isotropy(g: FiniteGroupoid, check: bool = True) -> OrbitPartition:
@@ -879,13 +881,12 @@ def build_group_bundle(base_units, group: GroupTable) -> FiniteGroupoid:
     if len(set(base_units)) != n:
         raise GroupoidError("duplicate unit ids")
     base, e = np.divmod(np.arange(n * k), k)
-    inverse = np.array([group.inverse_index(i) for i in range(k)], np.int64)
     p1, b = np.repeat(np.arange(n * k), k), np.tile(np.arange(k), n * k)
     fiber = p1 - p1 % k
     return FiniteGroupoid._from_arrays(
         base_units, [(x, a) for x in base_units for a in group.elements],
-        base, base, base * k + inverse[e], np.arange(n) * k + group.identity,
-        p1, fiber + b, fiber + np.array(group.table, np.int64)[p1 % k, b],
+        base, base, base * k + group.inverses[e], np.arange(n) * k + group.identity,
+        p1, fiber + b, fiber + group.table[p1 % k, b],
     )
 
 
@@ -902,8 +903,7 @@ def build_action(group: GroupTable, points, act: Callable[[Any, Any], Any]) -> F
     index, k, m = _index(points), len(points), group.order
     if len(index) != k:
         raise GroupoidError("duplicate unit ids")
-    table = np.array(group.table, np.int64)
-    inv = np.argmax(table == group.identity, axis=1)
+    table, inv = group.table, group.inverses
     dom = np.fromiter((index.get(act(x, group.elements[i]), -1) for x in points for i in inv), np.int64, k * m)
     if (dom < 0).any():
         raise GroupoidError("action leaves the point set")

@@ -298,10 +298,15 @@ DEFAULT_ABS_TOL = 1e-9
 DEFAULT_LAMBDA_MAX = 200.0
 
 
-def default_grid(lambda_max: float = DEFAULT_LAMBDA_MAX) -> np.ndarray:
-    """Symmetric grid, dense near 0 where order-(-1) symbols live."""
+def _checked_lambda_max(lambda_max: float) -> float:
     if not (math.isfinite(lambda_max) and lambda_max > 0):
         raise MellinError(f"lambda_max must be finite and positive, got {lambda_max!r}")
+    return float(lambda_max)
+
+
+def default_grid(lambda_max: float = DEFAULT_LAMBDA_MAX) -> np.ndarray:
+    """Symmetric grid, dense near 0 where order-(-1) symbols live; it ends at +-lambda_max."""
+    _checked_lambda_max(lambda_max)
     lam = np.concatenate(
         [
             np.arange(0.0, 10.0 + 1e-12, 0.25),
@@ -592,10 +597,14 @@ class MellinSymbolFamily:
         """The largest |lam| planned or evaluated."""
         return float(max([np.abs(self.plan).max(initial=0.0), *map(abs, self._values)]))
 
-    def tail_bound(self, lam: float) -> float:
-        if lam <= 0:
-            return math.inf
-        return self.tail_c2 / (lam * lam)
+    def tail_bound(self, lam):
+        """C2 / lam^2, a bound on ||symbol|| past lam, at a scalar or an array of lams;
+        inf where lam <= 0 or lam^2 underflows to 0 (and C2 over a subnormal lam^2)."""
+        lam = np.asarray(lam, dtype=float)
+        ok = (lam > 0) & (lam * lam > 0)
+        with np.errstate(over="ignore"):
+            out = np.where(ok, self.tail_c2 / np.where(ok, lam * lam, 1.0), math.inf)
+        return out if out.ndim else float(out)
 
 
 def mellin_transform(
@@ -626,10 +635,13 @@ def mellin_transform(
     QuadratureError.
     """
     check_line_integrability(kernel, weight)
-    plan = default_grid(lambda_max) if lambdas is None else None
-    top = np.abs(np.asarray(lambdas if plan is None else plan, dtype=float)).max(initial=0.0)
+    if lambdas is None:  # the plan ends at lambda_max; the reach is checked before it is built
+        top = _checked_lambda_max(lambda_max)
+    else:
+        top = np.abs(np.asarray(lambdas, dtype=float)).max(initial=0.0)
     u_minus, u_plus = _log_window(kernel, weight, tail_mass=abs_tol * 1e-4)
     samples = LogLineSamples(kernel, weight, -u_minus, u_plus, abs_tol, float(top))
+    plan = default_grid(lambda_max) if lambdas is None else None
     return MellinSymbolFamily(kernel, weight, () if lambdas is None else lambdas, samples, plan)
 
 
@@ -721,7 +733,7 @@ def invertibility_scan(
         raise MellinError("scan requires a nonzero constant term")
     planned = np.unique(np.abs(family.plan))
     planned = planned[planned > 0.0]
-    tails = family.tail_c2 / (planned * planned)  # tail bounds at the planned |lam|
+    tails = family.tail_bound(planned)
 
     def reach(ok: np.ndarray) -> float:
         """The first planned |lam| where ok holds, else the plan's last."""
@@ -759,7 +771,7 @@ def invertibility_scan(
         a, b = lams[:-1], lams[1:]
         same = a * b > 0
         near = np.where(same, np.minimum(np.abs(a), np.abs(b)), 1.0)
-        tail = np.where(same, abs(c) - family.tail_c2 / near**2, -np.inf)
+        tail = np.where(same, abs(c) - family.tail_bound(near), -np.inf)
         lip = 0.5 * (sig[:-1] + sig[1:] - family.lipschitz * (b - a))
         bounds = np.minimum(np.minimum(sig[:-1], sig[1:]), np.maximum(lip, tail))
         split = (bounds <= sigma_tol) & (family.lipschitz * (b - a) > sigma_tol)

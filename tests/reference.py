@@ -72,6 +72,11 @@ it sampled through ``MellinKernel.values``.  ``reflect_kernel_reference``
 and ``adjoint_kernel_reference`` are the scalar flips k(1/t) t^(-2a) and
 conj(k(1/t))^T t^(-2a), with Python's ``**`` on each node.
 
+``find_group_isomorphism_reference`` is ``gpdlab.find_group_isomorphism``
+as it was on tuple-of-tuples tables, with element orders found by walking
+powers one element at a time; the search on array tables must return the
+same map.
+
 ``trapezoid_reference`` is ``LogLineSamples._trapezoid`` as it was before
 the sum was factored: it forms the full (lams x even nodes) phase matrix,
 each entry the product of a coarse and a fine phase, and multiplies it by
@@ -100,8 +105,10 @@ from gpdlab.algebra import (
 from gpdlab.fredholm import CriterionVerdict, FredholmStructure, SpectralCheckReport, StructureError
 from gpdlab.gluing import AtlasError, GluedGroupoid, GluingError
 from gpdlab.groupoid import (
+    GROUP_ISO_SEARCH_CAP,
     MAX_WITNESSES_PER_AXIOM,
     FiniteGroupoid,
+    GroupoidError,
     as_unit_subset,
     is_invariant,
     orbits_and_isotropy,
@@ -836,3 +843,63 @@ def trapezoid_reference(samples, lams: np.ndarray):
         vals[s : s + rows] = h * (even + odd)
         errs[s : s + rows] = h * np.max(np.abs(odd - even), axis=1)
     return vals, errs
+
+
+def find_group_isomorphism_reference(a, b):
+    """An isomorphism index map from group a to group b (a tuple), or None."""
+    ta, tb = (tuple(map(tuple, t.table.tolist())) for t in (a, b))
+
+    def element_order(table, identity, i):
+        k, cur = 1, i
+        while cur != identity:
+            cur = table[cur][i]
+            k += 1
+        return k
+
+    if a.order != b.order:
+        return None
+    if a.order > GROUP_ISO_SEARCH_CAP:
+        raise GroupoidError(f"group isomorphism search capped at order {GROUP_ISO_SEARCH_CAP}")
+    n = a.order
+    orders_a = [element_order(ta, a.identity, i) for i in range(n)]
+    orders_b = [element_order(tb, b.identity, i) for i in range(n)]
+    if sorted(orders_a) != sorted(orders_b):
+        return None
+    mapping = [-1] * n
+    used = [False] * n
+    mapping[a.identity] = b.identity
+    used[b.identity] = True
+
+    def consistent():
+        for i in range(n):
+            if mapping[i] == -1:
+                continue
+            for j in range(n):
+                if mapping[j] == -1:
+                    continue
+                k = ta[i][j]
+                if mapping[k] != -1 and tb[mapping[i]][mapping[j]] != mapping[k]:
+                    return False
+        return True
+
+    def extend(i):
+        if i == n:
+            return True
+        if i == a.identity:
+            return extend(i + 1)
+        if mapping[i] != -1:
+            return extend(i + 1)
+        for j in range(n):
+            if used[j] or orders_b[j] != orders_a[i]:
+                continue
+            mapping[i] = j
+            used[j] = True
+            if consistent() and extend(i + 1):
+                return True
+            mapping[i] = -1
+            used[j] = False
+        return False
+
+    if extend(0):
+        return tuple(mapping)
+    return None

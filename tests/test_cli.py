@@ -413,6 +413,13 @@ def test_mellin_scan_bad_lambda_max_exits_two(runner, value, shown):
     assert res.stderr == f"error: lambda_max must be finite and positive, got {shown}\n"
 
 
+@pytest.mark.parametrize("value, shown", [("1e9", "1e+09"), ("1e300", "1e+300")])
+def test_mellin_scan_out_of_reach_lambda_max_exits_two(runner, value, shown):
+    res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--lambda-max", value])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"error: lam = {shown} needs more than the 312320 log-line intervals this window reaches\n"
+
+
 def test_mellin_scan_nan_weight_exits_two(runner):
     res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--weight", "nan"])
     assert (res.exit_code, res.stdout) == (2, "")

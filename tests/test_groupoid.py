@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,102 @@ class TestGroupTable:
         loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
         with pytest.raises(GroupoidError, match="^multiplication table is not a group$"):
             gl.GroupTable.from_table(range(5), loop)
+
+    @pytest.mark.parametrize("table", [[[0, 1], [1]], [[0, 1, 0], [1, 0, 1]], [[0, 1]]],
+                             ids=["ragged", "two-by-three", "one-row"])
+    def test_misshapen_tables_rejected(self, table):
+        with pytest.raises(GroupoidError, match="^multiplication table is not a group$"):
+            gl.GroupTable.from_table(range(2), table)
+
+    def test_built_ins_equal_the_checked_construction(self):
+        def cyclic(m):
+            return gl.GroupTable.from_mul(range(m), lambda a, b: (a + b) % m)
+
+        def product(a, b):
+            return gl.GroupTable.from_mul(itertools.product(a.elements, b.elements),
+                                          lambda x, y: (a.mul(x[0], y[0]), b.mul(x[1], y[1])))
+
+        s3 = gl.GroupTable.symmetric(3)
+        cases = [(gl.GroupTable.trivial(), gl.GroupTable.from_mul([0], lambda a, b: 0))]
+        cases += [(gl.GroupTable.cyclic(m), cyclic(m)) for m in (1, 2, 5, 12, 64)]
+        for a, b in [(cyclic(2), cyclic(3)), (cyclic(4), cyclic(4)), (s3, cyclic(2)), (cyclic(2), s3)]:
+            cases.append((gl.GroupTable.product(a, b), product(a, b)))
+        cases.append((gl.GroupTable.product(gl.GroupTable.product(s3, cyclic(2)), cyclic(3)),
+                      product(product(s3, cyclic(2)), cyclic(3))))
+        for built, checked in cases:
+            assert built.elements == checked.elements and built.identity == checked.identity
+            assert built.table.tolist() == checked.table.tolist()
+
+    def test_built_ins_skip_the_group_check(self, monkeypatch):
+        s3 = gl.GroupTable.symmetric(3)
+
+        def refuse(*args):
+            pytest.fail("a built-in group was checked")
+
+        monkeypatch.setattr("gpdlab.groupoid._non_groups", refuse)
+        z64 = gl.GroupTable.cyclic(64)
+        gl.GroupTable.product(z64, gl.GroupTable.trivial())
+        gl.GroupTable.product(gl.GroupTable.product(s3, gl.GroupTable.cyclic(2)), z64)
+        with pytest.raises(pytest.fail.Exception):  # a table from outside is still checked
+            gl.GroupTable.from_table(range(2), [[0, 1], [1, 0]])
+
+    def test_tables_are_read_only(self):
+        g = gl.build_product(gl.build_pair(range(2)), gl.build_group_bundle(["z"], gl.GroupTable.symmetric(3)))
+        z2 = gl.GroupTable.cyclic(2)
+        tables = [z2, gl.GroupTable.trivial(), gl.GroupTable.product(z2, gl.GroupTable.cyclic(3)),
+                  gl.GroupTable.symmetric(3), gl.GroupTable.from_table(range(2), [[0, 1], [1, 0]]),
+                  *gl.orbits_and_isotropy(g).isotropy, isotropy_table(g, (1, "z"))]
+        for t in tables:
+            assert t.table.dtype == np.int64 and t.table.shape == (t.order, t.order)
+            assert not (t.table.flags.writeable or t.inverses.flags.writeable or t.element_orders.flags.writeable)
+            with pytest.raises(ValueError, match="read-only"):
+                t.table[0, 0] = 0
+
+    def test_callers_arrays_stay_their_own(self):
+        own = np.array([[0, 1], [1, 0]])
+        t = gl.GroupTable((0, 1), own, 0)
+        assert own.flags.writeable and not t.table.flags.writeable
+        checked = gl.GroupTable.from_table(range(2), own)
+        own[0, 0] = 1
+        assert checked.table.tolist() == [[0, 1], [1, 0]]
+
+    def test_inverses_and_orders_agree_with_walks(self):
+        for name, t in iso_test_groups().items():
+            n, table, e = t.order, t.table.tolist(), t.identity
+            inverses = [next(j for j in range(n) if table[i][j] == e) for i in range(n)]
+            orders = []
+            for i in range(n):
+                k, power = 1, i
+                while power != e:
+                    k, power = k + 1, table[power][i]
+                orders.append(k)
+            assert t.inverses.tolist() == inverses == [t.inverse_index(i) for i in range(n)], name
+            assert all(table[j][i] == e for i, j in enumerate(inverses)), name
+            assert t.element_orders.tolist() == orders and t.order_profile() == tuple(sorted(orders)), name
+            assert t.is_abelian() == all(table[i][j] == table[j][i] for i in range(n) for j in range(n)), name
+
+    def test_isomorphism_search_matches_the_reference(self):
+        groups = list(iso_test_groups().values())
+        found = 0
+        for a in groups:
+            for b in groups:
+                mapping = gl.find_group_isomorphism(a, b)
+                assert mapping == reference.find_group_isomorphism_reference(a, b)
+                found += mapping is not None
+        assert (len(groups), found) == (28, 38)  # 21 singleton classes, one of 3 groups, two of 2
+
+
+def iso_test_groups() -> dict:
+    """Cyclic, product and symmetric groups of order up to 24, by name."""
+    G, p = gl.GroupTable, gl.GroupTable.product
+    c = {m: G.cyclic(m) for m in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 24)}
+    s3, k4 = G.symmetric(3), p(c[2], c[2])
+    return {**{f"C{m}": t for m, t in c.items()},
+            "C2xC2": k4, "C2xC3": p(c[2], c[3]), "C3xC2": p(c[3], c[2]), "S3": s3,
+            "C4xC2": p(c[4], c[2]), "C2xC4": p(c[2], c[4]), "(C2xC2)xC2": p(k4, c[2]),
+            "C3xC3": p(c[3], c[3]), "C6xC2": p(c[6], c[2]), "S3xC2": p(s3, c[2]), "C2xS3": p(c[2], s3),
+            "(C2xC2)x(C2xC2)": p(k4, k4), "C4xC4": p(c[4], c[4]), "C8xC2": p(c[8], c[2]),
+            "S4": G.symmetric(4), "S3xC4": p(s3, c[4]), "C12xC2": p(c[12], c[2])}
 
 
 class TestIsoSearch:

@@ -547,6 +547,30 @@ def test_default_grid_refuses_a_bad_lambda_max(lambda_max):
         me.default_grid(lambda_max)
 
 
+def test_a_huge_lambda_max_is_refused_before_the_grid_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(me.QuadratureError,
+                           match=r"^lam = 1e\+09 needs more than the 312320 log-line intervals this window reaches$"):
+            me.mellin_transform(me.wedge_double_layer_kernel(math.pi / 2), 0.5, lambda_max=1e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the default grid to 1e9 would take 3.2 GB
+
+
+@pytest.mark.parametrize("lambda_max", [1e-160, 1e-300])
+def test_square_corner_scan_from_a_tiny_lambda_max(lambda_max):
+    # C2 / lam^2 overflows at 1e-160 (lam^2 is subnormal) and lam^2 is 0 at
+    # 1e-300; a warning on the way fails the test (filterwarnings = error)
+    fam = me.mellin_transform(me.wedge_double_layer_kernel(math.pi / 2), 0.5, lambda_max=lambda_max)
+    res = me.invertibility_scan(fam, 0.5)
+    assert res.invertible and abs(res.min_sigma - (0.5 - math.cos(math.pi / 4) / 2)) < 1e-12
+    bounds = fam.tail_bound(np.array([-1.0, 0.0, 1e-300, 1e-160, 2.0]))
+    assert bounds.tolist() == [math.inf] * 4 + [fam.tail_c2 / 4.0]
+    assert fam.tail_bound(1e-300) == math.inf and fam.tail_bound(2.0) == fam.tail_c2 / 4.0
+
+
 def test_scan_of_a_zero_only_grid_refuses():
     fam = me.mellin_transform(me.sech_test_kernel(), 0.5, np.array([0.0]))
     with pytest.raises(me.MellinError, match="nonzero lambda"):
