@@ -106,23 +106,26 @@ class LayerDomain:
 
     def __post_init__(self):
         if self.dimension < 2:
-            raise DomainError("dimension must be >= 2")
+            raise DomainError("dimension must be >= 2", field="n")
         if not self.no_cracks:
-            raise DomainError("domains with cracks are out of scope")
+            raise DomainError("domains with cracks are out of scope", field="no_cracks")
         ids = [v.id for v in self.vertices]
-        if len(set(ids)) != len(ids):
-            raise DomainError("vertex ids must be distinct")
+        if (i := _first_repeat(ids)) is not None:
+            raise DomainError("vertex ids must be distinct", field=f"vertices[{i}].id")
         coords = [v.coords for v in self.vertices]
-        known = [x for x in coords if x is not None]
-        if len(set(known)) != len(known):
-            raise DomainError("vertex coordinates must be distinct (disjoint neighborhoods)")
-        for v in self.vertices:
+        if (i := _first_repeat(coords)) is not None:
+            raise DomainError("vertex coordinates must be distinct (disjoint neighborhoods)",
+                              field=f"vertices[{i}].coords")
+        for i, v in enumerate(self.vertices):
             if self.dimension == 2 and not isinstance(v.base, RayBase):
-                raise DomainError(f"vertex {v.id!r}: planar vertices need ray bases")
+                raise DomainError(f"vertex {v.id!r}: planar vertices need ray bases",
+                                  field=f"vertices[{i}].base")
             if self.dimension >= 3 and not isinstance(v.base, NamedBase):
-                raise DomainError(f"vertex {v.id!r}: named bases required for dimension >= 3")
+                raise DomainError(f"vertex {v.id!r}: named bases required for dimension >= 3",
+                                  field=f"vertices[{i}].base")
             if v.base.components < 1:
-                raise DomainError(f"vertex {v.id!r}: base needs at least one boundary component")
+                raise DomainError(f"vertex {v.id!r}: base needs at least one boundary component",
+                                  field=f"vertices[{i}].base")
         polygon = self.dimension == 2 and coords and None not in coords
         if polygon:
             self._check_polygon(coords)
@@ -144,6 +147,9 @@ class LayerDomain:
                 field="vertices",
             )
         for i, (v, rays) in enumerate(zip(self.vertices, _rays(coords))):
+            if v.k != 2:
+                raise DomainError(f"vertex {v.id!r} is a polygon corner, which has two rays, not {v.k}",
+                                  field=f"vertices[{i}].base.angles")
             declared, opening = v.base.opening(), RayBase(rays).opening()
             if not abs(declared - opening) <= OPENING_TOL:
                 raise DomainError(
@@ -179,6 +185,17 @@ class LayerDomain:
 
     def component_counts(self) -> tuple:
         return tuple(v.k for v in self.vertices)
+
+
+def _first_repeat(items: list) -> Optional[int]:
+    """The index of the first item equal to an earlier one, else None; a
+    None (a missing value) repeats freely."""
+    seen = set()
+    for i, x in enumerate(items):
+        if x is not None and x in seen:
+            return i
+        seen.add(x)
+    return None
 
 
 # -- constructors ------------------------------------------------------------

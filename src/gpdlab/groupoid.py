@@ -493,15 +493,20 @@ class GroupTable:
 
     @classmethod
     def from_table(cls, elements, table) -> "GroupTable":
-        """The group whose ``table[i][j]`` is the index of elements[i] * elements[j]."""
+        """The group whose ``table[i][j]`` is the index of elements[i] * elements[j].
+
+        Every entry must be an integer; a float (even 1.0) is refused, not truncated.
+        """
         elements = tuple(elements)
         n = len(elements)
         try:
-            table = np.array(table, np.int64)
+            table = np.array(table)
         except ValueError:  # ragged rows
-            table = np.zeros(0, np.int64)
-        if table.shape != (n, n) or _non_groups(np.array([n]), np.zeros(n * n, np.int64),
-                                                 *np.divmod(np.arange(n * n), n), table.ravel())[0]:
+            table = np.zeros(0)
+        if table.dtype.kind in "iu":
+            table = table.astype(np.int64, copy=False)
+        if table.dtype != np.int64 or table.shape != (n, n) or _non_groups(
+                np.array([n]), np.zeros(n * n, np.int64), *np.divmod(np.arange(n * n), n), table.ravel())[0]:
             raise GroupoidError("multiplication table is not a group")
         return cls(elements, table, int(np.argmax(table.diagonal() == np.arange(n))))  # the idempotent
 

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conical import LayerDomain, RayBase, weight_line
+from .conical import DomainError, LayerDomain, RayBase, weight_line
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,8 +62,8 @@ class TailBoundError(RuntimeError):
     pass
 
 
-class MissingKernelError(MellinError):
-    pass
+class MissingKernelError(MellinError, DomainError):
+    """No built-in kernel at a vertex; ``field`` names the vertex's base."""
 
 
 class UnsupportedDimensionError(MellinError):
@@ -700,6 +700,7 @@ class ScanResult:
 
 
 MAX_REFINEMENTS = 2000  # bisection midpoints a scan may add
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # the least lam whose square is a normal float
 
 
 def invertibility_scan(
@@ -715,7 +716,8 @@ def invertibility_scan(
     points already evaluated stay on the grid.  lam_max starts at the
     first planned |lam| where the tail bound is below |c| / 2, or at the
     largest |lam| already evaluated if that is further; past the plan it
-    doubles up to lambda_cap.  While tail_floor is below the smallest
+    is the first lam where C2 / lam^2 < |c| / 2, which must not pass
+    lambda_cap.  While tail_floor is below the smallest
     sample and the plan reaches further, lam_max moves out to the first
     planned |lam| whose floor clears that sample, so the tail cap binds
     on min_sigma only at the plan's end.  sigma_min is 1-Lipschitz in the operator norm (Weyl), so on a grid
@@ -745,14 +747,16 @@ def invertibility_scan(
     if lam_max <= 0:
         raise MellinError("scan grid must contain a nonzero lambda")
     family.evaluate_plan(lam_max)
-    while family.tail_bound(lam_max) >= abs(c) / 2.0:
-        lam_max *= 2.0
+    if family.tail_bound(lam_max) >= abs(c) / 2.0:
+        # past the plan: C2 / lam^2 = |c| / 2 at sqrt(2 C2 / |c|), and lam^2 stays normal
+        lam_max = max(lam_max, math.sqrt(2.0 * family.tail_c2 / abs(c)), _SQRT_TINY)
         if lam_max > lambda_cap:
             raise TailBoundError(
-                f"tail bound {family.tail_bound(lam_max):.2e} still exceeds "
-                f"|c|/2 at lambda = {lam_max:.3g}; enlarge the grid"
+                f"tail bound {family.tail_bound(lambda_cap):.2e} still exceeds "
+                f"|c|/2 at lambda = {lambda_cap:.3g}; enlarge the grid"
             )
-        family.value(np.array([-lam_max, lam_max]))
+        while family.tail_bound(lam_max) >= abs(c) / 2.0:  # a few ulps of rounding
+            lam_max = math.nextafter(lam_max, math.inf)
     family.value(np.array([-lam_max, lam_max]))  # the grid spans [-lam_max, lam_max]
 
     def sigma_min(lams):
@@ -834,9 +838,8 @@ def vertex_kernel(domain: LayerDomain, vertex_id) -> MellinKernel:
     """Built-in double-layer kernel at a planar two-ray vertex."""
     v = domain.vertex(vertex_id)
     if not isinstance(v.base, RayBase) or v.base.components != 2:
-        raise MissingKernelError(
-            f"vertex {vertex_id!r} has no built-in kernel; supply one explicitly"
-        )
+        raise MissingKernelError(f"vertex {vertex_id!r} has no built-in kernel; supply one explicitly",
+                                 field=f"vertices[{domain.vertices.index(v)}].base")
     return wedge_double_layer_kernel(v.base.opening(), vertex=vertex_id)
 
 

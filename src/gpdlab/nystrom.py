@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conical import LayerDomain
+from .conical import DomainError, LayerDomain
 from .mellin import MellinKernel, conjugated_kernel
 
 GRADING_EXPONENT = 3
@@ -106,12 +106,10 @@ class PolygonMesh:
 def _polygon_coords(domain: LayerDomain):
     if domain.dimension != 2:
         raise MeshError("polygon meshes are planar only")
-    coords = []
-    for v in domain.vertices:
+    for i, v in enumerate(domain.vertices):
         if v.coords is None:
-            raise MeshError(f"vertex {v.id!r} has no coordinates")
-        coords.append(np.asarray(v.coords, dtype=float))
-    return np.array(coords)
+            raise DomainError(f"vertex {v.id!r} has no coordinates", field=f"vertices[{i}].coords")
+    return np.array([v.coords for v in domain.vertices], dtype=float)
 
 
 def polygon_mesh(domain: LayerDomain, panels_per_half_edge: int) -> PolygonMesh:

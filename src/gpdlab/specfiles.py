@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -275,13 +276,16 @@ def atlas_from_dict(doc, where: str = "atlas", base_dir: Path | None = None) -> 
         _expect(isinstance(emb, dict), f"{here}.embedding", "must be a map piece-unit -> unit")
         _expect_string_values(emb, f"{here}.embedding")
         pieces.append(GluingPiece(groupoid, emb))
+    phis_spec = doc.get("phis", [])
+    _expect(isinstance(phis_spec, list), f"{where}.phis", "must be an array")
     phis = {}
-    for i, spec in enumerate(doc.get("phis", [])):
+    for i, spec in enumerate(phis_spec):
         here = f"{where}.phis[{i}]"
         _expect(isinstance(spec, dict), here, "must be an object")
         src, dst = spec.get("src"), spec.get("dst")
-        _expect(isinstance(src, int) and 0 <= src < len(pieces), f"{here}.src", "bad piece index")
-        _expect(isinstance(dst, int) and 0 <= dst < len(pieces), f"{here}.dst", "bad piece index")
+        # type(...) is int: a JSON true is an int, but no piece index
+        _expect(type(src) is int and 0 <= src < len(pieces), f"{here}.src", "bad piece index")
+        _expect(type(dst) is int and 0 <= dst < len(pieces), f"{here}.dst", "bad piece index")
         mapping = spec.get("map")
         _expect(isinstance(mapping, dict), f"{here}.map", "must be a map arrow -> arrow")
         _expect_string_values(mapping, f"{here}.map")
@@ -349,18 +353,38 @@ def domain_from_dict(doc, where: str = "domain") -> LayerDomain:
         if coords is not None:
             _expect(isinstance(coords, list) and len(coords) == n, f"{here}.coords",
                     f"must be an array of {n} numbers")
-            coords = tuple(float(c) for c in coords)
+            for j, c in enumerate(coords):
+                _expect(_finite(c), f"{here}.coords[{j}]", f"must be a finite number, got {c!r}")
+            coords = tuple(map(float, coords))
         vertices.append(Vertex(vid, base, coords))
+    edges_spec = doc.get("edges", [])
+    _expect(isinstance(edges_spec, list), f"{where}.edges", "must be an array of vertex-id pairs")
     edges = []
-    for i, e in enumerate(doc.get("edges", [])):
+    for i, e in enumerate(edges_spec):
         here = f"{where}.edges[{i}]"
         _expect(isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e), here,
                 "must be a pair of vertex ids")
         edges.append((e[0], e[1]))
-    try:
+    with fields_of(where):
         return LayerDomain(n, tuple(vertices), tuple(edges))
+
+
+def _finite(x) -> bool:
+    """Whether a JSON value is a number, not a boolean, that is finite as a float."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+@contextmanager
+def fields_of(where: str):
+    """Raise a ``DomainError`` from the block as a ``SchemaError`` at its
+    field in the domain file ``where``, or at the file if it names none."""
+    try:
+        yield
     except DomainError as exc:
-        raise SchemaError(f"{where}.{exc.field}" if exc.field else where, str(exc)) from None
+        raise SchemaError(f"{where}.{exc.field}" if exc.field else str(where), str(exc)) from None
 
 
 def domain_to_dict(d: LayerDomain) -> dict:
@@ -403,11 +427,8 @@ def element_from_dict(doc, groupoid: FiniteGroupoid, where: str = "element") -> 
     for arrow, pair in coeffs.items():
         here = f"{where}.coefficients[{arrow!r}]"
         _expect(arrow in aidx, here, "unknown arrow id")
-        _expect(
-            isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(x, (int, float)) for x in pair),
-            here, "must be [re, im]",
-        )
+        _expect(isinstance(pair, list) and len(pair) == 2 and all(map(_finite, pair)), here,
+                "must be [re, im], two finite numbers")
         vec[aidx[arrow]] = complex(pair[0], pair[1])
     return AlgebraElement(groupoid, vec)
 

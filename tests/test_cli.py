@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -349,7 +350,9 @@ def phi_entry(src, dst, mapping=None):
     ("atlas_three_piece.json", ("phis",), [phi_entry(0, 3)], ".phis[0].dst: bad piece index"),
     ("atlas_three_piece.json", ("phis",), [phi_entry(0, 1), phi_entry(2, 1), phi_entry(0, 1)],
      ".phis[2]: repeats the phi from piece 0 to piece 1"),
-], ids=["unknown-arrow-id", "same-piece", "piece-out-of-range", "repeated-pair"])
+    ("bad_atlas.json", ("phis", 0, "dst"), True, ".phis[0].dst: bad piece index"),
+    ("bad_atlas.json", ("phis",), 2.5, ".phis: must be an array"),
+], ids=["unknown-arrow-id", "same-piece", "piece-out-of-range", "repeated-pair", "piece-true", "phis-number"])
 def test_bad_phi_exits_two(runner, tmp_path, fixture, keys, value, where):
     path = edited_fixture(tmp_path, fixture, keys, value)
     res = runner.invoke(main, ["glue", "--atlas", path])
@@ -526,6 +529,68 @@ def test_angles_that_disagree_with_the_opening_exit_two(runner, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["layer-report", "mellin-scan", "nystrom-verify"])
+@pytest.mark.parametrize("keys, value, where", [
+    (("vertices", 2, "coords", 1), None, ".vertices[2].coords[1]: must be a finite number, got None"),
+    (("vertices", 0, "coords", 0), "x", ".vertices[0].coords[0]: must be a finite number, got 'x'"),
+    (("vertices", 1, "coords", 0), True, ".vertices[1].coords[0]: must be a finite number, got True"),
+    (("vertices", 3, "coords", 1), 10**400,
+     ".vertices[3].coords[1]: must be a finite number, got 1" + "0" * 400),
+    (("vertices", 2, "coords"), [0.0, 0.0],
+     ".vertices[2].coords: vertex coordinates must be distinct (disjoint neighborhoods)"),
+    (("vertices", 3, "id"), "v1", ".vertices[3].id: vertex ids must be distinct"),
+    (("vertices", 1, "base", "angles"), [1.5707963267948966],
+     ".vertices[1].base.angles: vertex 'v1' is a polygon corner, which has two rays, not 1"),
+    (("vertices", 1, "base", "angles"), [],
+     ".vertices[1].base: vertex 'v1': base needs at least one boundary component"),
+    (("vertices", 0, "base"), {"type": "named", "name": "cap", "components": 1},
+     ".vertices[0].base: vertex 'v0': planar vertices need ray bases"),
+    (("edges",), 2.5, ".edges: must be an array of vertex-id pairs"),
+    (("edges",), None, ".edges: must be an array of vertex-id pairs"),
+], ids=["coord-null", "coord-string", "coord-bool", "coord-past-float", "coords-repeated",
+        "id-repeated", "one-ray", "no-ray", "named-base", "edges-number", "edges-null"])
+def test_malformed_domain_exits_two_with_field_path(runner, tmp_path, command, keys, value, where):
+    path = edited_fixture(tmp_path, "square.json", keys, value)
+    res = runner.invoke(main, [command, "--domain", path])
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {path}{where}\n")
+
+
+def test_nystrom_verify_names_a_vertex_without_coordinates(runner, tmp_path):
+    # the file is no polygon, so it loads, and the scan and the report read it
+    doc = json.loads(Path(corpus("square.json")).read_text())
+    del doc["vertices"][1]["coords"]
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(doc))
+    path = str(path)
+    assert runner.invoke(main, ["layer-report", "--domain", path]).exit_code == 0
+    res = runner.invoke(main, ["nystrom-verify", "--domain", path, "--levels", "2"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"error: {path}.vertices[1].coords: vertex 'v1' has no coordinates\n"
+
+
+def test_mellin_scan_names_a_vertex_without_a_kernel(runner, tmp_path):
+    # with no coordinates the one-ray vertex is no polygon corner; it has no built-in kernel
+    doc = json.loads(Path(corpus("square.json")).read_text())
+    for spec in doc["vertices"]:
+        del spec["coords"]
+    doc["vertices"][2]["base"]["angles"] = [0.0]
+    path = tmp_path / "rays.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["mellin-scan", "--domain", str(path)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == (
+        f"error: {path}.vertices[2].base: vertex 'v2' has no built-in kernel; supply one explicitly\n"
+    )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, "1"], ids=["nan", "inf", "bool", "string"])
+def test_norms_refuses_a_coefficient_that_is_not_a_finite_number(runner, tmp_path, value):
+    path = edited_fixture(tmp_path, "element_pair3.json", ("coefficients", "aa", 0), value)
+    res = runner.invoke(main, ["norms", "--groupoid", corpus("pair3.json"), "--element", path])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"error: {path}.coefficients['aa']: must be [re, im], two finite numbers\n"
+
+
 def test_mellin_scan_zero_constant_report(runner):
     # c = 0 is not elliptic: no vertex is scanned and the verdict fails
     res = runner.invoke(main, ["mellin-scan", "--domain", corpus("square.json"), "--c", "0"])
@@ -643,6 +708,35 @@ def test_algebra_corpus_output_pinned(runner, monkeypatch, args, stdout_sha256):
     res = runner.invoke(main, args)
     assert (res.exit_code, res.stderr) == (0, "")
     assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == stdout_sha256
+
+
+@pytest.mark.parametrize("args, stdout_sha256", [
+    (["validate", "--groupoid", "pair3.json"],
+     "470bb44c78fe8d3e5a08ba3d53cb044c236ff96edd23cbbfa5bbb988550f258e"),
+    (["orbits", "--groupoid", "toy_layer.json"],
+     "d45e260be6b2b85526451403f8c985a673f5686e0b1cf471f2068d413d9001e5"),
+    (["layer-report", "--domain", "lshape.json"],
+     "be30903843f9b2c13821071c2501a70d18e594963078ece87c950e6cdecebd63"),
+    (["nystrom-verify", "--domain", "square.json", "--levels", "3"],
+     "7abdf731c44f57cb66759a9c600ed2c09ad2f3b5f6c4ca88007c815759577cc6"),
+], ids=["validate", "orbits", "layer-report", "nystrom-verify"])
+def test_report_corpus_output_pinned(runner, monkeypatch, args, stdout_sha256):
+    monkeypatch.chdir(Path(corpus("pair3.json")).parent)
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert hashlib.sha256(res.stdout.encode("utf-8")).hexdigest() == stdout_sha256
+
+
+@pytest.mark.parametrize("args", [
+    [*args, "--out", "/nonexistent/dir/x"] for args in CLI_REPORTS.values()
+] + [CLI_REPORTS["nystrom-verify"] + ["--out", "/nonexistent/dir/x.csv"]],
+    ids=[*CLI_REPORTS, "nystrom-verify-csv"])
+def test_unwritable_out_exits_two(runner, args):
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+    assert isinstance(res.exception, SystemExit)
 
 
 @pytest.mark.parametrize("args, stderr", [

@@ -336,6 +336,14 @@ class TestGroupTable:
         with pytest.raises(GroupoidError, match="^multiplication table is not a group$"):
             gl.GroupTable.from_table(range(2), table)
 
+    @pytest.mark.parametrize("table", [[[0.5, 1.2], [1.7, 0.1]], [[0.0, 1.0], [1.0, 0.0]], [[0, 1], [1, "0"]],
+                                       [[0, 2**70], [1, 0]]],
+                             ids=["fractions", "integral-floats", "string", "past-int64"])
+    def test_non_integer_entries_rejected(self, table):
+        # np.array(table, np.int64) would truncate [[0.5, 1.2], [1.7, 0.1]] to Z/2
+        with pytest.raises(GroupoidError, match="^multiplication table is not a group$"):
+            gl.GroupTable.from_table(range(2), table)
+
     def test_built_ins_equal_the_checked_construction(self):
         def cyclic(m):
             return gl.GroupTable.from_mul(range(m), lambda a, b: (a + b) % m)

@@ -566,6 +566,11 @@ def test_square_corner_scan_from_a_tiny_lambda_max(lambda_max):
     fam = me.mellin_transform(me.wedge_double_layer_kernel(math.pi / 2), 0.5, lambda_max=lambda_max)
     res = me.invertibility_scan(fam, 0.5)
     assert res.invertible and abs(res.min_sigma - (0.5 - math.cos(math.pi / 4) / 2)) < 1e-12
+    # past the plan the cutoff is the first lam where C2 / lam^2 < |c| / 2, not a
+    # doubling from lambda_max (1997 points from 1e-300); the grid holds the
+    # plan's 3 points, the cutoff's 2 and 2 bisection midpoints
+    assert fam.tail_bound(res.lambda_max) < 0.25 <= fam.tail_bound(math.nextafter(res.lambda_max, 0.0))
+    assert (res.grid_points, res.refinements) == (7, 2)
     bounds = fam.tail_bound(np.array([-1.0, 0.0, 1e-300, 1e-160, 2.0]))
     assert bounds.tolist() == [math.inf] * 4 + [fam.tail_c2 / 4.0]
     assert fam.tail_bound(1e-300) == math.inf and fam.tail_bound(2.0) == fam.tail_c2 / 4.0
