@@ -15,6 +15,13 @@ hold exactly when no class holds two arrows of one piece; the pairs and
 triples of pieces are walked only to name a failure.  The class map also
 gives the class products that the weak condition and the compose read.
 
+The atlas check also certifies the pieces, once, before the phis.  A
+checked atlas glues without re-checks: each class over a piece holds
+one of its arrows and the phis are multiplicative, so the pieces agree
+on every class product and each projection is an isomorphism onto its
+reduction.  The glued tables are still validated: the weak condition
+alone does not make the quotient associative.
+
 Separation properties of the quotient topology are vacuous for finite
 discrete unit sets, so they are recorded here rather than checked.
 """
@@ -28,16 +35,21 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .groupoid import (FiniteGroupoid, _id_array, _min_labels, build_disjoint_union, orbits_and_isotropy,
-                       saturation, validate)
+                       saturation, structure_witness, validate)
 from .iso import is_pair_groupoid, is_pair_over
 
 
 class AtlasError(ValueError):
-    """Atlas invariants (embeddings, phi bijections, cocycle law) violated."""
+    """Atlas invariants (pieces, embeddings, phi bijections, cocycle law)
+    violated; ``field`` names the atlas-file field at fault, if any."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 class GluingError(ValueError):
-    """Gluing is not defined (weak condition fails or products disagree)."""
+    """Gluing is not defined (weak condition fails or the quotient is no groupoid)."""
 
 
 @dataclass(frozen=True)
@@ -59,27 +71,31 @@ class GluingAtlas:
     of phi_ij maps ``_src[e]`` to ``_dst[e]``, and ``_pair[e]`` = i * P + j
     (an id a piece lacks gets a negative number).  Given id maps are
     converted once, here; a map given only for (j, i) is inverted.  The
-    other overlapping pairs are matched by ambient endpoints.
+    other overlapping pairs are matched by ambient endpoints.  A fault
+    names its field as an atlas file would hold it: the k-th given phi
+    is ``phis[k]``.
     """
 
     def __init__(self, x_units, pieces, phis: Optional[dict] = None):
         self.x_units = tuple(x_units)
         self.pieces = tuple(pieces)
-        given, npieces = dict(phis or {}), len(self.pieces)
+        given, npieces, xidx = dict(phis or {}), len(self.pieces), {}
+        for k, x in enumerate(self.x_units):
+            if xidx.setdefault(x, k) != k:
+                raise AtlasError(f"duplicate unit id {x!r}", f"units[{k}]")
         for idx, piece in enumerate(self.pieces):
-            emb = dict(piece.embedding)
+            emb, field = dict(piece.embedding), f"pieces[{idx}].embedding"
             if set(emb) != set(piece.groupoid.units):
-                raise AtlasError(f"piece {idx}: embedding keys must be exactly the piece units")
+                raise AtlasError(f"piece {idx}: embedding keys must be exactly the piece units", field)
             if len(set(emb.values())) != len(emb):
-                raise AtlasError(f"piece {idx}: embedding is not injective")
+                raise AtlasError(f"piece {idx}: embedding is not injective", field)
             if not set(emb.values()) <= set(self.x_units):
-                raise AtlasError(f"piece {idx}: embedding leaves the ambient unit set")
+                raise AtlasError(f"piece {idx}: embedding leaves the ambient unit set", field)
         if set().union(*(p.embedded_units() for p in self.pieces)) != set(self.x_units):
-            raise AtlasError("pieces do not cover the ambient unit set")
+            raise AtlasError("pieces do not cover the ambient unit set", "units")
         # the pieces' disjoint union: the ambient unit of each unit; per arrow number its piece,
         # ambient dom and rng, and in _over[j] if it lies over another piece j; _sizes[i, j] of those in i
         self._union = build_disjoint_union(p.groupoid for p in self.pieces)
-        xidx = {x: k for k, x in enumerate(self.x_units)}
         self._units = np.array([xidx[p.embedding[u]] for p in self.pieces for u in p.groupoid.units], np.int64)
         self._offsets = np.cumsum([0] + [p.groupoid.n_arrows for p in self.pieces])
         self._piece = np.repeat(np.arange(npieces), np.diff(self._offsets))
@@ -91,14 +107,17 @@ class GluingAtlas:
         self._over = self._covers[:, self._dom] & self._covers[:, self._rng] & ~mine
         self._sizes = mine.astype(np.int64) @ self._over.T
         derived = self._sizes > 0  # the pairs whose phi is matched by endpoints
-        for i, j in given:
+        self._fields = {}  # the field of each phi that is given or inverted from a given one: its map
+        for k, (i, j) in enumerate(given):
             if not (0 <= i < npieces and 0 <= j < npieces):
-                raise AtlasError(f"phi({i},{j}) names a piece out of range")
+                raise AtlasError(f"phi({i},{j}) names a piece out of range", f"phis[{k}]")
             if i == j:
-                raise AtlasError(f"phi({i},{j}) maps a piece to itself")
+                raise AtlasError(f"phi({i},{j}) maps a piece to itself", f"phis[{k}]")
             if not self._sizes[i, j]:
-                raise AtlasError(f"phi({i},{j}) joins pieces that do not overlap")
+                raise AtlasError(f"phi({i},{j}) joins pieces that do not overlap", f"phis[{k}]")
             derived[i, j] = derived[j, i] = False
+            self._fields[(i, j)] = f"phis[{k}].map"
+            self._fields.setdefault((j, i), f"phis[{k}].map")
         edges, unknown = [self._matched_phis(derived)], {}  # unknown: an id a piece lacks -> its number
         for i, j in np.argwhere((self._sizes > 0) & ~derived).tolist():
             phi = given[(i, j)] if (i, j) in given else {v: k for k, v in given[(j, i)].items()}
@@ -143,22 +162,29 @@ class GluingAtlas:
     def check(self):
         """Verify all atlas invariants; raises AtlasError on the first failure.
 
-        The local checks run over the edge list at once; then the quotient
-        classes decide the cocycle law and mutual inverses together.
+        The pieces come first: their disjoint union passes the structure
+        certificate exactly when every piece does, which is certified one
+        by one only to name the first that fails.  The local checks then
+        run over the edge list at once; then the quotient classes decide
+        the cocycle law and mutual inverses together.
         """
         if self._checked:
             return
-        fault = self._local_fault()
+        if structure_witness(self._union) is not None:
+            for i, piece in enumerate(self.pieces):
+                if (w := structure_witness(piece.groupoid)) is not None:
+                    raise AtlasError(f"piece {i}: groupoid fails the structure certificate: {w!r}",
+                                     f"pieces[{i}].groupoid")
+        self._check_local()
         classes = self.quotient_classes()[1] * len(self.pieces) + self._piece  # class and piece of each arrow
-        if fault is None and len(np.unique(classes)) < len(classes):
-            fault = self._law_witness()
-        if fault is not None:
-            raise AtlasError(fault)
+        if len(np.unique(classes)) < len(classes):
+            raise AtlasError(self._law_witness())
         self._checked = True
 
-    def _local_fault(self) -> Optional[str]:
-        """The first local fault: of the first failing phi in pair order, the
-        first failing test of domain, injective, image, units and products."""
+    def _check_local(self):
+        """Raise the first local fault: of the first failing phi in pair
+        order, the first failing test of domain, injective, image, units
+        and products, at the field of that phi's map if it is given."""
         npieces, g, pair, src, dst = len(self.pieces), self._union, self._pair, self._src, self._dst
         s, d = np.maximum(src, 0), np.maximum(dst, 0)
         moved = (src >= 0) & (dst >= 0) & ((self._dom[s] != self._dom[d]) | (self._rng[s] != self._rng[d]))
@@ -179,17 +205,19 @@ class GluingAtlas:
             (pair[(dst < 0) | ~self._over[pair // npieces, d]], 2), (every[entries != back], 2),
             (pair[moved], 3), (code[wrong], 4)]])
         if not len(faults):
-            return None
+            return
         c, test = divmod(int(faults.min()), 5)
         phi, name = "phi({},{})".format(*divmod(c, npieces)), lambda k: repr(g.arrows[k][1])
         if test == 3:
-            return f"{phi} does not cover the identity on units at {name(src[moved & (pair == c)][0])}"
-        if test == 4:
+            fault = f"does not cover the identity on units at {name(src[moved & (pair == c)][0])}"
+        elif test == 4:
             a, b = (e[wrong][code[wrong] == c] for e in (a, b))
             k = np.argmin(a * len(g.arrows) + b)
-            return f"{phi} is not multiplicative at ({name(a[k])}, {name(b[k])})"
-        return f"{phi} " + ("domain is not the overlap reduction", "is not injective",
-                            "image is not the overlap reduction")[test]
+            fault = f"is not multiplicative at ({name(a[k])}, {name(b[k])})"
+        else:
+            fault = ("domain is not the overlap reduction", "is not injective",
+                     "image is not the overlap reduction")[test]
+        raise AtlasError(f"{phi} {fault}", self._fields.get(divmod(c, npieces)))
 
     def _image(self, code, numbers) -> np.ndarray:
         """The image of each arrow number under the phi of its pair code, -2
@@ -246,16 +274,16 @@ class GluingCheck:
 
 
 def _class_products(atlas: GluingAtlas, canon, cls):
-    """The products that the pieces give to each composable class pair.
+    """The product that the pieces give to each composable class pair.
 
     The pairs (c1, c2) with dom c1 = rng c2 get one slot each, in (c1, c2)
     order, onto which the class map sends the composable pairs of the
-    pieces' disjoint union.  Returns (c1, c2, lo, hi, miss, witness): per
-    slot the least and greatest product given (lo > hi where none is), the
-    least piece missing it (else the piece count), and the first pair no
-    piece carries, as canonical ids, or None.
+    pieces' disjoint union.  The pieces of a checked atlas agree on every
+    slot they carry, so one assignment fills it.  Returns (c1, c2,
+    product, witness): per slot its product class (-1 where no piece
+    carries it), and the first such pair as canonical ids, or None.
     """
-    nc, cdom, crng, npieces = len(canon), atlas._dom[canon], atlas._rng[canon], len(atlas.pieces)
+    nc, cdom, crng = len(canon), atlas._dom[canon], atlas._rng[canon]
     order = np.argsort(crng, kind="stable")
     start = np.searchsorted(crng[order], np.arange(len(atlas.x_units) + 1))
     pos = np.empty(nc, np.int64)
@@ -267,19 +295,11 @@ def _class_products(atlas: GluingAtlas, canon, cls):
     g = atlas._union
     ft = g._fiber_table()
     a, b = ft.slot_pairs(np.arange(len(ft.table) - 1), g.dom_i)
-    piece, a, b, prod = atlas._piece[a], cls[a], cls[b], ft.table[:-1]
-    ok = cdom[a] == crng[b]  # composable classes (always, once the atlas is checked)
-    slot, prod, piece = off[a[ok]] + pos[b[ok]], prod[ok], piece[ok]
-    carried, miss = np.zeros(off[-1], bool), np.full(off[-1], npieces)
-    carried[slot] = True
-    np.minimum.at(miss, slot[prod < 0], piece[prod < 0])
-    slot, prod = slot[prod >= 0], cls[prod[prod >= 0]]
-    lo, hi = np.full(off[-1], nc, np.int64), np.full(off[-1], -1, np.int64)
-    np.minimum.at(lo, slot, prod)
-    np.maximum.at(hi, slot, prod)
-    first = np.flatnonzero(~carried)[:1]
+    product = np.full(off[-1], -1, np.int64)
+    product[off[cls[a]] + pos[cls[b]]] = cls[ft.table[:-1]]
+    first = np.flatnonzero(product < 0)[:1]
     witness = tuple(g.arrows[k] for k in canon[[c1[first[0]], c2[first[0]]]]) if len(first) else None
-    return c1, c2, lo, hi, miss, witness
+    return c1, c2, product, witness
 
 
 def check_weak_gluing(atlas: GluingAtlas) -> GluingCheck:
@@ -326,60 +346,30 @@ class GluedGroupoid:
 def glue(atlas: GluingAtlas) -> GluedGroupoid:
     """Glue the atlas; defined when the weak gluing condition holds.
 
-    The product of two classes is computed inside every common piece and
-    cross-checked; disagreement (malformed phis) raises GluingError.  The
-    compose is in (c1, c2) order.  The tables derived from the pieces'
-    disjoint union are dropped on return: the result keeps the atlas alive.
+    The atlas check certifies the pieces and the phis, so the product of
+    two classes is read from any piece that carries both, and each
+    piece's projection (its arrows through the class map) is an
+    isomorphism onto the reduction without a further check.  The compose
+    is in (c1, c2) order.  The tables derived from the pieces' disjoint
+    union are dropped on return: the result keeps the atlas alive.
     """
     try:
         atlas.check()
         canon, cls = atlas.quotient_classes()
         ids, union = _id_array(atlas._union.arrows)[canon], atlas._union
-        c1, c2, lo, hi, miss, witness = _class_products(atlas, canon, cls)
+        c1, c2, product, witness = _class_products(atlas, canon, cls)
         if witness is not None:
             raise GluingError(f"weak gluing condition fails at composable pair {witness}")
-        bad = np.flatnonzero((miss < len(atlas.pieces)) | (lo != hi))
-        if len(bad) and miss[bad[0]] < len(atlas.pieces):
-            raise GluingError(f"piece {miss[bad[0]]} misses the product of a composable overlap pair")
-        if len(bad):
-            raise GluingError(f"product of classes {ids[c1[bad[0]]]} and {ids[c2[bad[0]]]} differs between pieces")
         glued = FiniteGroupoid._from_arrays(
             atlas.x_units, ids, atlas._dom[canon], atlas._rng[canon], cls[union.inv_i[canon]],
-            cls[union.unit_i[np.unique(atlas._units, return_index=True)[1]]], c1, c2, lo)
+            cls[union.unit_i[np.unique(atlas._units, return_index=True)[1]]], c1, c2, product)
         report = validate(glued)
         if not report.ok:
             raise GluingError(f"glued groupoid fails validation: {sorted(report.axioms())}")
-        _check_projections(atlas, glued, canon, cls)
         return GluedGroupoid(glued, atlas, tuple(dict(zip(p.groupoid.arrows, ids[cls[a:b]])) for p, a, b in zip(
             atlas.pieces, atlas._offsets[:-1].tolist(), atlas._offsets[1:].tolist())))
     finally:
         atlas._union._cache.clear()
-
-
-def _check_projections(atlas: GluingAtlas, glued, canon, cls):
-    """Each piece's projection (its arrows through the class map) must be a
-    groupoid isomorphism onto the reduction; names the first piece that
-    breaks it, at its first failing test."""
-    g, npieces, piece, off = atlas._union, len(atlas.pieces), atlas._piece, atlas._offsets
-    over = atlas._covers[:, glued.dom_i] & atlas._covers[:, glued.rng_i]  # glued arrow c lies over piece i
-    onto = (over.sum(axis=1) != np.diff(off)) | (
-        np.bincount(np.unique(piece * len(canon) + cls) // len(canon), minlength=npieces) < np.diff(off))
-    ends = (glued.dom_i[cls] != atlas._dom) | (glued.rng_i[cls] != atlas._rng)
-    edge = np.flatnonzero(ends | (cls[g.inv_i] != glued.inv_i[cls]))
-    row = np.flatnonzero(glued._mul_idx(cls[g.p1], cls[g.p2]) != cls[g.pp])
-    faults = np.concatenate([3 * piece[~over[piece, cls]], 3 * np.flatnonzero(onto),
-                             3 * piece[edge] + 1, 3 * piece[g.p1[row]] + 2])
-    if not len(faults):
-        return
-    i, test = divmod(int(faults.min()), 3)
-    if test == 0:
-        raise GluingError(f"projection of piece {i} is not a bijection onto the reduction")
-    if test == 1:
-        a = edge[piece[edge] == i][0]
-        raise GluingError(f"projection of piece {i} breaks {'endpoints' if ends[a] else 'inverses'} "
-                          f"at {g.arrows[a][1]!r}")
-    a, b = (g.arrows[e[row[piece[g.p1[row]] == i][0]]][1] for e in (g.p1, g.p2))
-    raise GluingError(f"projection of piece {i} breaks products at ({a!r}, {b!r})")
 
 
 def attach_ends(pairpiece: FiniteGroupoid, boundarypiece: FiniteGroupoid) -> GluedGroupoid:
@@ -387,7 +377,8 @@ def attach_ends(pairpiece: FiniteGroupoid, boundarypiece: FiniteGroupoid) -> Glu
 
     Requires U u V to be glued over an overlap on which the end piece
     restricts to a pair groupoid with no arrows leaving the overlap;
-    the result has U as a single orbit and all other orbits inside V-U.
+    then the result, once glue has certified both pieces, has U as a
+    single orbit and all other orbits inside V-U.
     """
     if not is_pair_groupoid(pairpiece):
         raise GluingError("first piece must be a pair groupoid over its units")
@@ -406,13 +397,4 @@ def attach_ends(pairpiece: FiniteGroupoid, boundarypiece: FiniteGroupoid) -> Glu
             GluingPiece(boundarypiece, {x: x for x in v_units}),
         ],
     )
-    glued = glue(atlas)
-    orbits = orbits_and_isotropy(glued.groupoid, check=False).orbits
-    if u_units:
-        u_orbit = next(orb for orb in orbits if u_units[0] in orb)
-        if u_orbit != frozenset(u_units) | overlap:
-            raise GluingError("glued groupoid does not have the expected dense orbit")
-        for orb in orbits:
-            if orb != u_orbit and orb & frozenset(u_units):
-                raise GluingError("an end orbit leaks into the pair part")
-    return glued
+    return glue(atlas)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .conical import DomainError, LayerDomain, NamedBase, RayBase, Vertex
-from .gluing import GluingAtlas, GluingPiece
+from .gluing import AtlasError, GluingAtlas, GluingPiece
 from .groupoid import FiniteGroupoid, _id_array, validate
 
 SPEC_VERSION = 1
@@ -255,6 +255,7 @@ def atlas_from_dict(doc, where: str = "atlas", base_dir: Path | None = None) -> 
     units = doc.get("units")
     _expect(isinstance(units, list) and all(isinstance(u, str) for u in units),
             f"{where}.units", "must be an array of strings")
+    _declared(units, lambda i: f"{where}.units[{i}]", "unit")
     pieces_spec = doc.get("pieces")
     _expect(isinstance(pieces_spec, list) and pieces_spec, f"{where}.pieces",
             "must be a non-empty array")
@@ -267,6 +268,7 @@ def atlas_from_dict(doc, where: str = "atlas", base_dir: Path | None = None) -> 
             gpath = Path(gspec)
             if base_dir is not None and not gpath.is_absolute():
                 gpath = base_dir / gpath
+            _expect(gpath.is_file(), f"{here}.groupoid", f"no file at {str(gpath)!r}")
             groupoid = parse_groupoid(gpath)
         elif isinstance(gspec, dict):
             groupoid = groupoid_from_dict(gspec, where=f"{here}.groupoid")
@@ -289,17 +291,12 @@ def atlas_from_dict(doc, where: str = "atlas", base_dir: Path | None = None) -> 
         mapping = spec.get("map")
         _expect(isinstance(mapping, dict), f"{here}.map", "must be a map arrow -> arrow")
         _expect_string_values(mapping, f"{here}.map")
-        _expect(src != dst, here, "src and dst must name two different pieces")
         _expect((src, dst) not in phis, here, f"repeats the phi from piece {src} to piece {dst}")
-        _expect(pieces[src].embedded_units() & pieces[dst].embedded_units(), here,
-                f"pieces {src} and {dst} do not overlap")
         phis[(src, dst)] = mapping
-    try:
+    with fields_of(where):  # the k-th phi of the file is the k-th of the dict
         atlas = GluingAtlas(units, pieces, phis or None)
         atlas.check()
         return atlas
-    except ValueError as exc:
-        raise SchemaError(where, str(exc)) from None
 
 
 def parse_atlas(path) -> GluingAtlas:
@@ -379,11 +376,12 @@ def _finite(x) -> bool:
 
 @contextmanager
 def fields_of(where: str):
-    """Raise a ``DomainError`` from the block as a ``SchemaError`` at its
-    field in the domain file ``where``, or at the file if it names none."""
+    """Raise a ``DomainError`` or ``AtlasError`` from the block as a
+    ``SchemaError`` at its field in the file ``where``, or at the file if
+    it names none."""
     try:
         yield
-    except DomainError as exc:
+    except (DomainError, AtlasError) as exc:
         raise SchemaError(f"{where}.{exc.field}" if exc.field else str(where), str(exc)) from None
 
 

@@ -503,7 +503,8 @@ def overlap_reference(pieces, i, j) -> list:
 
 
 def check_atlas_reference(x_units, pieces, phis=None) -> None:
-    """Raise the AtlasError that GluingAtlas(x_units, pieces, phis).check() raises."""
+    """Raise the AtlasError that GluingAtlas(x_units, pieces, phis).check()
+    raises, for pieces that pass the structure certificate."""
     full = atlas_phis_reference(x_units, pieces, phis)
     for (i, j), phi in full.items():
         gi, gj = pieces[i].groupoid, pieces[j].groupoid

@@ -344,9 +344,10 @@ def phi_entry(src, dst, mapping=None):
 
 
 @pytest.mark.parametrize("fixture, keys, value, where", [
-    ("bad_atlas.json", ("phis", 0, "map", "nonsense"), "g0", ": phi(0,1) domain is not the overlap reduction"),
+    ("bad_atlas.json", ("phis", 0, "map", "nonsense"), "g0",
+     ".phis[0].map: phi(0,1) domain is not the overlap reduction"),
     ("atlas_three_piece.json", ("phis",), [phi_entry(0, 0, {"nonsense": "x"})],
-     ".phis[0]: src and dst must name two different pieces"),
+     ".phis[0]: phi(0,0) maps a piece to itself"),
     ("atlas_three_piece.json", ("phis",), [phi_entry(0, 3)], ".phis[0].dst: bad piece index"),
     ("atlas_three_piece.json", ("phis",), [phi_entry(0, 1), phi_entry(2, 1), phi_entry(0, 1)],
      ".phis[2]: repeats the phi from piece 0 to piece 1"),
@@ -369,7 +370,28 @@ def test_phi_between_pieces_apart_exits_two(runner, tmp_path):
     }))
     res = runner.invoke(main, ["glue", "--atlas", str(path)])
     assert res.exit_code == 2
-    assert res.stderr == f"error: {path}.phis[0]: pieces 1 and 0 do not overlap\n"
+    assert res.stderr == f"error: {path}.phis[0]: phi(1,0) joins pieces that do not overlap\n"
+
+
+@pytest.mark.parametrize("keys, value, where", [
+    (("units",), ["1", "2", "3", "4", "1"], ".units[4]: duplicate unit id '1'"),
+    (("units",), ["1", "2", "3", "4", "5"], ".units: pieces do not cover the ambient unit set"),
+    (("pieces", 1, "embedding", "2"), "9", ".pieces[1].embedding: piece 1: embedding leaves the ambient unit set"),
+    (("pieces", 2, "embedding", "2"), "3", ".pieces[2].embedding: piece 2: embedding is not injective"),
+], ids=["repeated-unit", "cover", "embedding-leaves", "embedding-not-injective"])
+def test_atlas_law_fault_names_its_field(runner, tmp_path, keys, value, where):
+    path = edited_fixture(tmp_path, "atlas_three_piece.json", keys, value)
+    res = runner.invoke(main, ["glue", "--atlas", path])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}{where}\n"
+
+
+@pytest.mark.parametrize("name", ["v0", "."], ids=["missing", "directory"])
+def test_missing_piece_file_names_the_atlas_field(runner, tmp_path, name):
+    path = edited_fixture(tmp_path, "atlas_three_piece.json", ("pieces", 2, "groupoid"), name)
+    res = runner.invoke(main, ["glue", "--atlas", path])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}.pieces[2].groupoid: no file at {str(tmp_path / name)!r}\n"
 
 
 GLUE_THREE_PIECE_SHA256 = "d3b5b2d4067cce36fa62bc9a82056dce6a90aebcf3fed3261e6c5310fdea33bc"

@@ -48,13 +48,10 @@ BAD_VALUES = [None, -1, 0, 1e308, math.nan, "x", [], {}, True, 3.5, -0.0, "v0", 
 SEMANTIC = {
     r".+: groupoid axioms violated: [\w-]+ at witness .+":
         "the axioms bind the tables together; the witness names the arrows",
-    r".+: piece \d+: .+": "a law of one piece's embedding; the line names the piece by its index",
-    r".+: pieces do not cover the ambient unit set": "a law of all the pieces together",
     r".+: pieces \d+,\d+: .+": "a law of two pieces' overlap; the line names both pieces",
     r".+: phi\(\d+,\d+\) .+": "a law of one phi over its whole map; the line names its two pieces",
     r".+: cocycle violated at arrow .+": "a law of three phis together; the line names the arrow",
     r"weak gluing condition fails at composable pair .+": "a verdict of the glued result",
-    r"[^:]+: file does not exist": "a piece's groupoid path names no file; the line names that path",
     r"no trivial-isotropy orbit to use as the interior": "a fact about the groupoid's orbits",
     r"designated interior is not invariant": "a fact about the groupoid's orbits",
 }

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from importlib import resources
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 import gpdlab as gl
 from gpdlab import conical as co
-from gpdlab import gluing
 from gpdlab import specfiles as sf
+from gpdlab.groupoid import structure_witness
 from gpdlab.gluing import (
     AtlasError,
     GluingAtlas,
@@ -22,6 +23,7 @@ from gpdlab.gluing import (
 
 import gen
 import reference
+from test_orbit_coordinates import extra_loop, stray_product, twisted_square
 
 
 def identity_piece(units):
@@ -118,8 +120,9 @@ class TestConditions:
             atlas.check()
 
     def test_cover_required(self):
-        with pytest.raises(AtlasError, match="cover"):
+        with pytest.raises(AtlasError, match="cover") as err:
             GluingAtlas(X, [identity_piece(U1)])
+        assert err.value.field == "units"
 
 
 class TestGlue:
@@ -177,8 +180,8 @@ class TestGlue:
         assert gl.find_isomorphism(glued.groupoid, glued2.groupoid) is not None
 
     def test_inconsistent_products_detected(self, monkeypatch):
-        # sneak a non-multiplicative phi past the atlas check to exercise
-        # the exhaustive product-consistency guard
+        # sneak a non-multiplicative phi past the atlas check: the glued
+        # tables then fail their own validation
         z3 = gl.build_group_bundle(["x"], gl.GroupTable.cyclic(3))
         piece = GluingPiece(z3, {"x": "x"})
         not_hom = {("x", 0): ("x", 1), ("x", 1): ("x", 0), ("x", 2): ("x", 2)}
@@ -234,14 +237,6 @@ def outcome(fn, atlas):
         return fn(atlas)
     except (AtlasError, GluingError) as exc:
         return type(exc), str(exc)
-
-
-def glue_error(fn):
-    try:
-        fn()
-    except GluingError as exc:
-        return str(exc)
-    return "ok"
 
 
 def assert_glue_matches_reference(atlas):
@@ -308,26 +303,20 @@ class TestAgainstReference:
         assert_weak_matches_reference(atlas)
         assert_glue_matches_reference(atlas)
 
-    def test_projection_check_on_broken_class_maps(self):
+    def test_projections_of_checked_atlases_are_isomorphisms(self):
+        # glue does not check the projections: a checked atlas that passes
+        # the weak condition gives each piece an isomorphism onto its reduction
         rng = np.random.default_rng(87)
-        seen = set()
+        count = 0
         for t in range(300):
             atlas = gen.random_bundle_patch_atlas(rng) if t % 2 else gen.random_pair_cover_atlas(rng, n_max=6)
-            if not check_weak_gluing(atlas).ok:
+            if not check_weak_gluing(atlas).ok:  # the weak check runs atlas.check first
                 continue
-            glued = glue(atlas).groupoid
-            canon, cls = atlas.quotient_classes()
-            cls = cls.copy()
-            a, b = rng.choice(len(cls), 2, replace=False)
-            cls[a], cls[b] = (cls[b], cls[a]) if t % 3 else (cls[a], rng.integers(len(canon)))
-            proj = [dict(zip(p.groupoid.arrows, (glued.arrows[c] for c in cls[lo:hi])))
-                    for p, lo, hi in zip(atlas.pieces, atlas._offsets[:-1], atlas._offsets[1:])]
-            got = glue_error(lambda: gluing._check_projections(atlas, glued, canon, cls))
-            assert got == glue_error(lambda: [reference._check_projection_reference(glued, i, p, proj[i])
-                                              for i, p in enumerate(atlas.pieces)])
-            seen.add(got.split(" at ")[0].split(" ", 4)[-1])
-        assert {"ok", "is not a bijection onto the reduction", "breaks endpoints", "breaks inverses",
-                "breaks products"} <= seen
+            result = glue(atlas)
+            for i, (piece, proj) in enumerate(zip(atlas.pieces, result.projections)):
+                reference._check_projection_reference(result.groupoid, i, piece, proj)
+            count += 1
+        assert count > 200
 
     def test_piece_caches_left_as_found(self, three_piece_atlas):
         before = [dict(p.groupoid._cache) for p in three_piece_atlas.pieces]
@@ -372,11 +361,14 @@ def on_12(g):
 
 
 class TestDiagnostics:
-    def test_non_multiplicative_phi_names_its_pair(self):
+    def test_malformed_piece_is_refused_before_its_phis(self):
+        # the phi onto the piece that misses a product is not multiplicative
+        # either, but the piece is certified first
         atlas = GluingAtlas(["1", "2"], [on_12(pair_12()), on_12(pair_12_missing_one_product())])
         with pytest.raises(AtlasError) as err:
             atlas.check()
-        assert str(err.value) == "phi(0,1) is not multiplicative at (('1', '2'), ('2', '1'))"
+        assert str(err.value) == "piece 1: groupoid fails the structure certificate: ('2', 'isotropy not conjugate')"
+        assert err.value.field == "pieces[1].groupoid"
 
     def test_non_multiplicative_phi_reports_first_pair_in_arrow_order(self):
         # (x1, x1), (x1, x3), (x2, x2), ... all fail; the walk is row-major
@@ -404,33 +396,42 @@ class TestDiagnostics:
             sf.parse_atlas(path)
         assert str(err.value) == f"{path}: cocycle violated at arrow 'g1' of piece 0 (via piece 1 to piece 2)"
 
-    def test_products_differing_between_pieces(self, monkeypatch):
-        atlas = z4_atlas_with_swap()
-        monkeypatch.setattr(atlas, "check", lambda: None)
-        with pytest.raises(GluingError) as err:
-            glue(atlas)
-        assert str(err.value) == "product of classes (0, ('x', 1)) and (0, ('x', 1)) differs between pieces"
-
-    def test_piece_missing_an_overlap_product(self, monkeypatch):
-        atlas = GluingAtlas(["1", "2"], [on_12(pair_12()), on_12(pair_12_missing_one_product())])
-        monkeypatch.setattr(atlas, "check", lambda: None)
-        with pytest.raises(GluingError) as err:
-            glue(atlas)
-        assert str(err.value) == "piece 1 misses the product of a composable overlap pair"
-
     def test_single_piece_missing_a_product(self):
         atlas = GluingAtlas(["1", "2"], [on_12(pair_12_missing_one_product())])
-        with pytest.raises(GluingError) as err:
+        with pytest.raises(AtlasError) as err:
             glue(atlas)
-        assert str(err.value) == "piece 0 misses the product of a composable overlap pair"
+        assert str(err.value) == "piece 0: groupoid fails the structure certificate: ('2', 'isotropy not conjugate')"
+
+    @pytest.mark.parametrize("build", [pair_12_missing_one_product, stray_product,
+                                       lambda: twisted_square()[0], extra_loop],
+                             ids=["missing-product", "stray-product", "twisted-square", "extra-loop"])
+    def test_malformed_piece_is_refused_by_every_entry(self, build):
+        bad = build()
+        text = f"piece 1: groupoid fails the structure certificate: {structure_witness(bad)!r}"
+        for enter in (GluingAtlas.check, glue, check_weak_gluing, check_strong_gluing):
+            atlas = GluingAtlas(["p", *bad.units], [identity_piece(["p"]), GluingPiece(bad, {u: u for u in bad.units})])
+            with pytest.raises(AtlasError) as err:
+                enter(atlas)
+            assert (str(err.value), err.value.field) == (text, "pieces[1].groupoid")
+        with pytest.raises(AtlasError, match=f"^{re.escape(text)}$"):
+            attach_ends(gl.build_pair(["p"]), bad)
+
+    def test_repeated_ambient_unit_names_its_field(self):
+        with pytest.raises(AtlasError) as err:
+            GluingAtlas(["1", "2", "1"], [on_12(pair_12())])
+        assert (str(err.value), err.value.field) == ("duplicate unit id '1'", "units[2]")
 
     # the exact AtlasError message of each atlas fault
 
     @staticmethod
     def message(build):
+        return str(TestDiagnostics.fault(build))
+
+    @staticmethod
+    def fault(build):
         with pytest.raises(AtlasError) as err:
             build().check()
-        return str(err.value)
+        return err.value
 
     def test_parallel_arrows_need_an_explicit_phi(self):
         z2 = GluingPiece(gl.build_group_bundle(["x"], gl.GroupTable.cyclic(2)), {"x": "x"})
@@ -463,7 +464,13 @@ class TestDiagnostics:
 
     def test_non_injective_phi_given_backwards_shows_in_its_inverse(self):
         phi = {**z3_identity(), ("x", 2): ("x", 1)}
-        assert self.message(lambda: z3_atlas({(1, 0): phi})) == "phi(0,1) domain is not the overlap reduction"
+        fault = self.fault(lambda: z3_atlas({(1, 0): phi}))
+        assert (str(fault), fault.field) == ("phi(0,1) domain is not the overlap reduction", "phis[0].map")
+
+    def test_phi_fault_names_the_map_it_was_given_as(self):
+        phis = {(0, 1): z3_identity(), (1, 0): {**z3_identity(), ("x", 2): ("x", 9)}}
+        fault = self.fault(lambda: z3_atlas(phis))
+        assert (str(fault), fault.field) == ("phi(1,0) image is not the overlap reduction", "phis[1].map")
 
     @pytest.mark.parametrize("embedding, text", [
         ({"1": "1"}, "piece 0: embedding keys must be exactly the piece units"),
@@ -471,7 +478,8 @@ class TestDiagnostics:
         ({"1": "1", "2": "3"}, "piece 0: embedding leaves the ambient unit set"),
     ])
     def test_embedding_errors(self, embedding, text):
-        assert self.message(lambda: GluingAtlas(["1", "2"], [GluingPiece(pair_12(), embedding)])) == text
+        fault = self.fault(lambda: GluingAtlas(["1", "2"], [GluingPiece(pair_12(), embedding)]))
+        assert (str(fault), fault.field) == (text, "pieces[0].embedding")
 
     @pytest.mark.parametrize("phis, text", [
         ({(0, 0): {}}, "phi(0,0) maps a piece to itself"),
@@ -481,7 +489,8 @@ class TestDiagnostics:
     ])
     def test_phi_keys_name_two_overlapping_pieces(self, phis, text):
         apart = [identity_piece(["1"]), identity_piece(["2"])]
-        assert self.message(lambda: GluingAtlas(["1", "2"], apart, phis)) == text
+        fault = self.fault(lambda: GluingAtlas(["1", "2"], apart, phis))
+        assert (str(fault), fault.field) == (text, "phis[0]")
 
 
 def discrete_12():

@@ -94,7 +94,8 @@ class TestMalformed:
 
     def test_fiber_beyond_the_transversal_has_no_block_decomposition(self):
         # the d-fiber at 0 is e0, a, b; the transversal and the isotropy give e0, a
-        with pytest.raises(al.AlgebraError, match="^transversal indexing failed; groupoid is invalid$"):
+        with pytest.raises(al.AlgebraError,
+                           match=r"^groupoid fails the structure certificate: \('b', 'not in isotropy'\)$"):
             al.block_decompose(stray_product())
 
     def test_isotropy_not_conjugate(self):
